@@ -44,5 +44,6 @@ from .sampling_line import (
     nth_point_density,
     nth_point_mass,
     sample_nth_point,
+    sample_nth_points,
     sample_path_time_change,
 )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 
@@ -38,7 +39,7 @@ from .sampling_line import (
     NthPointQuery,
     nth_point_density,
     nth_point_mass,
-    sample_nth_point,
+    sample_nth_points,
 )
 
 __all__ = ["main"]
@@ -393,10 +394,9 @@ def _run_next_point(parser, args, argv):
     _check_sampling_flags(parser, args)
     model = _build_model(parser, args)
     query = _query(parser, args)
-    rows = []
-    for rep in range(args.reps):
-        rng = RngState(args.seed, stream=args.stream + rep)
-        rows.append((rep, sample_nth_point(model, query, rng, args.tol)))
+    rngs = [RngState(args.seed, stream=args.stream + rep) for rep in range(args.reps)]
+    points = sample_nth_points(model, query, rngs, args.tol)
+    rows = [(rep, None if math.isnan(p) else float(p)) for rep, p in enumerate(points)]
     return _render_points(args, argv, rows)
 
 

@@ -11,9 +11,20 @@ polynomials through degree 22 exactly, which the tests verify).
 anchored at 0: R(t) is the mass on (0, t] for t >= 0 and minus the mass
 on (t, 0] for t < 0.  It memoizes integrals on a deterministic grid of
 checkpoints, so repeated path simulation costs O(path length), and values
-never depend on query order.  Its generalized inverse
-inf{t : R(t) >= y} supports the time-change sampler; on plateaus (rate
-zero over an interval) it returns the left edge.
+never depend on query order.  R at any other point is its left
+checkpoint's value plus one panel, refined adaptively when the panel's
+error estimate exceeds the segment budget.
+
+Its generalized inverse inf{t : R(t) >= y} supports the time-change
+sampler.  Each target is bracketed by two adjacent checkpoints and solved
+by a safeguarded Newton iteration on R(t) = y, using R' = r: a Newton step
+is taken only when it stays inside the shrinking bracket and at least
+halves the previous step, otherwise the bracket is bisected.  Results
+satisfy |R(inverse(y)) - y| <= 2 tol; plateaus (rate zero over an
+interval) resolve to their left edge, through the bisection; within one
+call, targets at least tol/8 apart come out in order (each lane polishes
+its mass gap to 1e-4 tol); and a target's result does not depend on the
+other targets in its call, so scalar and batched calls agree bitwise.
 """
 
 from __future__ import annotations
@@ -98,51 +109,64 @@ _DEPTH_CAP = 50
 _MAX_PROBE = 1e15
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel: (estimate, error estimate) on [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _XK), dtype=float)
-    k15 = half * float(fx @ _WK)
-    g7 = half * float(fx[1::2] @ _WG)
-    return k15, abs(k15 - g7)
+def _panels(f, lows, highs, rate_at_highs: bool = False):
+    """Vectorized panels over parallel arrays of interval edges.
 
-
-def _panels(f, lows, highs):
-    """Vectorized panels over parallel arrays of interval edges."""
+    Each lane's weighted sums are rounded the same way whatever the number
+    of lanes, so a lane's result does not depend on the batch it sits in.
+    With ``rate_at_highs`` the rate at each high edge is evaluated in the
+    same rate call and returned as a third array.
+    """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
     half = 0.5 * (highs - lows)
-    mid = 0.5 * (highs + lows)
-    xs = mid[:, None] + half[:, None] * _XK[None, :]
+    xs = np.empty((len(lows), 16 if rate_at_highs else 15))
+    np.multiply.outer(half, _XK, out=xs[:, :15])
+    xs[:, :15] += (0.5 * (highs + lows))[:, None]
+    if rate_at_highs:
+        xs[:, 15] = highs
     fx = np.asarray(f(xs.reshape(-1)), dtype=float).reshape(xs.shape)
-    k15 = half * (fx @ _WK)
-    g7 = half * (fx[:, 1::2] @ _WG)
+    # one dot product per row: a 2-D matmul blocks rows together and
+    # rounds a row differently depending on its neighbours
+    nodes = fx[:, None, :15]
+    k15 = half * np.matmul(nodes, _WK)[:, 0]
+    g7 = half * np.matmul(nodes[:, :, 1::2], _WG)[:, 0]
+    if rate_at_highs:
+        return k15, np.abs(k15 - g7), fx[:, 15].copy()
     return k15, np.abs(k15 - g7)
 
 
-def _adaptive(f, a: float, b: float, tol: float) -> float:
-    """Adaptive bisection with per-subinterval error budgets summing to tol."""
-    total_width = b - a
-    if total_width == 0.0:
-        return 0.0
-    stack = [(a, b, 0)]
-    total = 0.0
-    worst = 0.0
-    while stack:
-        lo, hi, depth = stack.pop()
-        value, err = _panel(f, lo, hi)
-        budget = tol * (hi - lo) / total_width
-        if err <= budget:
-            total += value
-            continue
-        if depth >= _DEPTH_CAP:
-            raise ToleranceNotMet(max(worst, err), tol)
-        worst = max(worst, err)
-        mid = 0.5 * (lo + hi)
-        stack.append((lo, mid, depth + 1))
-        stack.append((mid, hi, depth + 1))
-    return total
+def _adaptive(f, lows, highs, tol: float):
+    """Adaptive bisection over parallel intervals, one rate call per round.
+
+    Each interval keeps its own stack of pieces, with error budgets
+    proportional to width that sum to tol.  A round pops the top piece of
+    every unfinished stack, accepts it when its |K15 - G7| estimate is
+    within budget and otherwise pushes its two halves (right half on top).
+    So every interval takes the same pieces, and sums them in the same
+    order, whatever intervals share its batch.
+    """
+    lows = np.asarray(lows, dtype=float).tolist()
+    highs = np.asarray(highs, dtype=float).tolist()
+    totals = [0.0] * len(lows)
+    worst = [0.0] * len(lows)
+    stacks = [[(a, b, 0)] if a != b else [] for a, b in zip(lows, highs)]
+    live = [i for i, stack in enumerate(stacks) if stack]
+    while live:
+        pieces = [stacks[i].pop() for i in live]
+        vals, errs = _panels(f, [p[0] for p in pieces], [p[1] for p in pieces])
+        for i, (a, b, depth), value, err in zip(live, pieces, vals.tolist(), errs.tolist()):
+            if err <= tol * (b - a) / (highs[i] - lows[i]):
+                totals[i] += value
+                continue
+            if depth >= _DEPTH_CAP:
+                raise ToleranceNotMet(max(worst[i], err), tol)
+            worst[i] = max(worst[i], err)
+            mid = 0.5 * (a + b)
+            stacks[i].append((a, mid, depth + 1))
+            stacks[i].append((mid, b, depth + 1))
+        live = [i for i in live if stacks[i]]
+    return np.array(totals)
 
 
 def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
@@ -163,7 +187,7 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
             model.evaluate(point)  # raises DomainViolation with context
     if a == b:
         return 0.0
-    return _adaptive(model.evaluate, a, b, tol)
+    return float(_adaptive(model.evaluate, [a], [b], tol)[0])
 
 
 def _check_tol(tol) -> float:
@@ -212,6 +236,10 @@ class CumulativeIntensity:
     _UNIFORM_SEGMENTS = 4096
     _SEGMENTS_PER_OCTAVE = 64
     _BATCH = 128
+    # rounds of the inverse's root solve, and the mass gap (in units of
+    # tol) that each lane is polished below before it stops
+    _MAX_ROUNDS = 96
+    _POLISH = 1e-4
 
     def __init__(
         self,
@@ -256,12 +284,22 @@ class CumulativeIntensity:
         edge = self._t[0]
         return edge <= self.model.domain.lo or edge <= -_MAX_PROBE
 
-    def _segment_values(self, lows, highs):
-        vals, errs = _panels(self._f, lows, highs)
-        bad = np.nonzero(errs > self._seg_tol)[0]
-        for i in bad:
-            vals[i] = _adaptive(self._f, float(lows[i]), float(highs[i]), self._seg_tol)
-        return vals
+    def _masses(self, lows, highs, rate_at_highs: bool = False):
+        """Signed mass over each [low, high]: one panel per lane, refined
+        adaptively where its error estimate exceeds the segment budget.
+
+        With ``rate_at_highs`` also returns the rate at each high edge.
+        """
+        out = _panels(self._f, lows, highs, rate_at_highs)
+        vals = out[0]
+        bad = np.nonzero(out[1] > self._seg_tol)[0]
+        if bad.size:
+            a, b = np.asarray(lows)[bad], np.asarray(highs)[bad]
+            # points past the probe limit sit beyond the last checkpoint
+            sign = np.where(a <= b, 1.0, -1.0)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            vals[bad] = sign * _adaptive(self._f, lo, hi, self._seg_tol)
+        return (vals, out[2]) if rate_at_highs else vals
 
     def _grow_up(self):
         """Append one batch of checkpoints above the current top."""
@@ -277,7 +315,7 @@ class CumulativeIntensity:
         if len(edges) == 0:
             return
         lows = np.concatenate([[start], edges[:-1]])
-        vals = self._segment_values(lows, edges)
+        vals = self._masses(lows, edges)
         self._t = np.concatenate([self._t, edges])
         self._r = np.concatenate([self._r, self._r[-1] + np.cumsum(vals)])
         self._n_up += len(edges)
@@ -294,7 +332,7 @@ class CumulativeIntensity:
         if len(edges) == 0:
             return
         highs = np.concatenate([[start], edges[:-1]])
-        vals = self._segment_values(edges, highs)
+        vals = self._masses(edges, highs)
         self._t = np.concatenate([edges[::-1], self._t])
         self._r = np.concatenate([(self._r[0] - np.cumsum(vals))[::-1], self._r])
         self._n_dn += len(edges)
@@ -350,49 +388,22 @@ class CumulativeIntensity:
         """R at points already inside the covered range; lock is held."""
         idx = np.searchsorted(self._t, flat, side="right") - 1
         idx = np.clip(idx, 0, len(self._t) - 1)
-        lows = self._t[idx]
-        vals, errs = _panels(self._f, lows, flat)
-        bad = np.nonzero(errs > self._seg_tol)[0]
-        for i in bad:
-            a, b = float(lows[i]), float(flat[i])
-            # points past the probe limit sit beyond the last checkpoint
-            if a <= b:
-                vals[i] = _adaptive(self._f, a, b, self._seg_tol)
-            else:
-                vals[i] = -_adaptive(self._f, b, a, self._seg_tol)
-        return self._r[idx] + vals
+        return self._r[idx] + self._masses(self._t[idx], flat)
 
-    def inverse(self, y: float, bracket_hint: Interval | None = None) -> float:
-        """Generalized inverse inf{t : R(t) >= y}.
+    def inverse(self, y: float) -> float:
+        """Generalized inverse inf{t : R(t) >= y}; see :meth:`inverse_many`.
 
-        Flat stretches of R are resolved to their left edge.  Raises
-        OutOfRange when y is beyond the mass reachable in the domain (the
-        search gives up past |t| = 1e15).
+        Raises OutOfRange when y is beyond the mass reachable in the
+        domain (the search gives up past |t| = 1e15).
         """
-        y = float(y)
-        if not math.isfinite(y):
-            raise InvalidParameter("y must be finite")
-        if bracket_hint is not None:
-            lo_r = self(bracket_hint.lo)
-            hi_r = self(bracket_hint.hi)
-            if lo_r < y <= hi_r:
-                with self._lock:
-                    out = self._bisect(
-                        np.array([y]),
-                        np.array([bracket_hint.lo]),
-                        np.array([bracket_hint.hi]),
-                        np.array([hi_r]),
-                        np.array([bracket_hint.lo]),
-                        np.array([lo_r]),
-                    )
-                return float(out[0])
-            # unusable hint; fall through to the grid search
-        with self._lock:
-            return float(self._invert(np.array([y]))[0])
+        return float(self.inverse_many(float(y)))
 
     def inverse_many(self, ys, missing: str = "raise"):
-        """Vectorized inverse.
+        """Generalized inverse inf{t : R(t) >= y} of every target.
 
+        Flat stretches of R are resolved to their left edge, and
+        |R(t) - y| <= 2 tol for every result t.  Each lane depends on its
+        own target only, so a scalar call and a batch agree bitwise.
         ``missing`` controls out-of-range targets: "raise" propagates
         OutOfRange (the default), "nan" marks those lanes with NaN.
         """
@@ -430,49 +441,75 @@ class CumulativeIntensity:
             need = ~at_bottom
             if np.any(need):
                 idxn = idx[need]
-                roots[need] = self._bisect(
+                roots[need] = self._solve(
                     y_ok[need],
                     self._t[idxn - 1],
+                    self._r[idxn - 1],
                     self._t[idxn],
                     self._r[idxn],
-                    self._t[idxn - 1],
-                    self._r[idxn - 1],
                 )
             out[ok] = roots
         return out
 
-    def _bisect(self, ys, lo, hi, hi_r, anchor_t, anchor_r):
-        """Per-lane bisection for R(t) >= y inside bracketing segments.
+    def _solve(self, ys, lo, lo_r, hi, hi_r):
+        """Per-lane safeguarded Newton solve of R(t) = y, R' = r.
 
-        Midpoint values are measured from each lane's fixed anchor (the
-        segment's left checkpoint) with a single panel, refined adaptively
-        when its error estimate is too big.  Every lane keeps halving
-        until all lanes have both a small enough bracket and a mass gap
-        R(hi) - y within tol (that gap, not the bracket width, is what
-        the round-trip guarantee bounds).  Lanes sharing a bracket see
-        identical midpoints, which makes the results monotone in y
-        within a call.
+        On entry R(lo) < y <= R(hi), with lo and hi adjacent checkpoints.
+        Each lane starts on the chord between them.  Every round measures
+        R(t) from the fixed anchor lo with one panel (refined adaptively
+        when its error estimate is too big) and r(t) in the same rate
+        call, and shrinks the bracket to the side of t that keeps the
+        root.  The Newton step is taken only when it lands strictly
+        inside the bracket and is at most half the previous step, as in
+        Numerical Recipes' rtsafe; otherwise the lane bisects.  Where
+        r(t) = 0 (a plateau) the lane always bisects, which walks it to
+        the plateau's left edge.
+
+        A lane stops where r(t) > 0 and either |R(t) - y| <= _POLISH * tol
+        or the Newton step rounds to t itself; it returns t.  Polishing
+        far below tol keeps results monotone in y for targets as close as
+        tol / 8.  A lane whose bracket has no float left strictly inside
+        (or that runs out of rounds) returns its bracket's upper end.
         """
-        lo = lo.astype(float).copy()
-        hi = hi.astype(float).copy()
-        hi_r = hi_r.astype(float).copy()
-        for _ in range(96):
-            mid = 0.5 * (lo + hi)
-            target = np.maximum(self.tol, np.abs(mid) * 1e-12)
-            if not np.any((hi - lo > target) | (hi_r - ys > self.tol)):
+        anchor_t, anchor_r = lo, lo_r
+        lo = lo.copy()
+        hi = hi.copy()
+        t = np.clip(lo + (ys - lo_r) / (hi_r - lo_r) * (hi - lo), lo, hi)
+        step = hi - lo
+        out = hi.copy()
+        polish = self._POLISH * self.tol
+        active = np.arange(len(ys))
+        for _ in range(self._MAX_ROUNDS):
+            ta, loa, hia = t[active], lo[active], hi[active]
+            mass, rate = self._masses(anchor_t[active], ta, rate_at_highs=True)
+            gap = anchor_r[active] + mass - ys[active]
+            above = gap >= 0.0
+            loa = np.where(above, loa, ta)
+            hia = np.where(above, ta, hia)
+            positive = rate > 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = ta - gap / rate
+            use_newton = (
+                positive
+                & (newton > loa)
+                & (newton < hia)
+                & (np.abs(newton - ta) <= 0.5 * step[active])
+            )
+            mid = loa + 0.5 * (hia - loa)
+            converged = positive & ((np.abs(gap) <= polish) | (newton == ta))
+            collapsed = ~converged & ~use_newton & ((mid <= loa) | (mid >= hia))
+            out[active[converged]] = ta[converged]
+            out[active[collapsed]] = hia[collapsed]
+            nxt = np.where(use_newton, newton, mid)
+            lo[active] = loa
+            hi[active] = hia
+            step[active] = np.abs(nxt - ta)
+            t[active] = nxt
+            active = active[~(converged | collapsed)]
+            if active.size == 0:
                 break
-            vals, errs = _panels(self._f, anchor_t, mid)
-            bad = np.nonzero(errs > self._seg_tol)[0]
-            for i in bad:
-                vals[i] = _adaptive(
-                    self._f, float(anchor_t[i]), float(mid[i]), self._seg_tol
-                )
-            r_mid = anchor_r + vals
-            go_left = r_mid >= ys
-            hi = np.where(go_left, mid, hi)
-            hi_r = np.where(go_left, r_mid, hi_r)
-            lo = np.where(go_left, lo, mid)
-        return hi
+        out[active] = hi[active]
+        return out
 
     def directional_mass(self, t0: float, sign: int, cap: float) -> float:
         """min(cap, total mass reachable from t0 in the given direction).

@@ -12,7 +12,8 @@ stable across numpy versions.
 Uniform draws consume one 64-bit word each, so a vectorized
 ``uniform01(size=n)`` consumes exactly the words of n scalar draws and
 produces bitwise-equal values.  The same holds for ``exponential`` and
-``erlang`` (lane major: each lane takes a contiguous block of words).
+``erlang`` (lane major: each lane takes a contiguous block of words),
+and ``arrivals`` consumes exactly the words of its scalar loop.
 ``poisson`` consumes a data-dependent number of words per lane; batched
 draws interleave lanes by iteration, so a batch is deterministic for
 (seed, stream, size) but is not word-for-word the same as a sequence of
@@ -36,6 +37,9 @@ _U64 = 2**64
 _POISSON_CHUNK = 30.0
 
 _INV_2_53 = 2.0**-53
+
+# largest block of gaps drawn at once by RngState.arrivals
+_ARRIVAL_BLOCK = 1 << 16
 
 
 class RngState:
@@ -98,6 +102,37 @@ class RngState:
         u = self.uniform01(size=n * int(shape)).reshape(n, int(shape))
         vals = np.add.reduce(-np.log1p(-u) / rate, axis=1)
         return float(vals[0]) if size is None else vals
+
+    def arrivals(self, start: float, stop: float):
+        """Arrival times of a unit-rate process from ``start`` up to ``stop``.
+
+        The partial sums start + E1, start + E1 + E2, ... that are <= stop,
+        added left to right.  Bitwise the values, and exactly the count + 1
+        words, of the scalar loop
+        ``y = start + exponential(); while y <= stop: keep y; y += exponential()``.
+        Gaps are drawn in blocks; the state is then restored and advanced
+        by the words the loop would have used.
+        """
+        state = self._bits.state
+        y = float(start)
+        blocks = []
+        used = 0
+        while True:
+            room = max(float(stop) - y, 0.0)
+            n = min(int(room + 4.0 * math.sqrt(room)) + 16, _ARRIVAL_BLOCK)
+            ys = np.cumsum(np.concatenate(([y], self.exponential(size=n))))[1:]
+            past = np.nonzero(ys > stop)[0]
+            if past.size:
+                k = int(past[0])
+                blocks.append(ys[:k])
+                used += k + 1
+                break
+            blocks.append(ys)
+            used += n
+            y = float(ys[-1])
+        self._bits.state = state
+        self._words(used)
+        return np.concatenate(blocks)
 
     def poisson(self, mean: float, size: int | None = None):
         """Poisson counts by Knuth's product method.

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import InvalidParameter
 from .quadrature import DEFAULT_TOL, cumulative_intensity
@@ -32,6 +31,7 @@ __all__ = [
     "NthPointQuery",
     "sample_path_time_change",
     "sample_nth_point",
+    "sample_nth_points",
     "nth_point_density",
     "nth_point_mass",
 ]
@@ -106,12 +106,8 @@ def sample_path_time_change(
     ci = cumulative_intensity(model, tol, span=window)
     r_lo = ci(window.lo)
     r_hi = ci(window.hi)
-    ys = []
-    y = r_lo + rng.exponential()
-    while y <= r_hi:
-        ys.append(y)
-        y += rng.exponential()
-    pts = ci.inverse_many(np.asarray(ys)) if ys else np.empty(0)
+    ys = rng.arrivals(r_lo, r_hi)
+    pts = ci.inverse_many(ys)
     # the inverse is accurate to ~tol; pull edge round-off back inside
     pts = np.clip(pts, window.lo, window.hi)
     meta = _base_meta(model, rng, "time-change")
@@ -135,15 +131,35 @@ def sample_nth_point(
     lane NaN.
     """
     _require_anchor(model, query)
-    ci = cumulative_intensity(model, tol)
-    y_anchor = ci(query.anchor)
     steps = rng.erlang(query.n, size=1 if size is None else int(size))
-    targets = y_anchor + query.direction.sign * steps
-    out = ci.inverse_many(targets, missing="nan")
+    out = _nth_from_steps(model, query, steps, tol)
     if size is None:
         val = float(out[0])
         return None if math.isnan(val) else val
     return out
+
+
+def sample_nth_points(
+    model: RateModel,
+    query: NthPointQuery,
+    rngs,
+    tol: float = DEFAULT_TOL,
+):
+    """One n-th point per random source, NaN where absent.
+
+    Lane i is bitwise ``sample_nth_point(model, query, rngs[i], tol)``
+    (NaN for None); all lanes share one inverse call.
+    """
+    _require_anchor(model, query)
+    steps = np.array([rng.erlang(query.n) for rng in rngs], dtype=float)
+    return _nth_from_steps(model, query, steps, tol)
+
+
+def _nth_from_steps(model, query, steps, tol):
+    """Map Erlang steps from the anchor's image back through the inverse."""
+    ci = cumulative_intensity(model, tol)
+    targets = ci(query.anchor) + query.direction.sign * steps
+    return ci.inverse_many(targets, missing="nan")
 
 
 def _erlang_log_pdf(u, n: int):
@@ -201,6 +217,9 @@ def nth_point_mass(
     scan stops once the Erlang tail beyond it is below 1e-12, at which
     point the result is 1 to well past any reported precision.
     """
+    # imported here: scipy.special would otherwise dominate `import ippp`
+    import scipy.special
+
     _require_anchor(model, query)
     ci = cumulative_intensity(model, tol)
     cap = float(scipy.special.gammainccinv(query.n, _TAIL_EPS))

@@ -3,12 +3,18 @@
 import importlib.resources
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
-from ippp.cli import main
+from ippp.cli import _build_parser, _render_points, main
+from ippp.rate_model import RateModel
+from ippp.rng import RngState
+from ippp.sampling_line import Direction, NthPointQuery, sample_nth_point
 
 
 def run(capsys, *argv):
@@ -393,6 +399,27 @@ def test_next_point_rows(capsys):
     assert all(p > 0.0 for _, p in rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_next_point_reps_match_per_rep_samples(capsys, fmt):
+    # all reps share one inverse call; each rep must still be exactly
+    # what sample_nth_point gives on its own stream
+    argv = [
+        "next-point", "--rate", "2+sin(x)", "--from", "1.5", "--n", "3",
+        "--direction", "down", "--seed", "9", "--stream", "4", "--reps", "40",
+        "--format", fmt,
+    ]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    model = RateModel.from_expression("2+sin(x)")
+    query = NthPointQuery(1.5, 3, Direction.BELOW)
+    rows = [
+        (rep, sample_nth_point(model, query, RngState(9, 4 + rep)))
+        for rep in range(40)
+    ]
+    args = _build_parser().parse_args(argv)
+    assert out == _render_points(args, argv, rows)
+
+
 def test_next_point_no_point_is_empty_csv_field(capsys):
     code, out, _ = run(
         capsys,
@@ -744,3 +771,21 @@ def test_numeric_error_surfaces_verbatim(capsys):
     assert out == ""
     assert "negative" in err
     assert "x=" in err
+
+
+def test_import_and_simulate_leave_scipy_unloaded():
+    # scipy.special is most of the import time; only nth_point_mass needs it
+    code = (
+        "import sys\n"
+        "import ippp\n"
+        "assert 'scipy' not in sys.modules, 'import ippp'\n"
+        "from ippp.cli import main\n"
+        "main(['simulate', '--rate', '2+sin(x)', '--window', '0', '5', '--seed', '1'])\n"
+        "assert 'scipy' not in sys.modules, 'simulate'\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

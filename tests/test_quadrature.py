@@ -23,7 +23,7 @@ from ippp.errors import (
 from ippp.quadrature import (
     DEFAULT_TOL,
     CumulativeIntensity,
-    _panel,
+    _panels,
     _WG,
     _WK,
     cumulative_intensity,
@@ -33,6 +33,30 @@ from ippp.rate_model import Domain, Interval, RateModel
 
 SIN_MODEL = RateModel.sinusoidal(2.0, 1.0)
 UNIT_MODEL = RateModel.constant(1.0)
+SPIKE = "1 + 1000*exp(-((x-5.0003)^2)/1e-6)"
+
+
+def _panel(f, a, b):
+    vals, errs = _panels(f, [a], [b])
+    return float(vals[0]), float(errs[0])
+
+
+class _CountingSource:
+    """A rate source that counts the points it is asked to evaluate."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.points = 0
+
+    def __call__(self, x):
+        self.points += np.size(x)
+        return self.inner(x)
+
+    def supremum(self, lo, hi):
+        return self.inner.supremum(lo, hi)
+
+    def describe(self):
+        return self.inner.describe()
 
 
 class TestPanel:
@@ -294,18 +318,46 @@ class TestInverse:
             ci.inverse_many(np.array([0.5, 4.0]))
 
     def test_inverse_many_matches_scalar(self):
-        ci = CumulativeIntensity(SIN_MODEL)
-        ys = np.array([-7.0, -0.5, 1.0, 12.0])
-        batch = ci.inverse_many(ys)
-        singles = np.array([ci.inverse(float(y)) for y in ys])
-        assert batch == pytest.approx(singles, abs=2 * DEFAULT_TOL)
+        # bitwise, and a lane does not depend on the lanes beside it
+        cases = [(SIN_MODEL, np.array([-7.0, -0.5, 1.0, 12.0]))]
+        for text in ("2+sin(x)", SPIKE, "max(0, sin(x))"):
+            ci = CumulativeIntensity(RateModel.from_expression(text))
+            ys = np.random.default_rng(5).uniform(ci(0.5), ci(9.5), size=300)
+            cases.append((RateModel.from_expression(text), ys))
+        for model, ys in cases:
+            ci = CumulativeIntensity(model)
+            batch = ci.inverse_many(ys)
+            singles = np.array([ci.inverse(float(y)) for y in ys])
+            assert np.array_equal(batch, singles), model.describe()
+            assert np.array_equal(ci.inverse_many(ys[::-1])[::-1], batch)
 
-    def test_bracket_hint_used_and_fallback(self):
-        ci = CumulativeIntensity(UNIT_MODEL)
-        good = ci.inverse(5.0, bracket_hint=Interval(4.5, 5.5))
-        assert good == pytest.approx(5.0, abs=1e-8)
-        bad_hint = ci.inverse(5.0, bracket_hint=Interval(8.0, 9.0))
-        assert bad_hint == pytest.approx(5.0, abs=1e-8)
+    def test_monotone_for_near_ties(self):
+        # 64 targets tol/8 apart at 200 offsets; the solve must keep
+        # their order although each lane stops on its own
+        offsets = np.random.default_rng(7).uniform(0.3, 9.7, size=200)
+        steps = np.arange(64) * (DEFAULT_TOL / 8)
+        for text in ("2+sin(x)", SPIKE, "max(0, sin(x))", "x^2+0.01"):
+            ci = CumulativeIntensity(RateModel.from_expression(text))
+            for y0 in ci(offsets):
+                ts = ci.inverse_many(y0 + steps)
+                assert np.all(np.diff(ts) >= 0.0), (text, y0)
+
+    def test_round_trip_on_spike_flank(self):
+        m = RateModel.from_expression(SPIKE)
+        ci = CumulativeIntensity(m, span=Interval(-0.5, 10.0))
+        ys = np.random.default_rng(11).uniform(ci(4.99), ci(5.01), size=20_000)
+        ts = ci.inverse_many(ys)
+        assert np.max(np.abs(ci(ts) - ys)) <= 2 * DEFAULT_TOL
+
+    def test_rate_points_per_target(self):
+        # a count, not a time: it does not depend on machine load
+        src = _CountingSource(RateModel.from_expression("2+sin(x)").source)
+        ci = CumulativeIntensity(RateModel(source=src))
+        lo, hi = ci(0.0), ci(20.0)
+        ys = np.random.default_rng(13).uniform(lo, hi, size=10_000)
+        src.points = 0
+        ci.inverse_many(ys)
+        assert src.points / ys.size <= 80
 
     def test_directional_mass(self):
         ci = CumulativeIntensity(UNIT_MODEL)

@@ -107,6 +107,40 @@ def test_time_change_deterministic():
     assert a != sample_path_time_change(model, window, RngState(6))
 
 
+def _loop_arrivals(rng, start, stop):
+    ys = []
+    y = start + rng.exponential()
+    while y <= stop:
+        ys.append(y)
+        y += rng.exponential()
+    return np.asarray(ys)
+
+
+@pytest.mark.parametrize(
+    "start, stop", [(0.3, 0.0), (1.5, 2.5), (-7.25, 1e4 - 7.25), (0.0, 7e4)]
+)
+def test_block_arrivals_match_scalar_loop(start, stop):
+    # empty, short, 10^4-point and multi-block paths: same values and words
+    fast, slow = RngState(21, 4), RngState(21, 4)
+    got = fast.arrivals(start, stop)
+    want = _loop_arrivals(slow, start, stop)
+    assert got.tobytes() == want.tobytes()
+    assert fast.uniform01() == slow.uniform01()
+
+
+@pytest.mark.parametrize("hi", [0.01, 3.0, 2000.0])
+def test_time_change_matches_scalar_gap_loop(hi):
+    model = RateModel.sinusoidal(2.0, 1.0)
+    window = Interval(0.0, hi)
+    fast, slow = RngState(8), RngState(8)
+    es = sample_path_time_change(model, window, fast)
+    ci = cumulative_intensity(model, span=window)
+    ys = _loop_arrivals(slow, ci(window.lo), ci(window.hi))
+    want = np.clip(ci.inverse_many(ys), window.lo, window.hi)
+    assert es.points.tobytes() == want.tobytes()
+    assert fast.uniform01() == slow.uniform01()
+
+
 def test_unit_rate_gaps_are_exponential():
     window = Interval(0.0, 10_200.0)
     es = sample_path_time_change(UNIT_RATE, window, RngState(8))
