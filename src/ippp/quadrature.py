@@ -1,19 +1,26 @@
 """Adaptive integration of rate functions and the cumulative intensity map.
 
-:func:`integrate` estimates the expected point count over an interval with
-a Gauss-Kronrod 7-15 pair and interval bisection; the embedded 7-point
-Gauss rule gives the |K15 - G7| error estimate.  The node and weight
-constants below were derived for this module by a high-precision Newton
-solve of the moment equations (the 15-point extension integrates
-polynomials through degree 22 exactly, which the tests verify).
+One integrator serves the whole library.  :func:`_masses` takes a
+Gauss-Kronrod 7-15 panel over each segment of a partition and refines by
+interval bisection each segment whose |K15 - G7| error estimate (G7 is the
+embedded 7-point Gauss rule) exceeds its budget of tol / 1024, as in the
+adaptive Gauss-Kronrod scheme of QUADPACK (Piessens et al., 1983).  The
+node and weight constants below were derived for this module by a
+high-precision Newton solve of the moment equations (the 15-point
+extension integrates polynomials through degree 22 exactly, which the
+tests verify).
+
+:func:`integrate` splits [a, b] into the 1024 equal segments of a table
+sized to that window and sums their masses, so its estimated error is at
+most the sum of the segment budgets, tol.  A single panel over the whole
+window could step over a narrow spike with all 15 nodes.
 
 :class:`CumulativeIntensity` is the signed antiderivative of the rate
 anchored at 0: R(t) is the mass on (0, t] for t >= 0 and minus the mass
 on (t, 0] for t < 0.  It memoizes integrals on a deterministic grid of
 checkpoints, so repeated path simulation costs O(path length), and values
 never depend on query order.  R at any other point is its left
-checkpoint's value plus one panel, refined adaptively when the panel's
-error estimate exceeds the segment budget.
+checkpoint's value plus the mass of one more segment.
 
 Its generalized inverse inf{t : R(t) >= y} supports the time-change
 sampler.  Each target is bracketed by two adjacent checkpoints and solved
@@ -104,6 +111,9 @@ _WG = np.array(
 
 _DEPTH_CAP = 50
 
+# segments in a window's partition; each gets tol / _SEGMENTS of the budget
+_SEGMENTS = 1024
+
 # How far the inverse will probe for mass on an unbounded domain before
 # declaring the target unreachable.
 _MAX_PROBE = 1e15
@@ -140,7 +150,8 @@ def _adaptive(f, lows, highs, tol: float):
     """Adaptive bisection over parallel intervals, one rate call per round.
 
     Each interval keeps its own stack of pieces, with error budgets
-    proportional to width that sum to tol.  A round pops the top piece of
+    proportional to width that sum to tol / _SEGMENTS (tol is the
+    caller's, which ToleranceNotMet reports).  A round pops the top piece of
     every unfinished stack, accepts it when its |K15 - G7| estimate is
     within budget and otherwise pushes its two halves (right half on top).
     So every interval takes the same pieces, and sums them in the same
@@ -148,6 +159,7 @@ def _adaptive(f, lows, highs, tol: float):
     """
     lows = np.asarray(lows, dtype=float).tolist()
     highs = np.asarray(highs, dtype=float).tolist()
+    seg_tol = tol / _SEGMENTS
     totals = [0.0] * len(lows)
     worst = [0.0] * len(lows)
     stacks = [[(a, b, 0)] if a != b else [] for a, b in zip(lows, highs)]
@@ -156,7 +168,7 @@ def _adaptive(f, lows, highs, tol: float):
         pieces = [stacks[i].pop() for i in live]
         vals, errs = _panels(f, [p[0] for p in pieces], [p[1] for p in pieces])
         for i, (a, b, depth), value, err in zip(live, pieces, vals.tolist(), errs.tolist()):
-            if err <= tol * (b - a) / (highs[i] - lows[i]):
+            if err <= seg_tol * (b - a) / (highs[i] - lows[i]):
                 totals[i] += value
                 continue
             if depth >= _DEPTH_CAP:
@@ -169,10 +181,30 @@ def _adaptive(f, lows, highs, tol: float):
     return np.array(totals)
 
 
+def _masses(f, lows, highs, tol: float, rate_at_highs: bool = False):
+    """Signed mass over each [low, high]: one panel per lane, refined
+    adaptively where its error estimate exceeds tol / _SEGMENTS.
+
+    With ``rate_at_highs`` also returns the rate at each high edge.
+    """
+    out = _panels(f, lows, highs, rate_at_highs)
+    vals = out[0]
+    bad = np.nonzero(out[1] > tol / _SEGMENTS)[0]
+    if bad.size:
+        a, b = np.asarray(lows)[bad], np.asarray(highs)[bad]
+        # points past the probe limit sit beyond the last checkpoint
+        sign = np.where(a <= b, 1.0, -1.0)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        vals[bad] = sign * _adaptive(f, lo, hi, tol)
+    return (vals, out[2]) if rate_at_highs else vals
+
+
 def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     """Integral of the rate over [a, b] with estimated absolute error <= tol.
 
-    Both endpoints must lie in the model's domain.  Negative rates and
+    [a, b] is split as a checkpoint table sized to it splits it, into 1024
+    equal segments with error budgets tol / 1024 that sum to tol.  Both
+    endpoints must lie in the model's domain.  Negative rates and
     expression evaluation failures propagate from model.evaluate.
     """
     a = float(a)
@@ -187,7 +219,9 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
             model.evaluate(point)  # raises DomainViolation with context
     if a == b:
         return 0.0
-    return float(_adaptive(model.evaluate, [a], [b], tol)[0])
+    steps = np.cumsum(np.full(_SEGMENTS - 1, (b - a) / _SEGMENTS))
+    edges = np.concatenate([[a], a + steps, [b]])
+    return float(np.sum(_masses(model.evaluate, edges[:-1], edges[1:], tol)))
 
 
 def _check_tol(tol) -> float:
@@ -260,15 +294,12 @@ class CumulativeIntensity:
             lo = model.domain.clamp(lo)
             hi = model.domain.clamp(hi)
             width = hi - lo
-            self._h0 = width / 1024.0 if width > 0 else 1.0 / 1024.0
+            self._h0 = width / _SEGMENTS if width > 0 else 1.0 / _SEGMENTS
         else:
-            self._h0 = 1.0 / 1024.0
-        # budget for each checkpoint segment and each point-query panel
-        self._seg_tol = self.tol / 1024.0
+            self._h0 = 1.0 / _SEGMENTS
         self._t = np.array([self._anchor])
         self._r = np.array([0.0])
-        self._n_up = 0  # segments added above the anchor
-        self._n_dn = 0  # segments added below
+        self._added = {1: 0, -1: 0}  # segments added above (1) and below (-1)
 
     # -- grid bookkeeping ------------------------------------------------
 
@@ -276,86 +307,56 @@ class CumulativeIntensity:
         octave = max(0, j - self._UNIFORM_SEGMENTS) // self._SEGMENTS_PER_OCTAVE
         return self._h0 * float(2**octave)
 
-    def _up_exhausted(self) -> bool:
-        edge = self._t[-1]
-        return edge >= self.model.domain.hi or edge >= _MAX_PROBE
+    def _exhausted(self, sign: int) -> bool:
+        if sign > 0:
+            return self._t[-1] >= min(self.model.domain.hi, _MAX_PROBE)
+        return self._t[0] <= max(self.model.domain.lo, -_MAX_PROBE)
 
-    def _dn_exhausted(self) -> bool:
-        edge = self._t[0]
-        return edge <= self.model.domain.lo or edge <= -_MAX_PROBE
-
-    def _masses(self, lows, highs, rate_at_highs: bool = False):
-        """Signed mass over each [low, high]: one panel per lane, refined
-        adaptively where its error estimate exceeds the segment budget.
-
-        With ``rate_at_highs`` also returns the rate at each high edge.
-        """
-        out = _panels(self._f, lows, highs, rate_at_highs)
-        vals = out[0]
-        bad = np.nonzero(out[1] > self._seg_tol)[0]
-        if bad.size:
-            a, b = np.asarray(lows)[bad], np.asarray(highs)[bad]
-            # points past the probe limit sit beyond the last checkpoint
-            sign = np.where(a <= b, 1.0, -1.0)
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            vals[bad] = sign * _adaptive(self._f, lo, hi, self._seg_tol)
-        return (vals, out[2]) if rate_at_highs else vals
-
-    def _grow_up(self):
-        """Append one batch of checkpoints above the current top."""
-        start = self._t[-1]
-        widths = [self._seg_width(self._n_up + i) for i in range(self._BATCH)]
-        edges = start + np.cumsum(widths)
-        dom_hi = self.model.domain.hi
-        edges = edges[edges <= dom_hi]
-        if len(edges) < self._BATCH and math.isfinite(dom_hi):
+    def _grow(self, sign: int):
+        """Add one batch of checkpoints above the top (sign > 0) or below
+        the bottom (sign < 0)."""
+        end = -1 if sign > 0 else 0
+        start = self._t[end]
+        widths = [self._seg_width(self._added[sign] + i) for i in range(self._BATCH)]
+        edges = start + sign * np.cumsum(widths)
+        dom_edge = self.model.domain.hi if sign > 0 else self.model.domain.lo
+        edges = edges[sign * edges <= sign * dom_edge]
+        if len(edges) < self._BATCH and math.isfinite(dom_edge):
             # close the last partial segment exactly at the domain edge
-            if len(edges) == 0 or edges[-1] < dom_hi:
-                edges = np.append(edges, dom_hi)
+            if len(edges) == 0 or sign * edges[-1] < sign * dom_edge:
+                edges = np.append(edges, dom_edge)
         if len(edges) == 0:
             return
-        lows = np.concatenate([[start], edges[:-1]])
-        vals = self._masses(lows, edges)
-        self._t = np.concatenate([self._t, edges])
-        self._r = np.concatenate([self._r, self._r[-1] + np.cumsum(vals)])
-        self._n_up += len(edges)
-
-    def _grow_dn(self):
-        start = self._t[0]
-        widths = [self._seg_width(self._n_dn + i) for i in range(self._BATCH)]
-        edges = start - np.cumsum(widths)
-        dom_lo = self.model.domain.lo
-        edges = edges[edges >= dom_lo]
-        if len(edges) < self._BATCH and math.isfinite(dom_lo):
-            if len(edges) == 0 or edges[-1] > dom_lo:
-                edges = np.append(edges, dom_lo)
-        if len(edges) == 0:
-            return
-        highs = np.concatenate([[start], edges[:-1]])
-        vals = self._masses(edges, highs)
-        self._t = np.concatenate([edges[::-1], self._t])
-        self._r = np.concatenate([(self._r[0] - np.cumsum(vals))[::-1], self._r])
-        self._n_dn += len(edges)
+        inner = np.concatenate([[start], edges[:-1]])
+        # _masses is signed, so each segment goes in as (low, high)
+        lows, highs = (inner, edges) if sign > 0 else (edges, inner)
+        vals = _masses(self._f, lows, highs, self.tol)
+        r = self._r[end] + sign * np.cumsum(vals)
+        if sign > 0:
+            self._t = np.concatenate([self._t, edges])
+            self._r = np.concatenate([self._r, r])
+        else:
+            self._t = np.concatenate([edges[::-1], self._t])
+            self._r = np.concatenate([r[::-1], self._r])
+        self._added[sign] += len(edges)
 
     def _cover(self, lo: float, hi: float):
         """Extend the grid until it covers [lo, hi] (clamped to the domain)."""
         lo = self.model.domain.clamp(lo)
         hi = self.model.domain.clamp(hi)
-        while self._t[-1] < hi and not self._up_exhausted():
-            self._grow_up()
-        while self._t[0] > lo and not self._dn_exhausted():
-            self._grow_dn()
+        while self._t[-1] < hi and not self._exhausted(1):
+            self._grow(1)
+        while self._t[0] > lo and not self._exhausted(-1):
+            self._grow(-1)
 
-    def _probe_up(self, y: float):
-        while self._r[-1] < y and not self._up_exhausted():
-            self._grow_up()
-
-    def _probe_dn(self, y: float):
-        # >= rather than >: a target tying the lowest explored value must
-        # push exploration further down so the infimum convention holds
-        # independently of query history
-        while self._r[0] >= y and not self._dn_exhausted():
-            self._grow_dn()
+    def _probe(self, y: float, sign: int):
+        # downward, >= rather than >: a target tying the lowest explored
+        # value must push exploration further down so the infimum
+        # convention holds independently of query history
+        while not self._exhausted(sign) and (
+            self._r[-1] < y if sign > 0 else self._r[0] >= y
+        ):
+            self._grow(sign)
 
     # -- public surface ----------------------------------------------------
 
@@ -388,7 +389,7 @@ class CumulativeIntensity:
         """R at points already inside the covered range; lock is held."""
         idx = np.searchsorted(self._t, flat, side="right") - 1
         idx = np.clip(idx, 0, len(self._t) - 1)
-        return self._r[idx] + self._masses(self._t[idx], flat)
+        return self._r[idx] + _masses(self._f, self._t[idx], flat, self.tol)
 
     def inverse(self, y: float) -> float:
         """Generalized inverse inf{t : R(t) >= y}; see :meth:`inverse_many`.
@@ -419,8 +420,8 @@ class CumulativeIntensity:
         return out.reshape(arr.shape)
 
     def _invert(self, ys, allow_nan: bool = False):
-        self._probe_up(float(ys.max()))
-        self._probe_dn(float(ys.min()))
+        self._probe(float(ys.max()), 1)
+        self._probe(float(ys.min()), -1)
         below = ys < self._r[0]
         above = ys > self._r[-1]
         if np.any(below) and not allow_nan:
@@ -481,7 +482,7 @@ class CumulativeIntensity:
         active = np.arange(len(ys))
         for _ in range(self._MAX_ROUNDS):
             ta, loa, hia = t[active], lo[active], hi[active]
-            mass, rate = self._masses(anchor_t[active], ta, rate_at_highs=True)
+            mass, rate = _masses(self._f, anchor_t[active], ta, self.tol, True)
             gap = anchor_r[active] + mass - ys[active]
             above = gap >= 0.0
             loa = np.where(above, loa, ta)
@@ -524,11 +525,9 @@ class CumulativeIntensity:
             raise InvalidParameter(f"cap must be finite and >= 0, got {cap!r}")
         with self._lock:
             r0 = self(t0)
-            if sign > 0:
-                self._probe_up(r0 + cap)
-                return min(cap, float(self._r[-1]) - r0)
-            self._probe_dn(r0 - cap)
-            return min(cap, r0 - float(self._r[0]))
+            self._probe(r0 + sign * cap, sign)
+            reach = float(self._r[-1]) - r0 if sign > 0 else r0 - float(self._r[0])
+            return min(cap, reach)
 
 
 @lru_cache(maxsize=64)

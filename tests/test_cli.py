@@ -51,6 +51,13 @@ def test_intensity_prints_bare_decimal(capsys):
     assert out == "2.0\n"
 
 
+def test_intensity_narrow_spike(capsys):
+    spike = "1 + 1000*exp(-((x-5.0003)^2)/1e-6)"
+    code, out, _ = run(capsys, "intensity", "--rate", spike, "--window", "0", "10")
+    assert code == 0
+    assert abs(float(out) - (10.0 + math.sqrt(math.pi))) <= 2e-9
+
+
 def test_intensity_family(capsys):
     code, out, _ = run(
         capsys,

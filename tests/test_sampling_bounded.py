@@ -210,6 +210,12 @@ def test_simulate_window_basic():
     assert es.meta["mean"] == pytest.approx(10.0, abs=1e-9)
 
 
+def test_simulate_window_mean_on_narrow_spike():
+    model = RateModel.from_expression("1 + 1000*exp(-((x-5.0003)^2)/1e-6)")
+    es = simulate_window(model, Interval(0.0, 10.0), RngState(3))
+    assert abs(es.meta["mean"] - (10.0 + math.sqrt(math.pi))) <= 2e-9
+
+
 def test_simulate_window_deterministic():
     model = RateModel.linear(1.0, 0.5)
     window = Interval(0.0, 3.0)
