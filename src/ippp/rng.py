@@ -14,10 +14,11 @@ Uniform draws consume one 64-bit word each, so a vectorized
 produces bitwise-equal values.  The same holds for ``exponential`` and
 ``erlang`` (lane major: each lane takes a contiguous block of words),
 and ``arrivals`` consumes exactly the words of its scalar loop.
-``poisson`` consumes a data-dependent number of words per lane; batched
-draws interleave lanes by iteration, so a batch is deterministic for
-(seed, stream, size) but is not word-for-word the same as a sequence of
-scalar calls.
+A Poisson count is an arrival count: a scalar ``poisson(mean)`` is
+``arrivals(0.0, mean).size`` and uses count + 1 words.  A batch of n
+cuts one arrival path on (0, n*mean] into n consecutive windows of
+length ``mean``, so it is deterministic for (seed, stream, size) but is
+not word-for-word the same as a sequence of scalar calls.
 """
 
 from __future__ import annotations
@@ -32,13 +33,9 @@ __all__ = ["RngState"]
 
 _U64 = 2**64
 
-# Above this mean, Poisson draws are split into equal chunks (Poisson
-# additivity) so the product in Knuth's method stays away from underflow.
-_POISSON_CHUNK = 30.0
-
 _INV_2_53 = 2.0**-53
 
-# largest block of gaps drawn at once by RngState.arrivals
+# largest block of gaps drawn at once by RngState._arrival_blocks
 _ARRIVAL_BLOCK = 1 << 16
 
 
@@ -74,14 +71,14 @@ class RngState:
 
         Scalar when ``size`` is None, else a 1-d array of length ``size``.
         """
-        n = 1 if size is None else int(size)
+        n = _check_size(size)
         vals = (self._words(n) >> np.uint64(11)) * _INV_2_53
         return float(vals[0]) if size is None else vals
 
     def exponential(self, rate: float = 1.0, size: int | None = None):
         """Exponential variates via the inverse transform -log(1 - U)/rate."""
         rate = _check_rate(rate)
-        n = 1 if size is None else int(size)
+        n = _check_size(size)
         u = self.uniform01(size=n)
         # log1p(-u) is -log(1-u) without cancellation for small u
         vals = -np.log1p(-u) / rate
@@ -98,7 +95,7 @@ class RngState:
         if shape < 1:
             raise InvalidShape(f"shape must be >= 1, got {shape}")
         rate = _check_rate(rate)
-        n = 1 if size is None else int(size)
+        n = _check_size(size)
         u = self.uniform01(size=n * int(shape)).reshape(n, int(shape))
         vals = np.add.reduce(-np.log1p(-u) / rate, axis=1)
         return float(vals[0]) if size is None else vals
@@ -110,36 +107,40 @@ class RngState:
         added left to right.  Bitwise the values, and exactly the count + 1
         words, of the scalar loop
         ``y = start + exponential(); while y <= stop: keep y; y += exponential()``.
-        Gaps are drawn in blocks; the state is then restored and advanced
-        by the words the loop would have used.
         """
-        state = self._bits.state
+        return np.concatenate(list(self._arrival_blocks(start, stop)))
+
+    def _arrival_blocks(self, start: float, stop: float):
+        # Yield the arrivals in blocks of gaps.  For the block that crosses
+        # ``stop`` the state is restored and only its words up to the first
+        # gap past ``stop`` are drawn again, so the stream is left exactly
+        # where the scalar loop leaves it.
         y = float(start)
-        blocks = []
-        used = 0
         while True:
+            state = self._bits.state
             room = max(float(stop) - y, 0.0)
             n = min(int(room + 4.0 * math.sqrt(room)) + 16, _ARRIVAL_BLOCK)
             ys = np.cumsum(np.concatenate(([y], self.exponential(size=n))))[1:]
             past = np.nonzero(ys > stop)[0]
             if past.size:
                 k = int(past[0])
-                blocks.append(ys[:k])
-                used += k + 1
-                break
-            blocks.append(ys)
-            used += n
+                self._bits.state = state
+                self._words(k + 1)
+                yield ys[:k]
+                return
+            yield ys
             y = float(ys[-1])
-        self._bits.state = state
-        self._words(used)
-        return np.concatenate(blocks)
 
     def poisson(self, mean: float, size: int | None = None):
-        """Poisson counts by Knuth's product method.
+        """Poisson counts: the unit-rate arrivals in windows of length ``mean``.
 
-        Means above 30 are split into ceil(mean/30) equal chunks whose
-        draws are summed (Poisson additivity), keeping exp(-chunk) well
-        away from underflow.
+        A scalar draw is ``arrivals(0.0, mean).size`` and uses exactly its
+        count + 1 words.  A batch of n cuts one arrival path on
+        (0, n*mean] into n consecutive windows of length ``mean``; the
+        counts are i.i.d. Poisson(mean) because the process has independent
+        increments.  Each block of arrivals is binned as it is drawn, so
+        memory stays O(n) whatever the mean.  A batch of one equals the
+        scalar draw; ``mean == 0`` and ``size=0`` use no words.
         """
         try:
             mean = float(mean)
@@ -147,26 +148,23 @@ class RngState:
             raise InvalidMean(f"mean must be a real number, got {mean!r}")
         if not math.isfinite(mean) or mean < 0:
             raise InvalidMean(f"mean must be finite and >= 0, got {mean!r}")
-        n = 1 if size is None else int(size)
+        n = _check_size(size)
         counts = np.zeros(n, dtype=np.int64)
-        if mean > 0:
-            nchunks = int(math.ceil(mean / _POISSON_CHUNK))
-            threshold = math.exp(-mean / nchunks)
-            for _ in range(nchunks):
-                counts += self._poisson_block(threshold, n)
+        if mean > 0 and n:
+            for ys in self._arrival_blocks(0.0, n * mean):
+                # lane i holds (i*mean, (i+1)*mean]; y/mean can round past an end
+                lanes = np.ceil(ys / mean).astype(np.int64) - 1
+                counts += np.bincount(np.clip(lanes, 0, n - 1), minlength=n)
         return int(counts[0]) if size is None else counts
 
-    def _poisson_block(self, threshold: float, n: int):
-        # Knuth: count multiplications needed to drive prod(U_i) below
-        # exp(-mean).  Lanes that finish drop out of the active set.
-        k = np.zeros(n, dtype=np.int64)
-        prod = np.ones(n)
-        active = np.arange(n)
-        while active.size:
-            prod[active] *= self.uniform01(size=active.size)
-            k[active] += 1
-            active = active[prod[active] > threshold]
-        return k - 1
+
+def _check_size(size) -> int:
+    # lanes to draw: one for a scalar draw (size None), else ``size``
+    if size is None:
+        return 1
+    if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 0:
+        raise InvalidParameter(f"size must be an integer >= 0, got {size!r}")
+    return int(size)
 
 
 def _check_rate(rate) -> float:

@@ -118,7 +118,13 @@ def sample_count(
     tol: float = DEFAULT_TOL,
     size: int | None = None,
 ):
-    """Poisson point count(s) for the window."""
+    """Poisson point count(s) for the window, drawn by ``rng.poisson``.
+
+    A scalar count is the number of unit-rate arrivals in (0, m], m the
+    window's expected count, and uses count + 1 words; ``size=n`` cuts one
+    arrival path on (0, n*m] into n windows of length m, giving n i.i.d.
+    counts.
+    """
     return rng.poisson(expected_count(model, window, tol), size=size)
 
 

@@ -6,6 +6,8 @@ refactors cannot silently change sampled output.  Distribution shape is
 checked separately against scipy oracles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -23,7 +25,7 @@ GOLDEN_UNIFORMS = {
 }
 GOLDEN_EXPONENTIAL_42_RATE2 = 0.8579499279451315
 GOLDEN_ERLANG_42_SHAPE3 = 3.9480770602412703
-GOLDEN_POISSON_42_MEAN5 = [6, 4]
+GOLDEN_POISSON_42_MEAN5 = [5, 7]
 
 
 class TestGolden:
@@ -166,8 +168,8 @@ class TestPoisson:
         assert abs(float(x.var()) - 100.0) < 1.0
 
     def test_chunk_split_matches_inversion_oracle(self):
-        # mean 60 runs through two chunks; compare moments against a
-        # single-shot inversion sampler driven by an independent stream
+        # a batch of counts cut from one arrival path; compare moments
+        # against a single-shot inversion sampler on an independent stream
         n = 100_000
         mine = RngState(20).poisson(60.0, size=n).astype(float)
         u = RngState(20, stream=99).uniform01(size=n)
@@ -195,11 +197,82 @@ class TestPoisson:
         stat = chi_square_stat(observed, expected)
         assert stat < scipy.stats.chi2.ppf(0.99, len(expected) - 1)
 
+    def test_chi_square_at_mean_1e4(self):
+        n = 4000
+        mu = 1e4
+        x = RngState(22).poisson(mu, size=n)
+        # 20 bins of about equal mass, split at the pmf's quantiles
+        cuts = scipy.stats.poisson.ppf(np.linspace(0.0, 1.0, 21)[1:-1], mu)
+        observed = np.bincount(np.searchsorted(cuts, x), minlength=20)
+        cdf = scipy.stats.poisson.cdf(cuts, mu)
+        expected = np.diff(np.concatenate(([0.0], cdf, [1.0]))) * n
+        assert np.all(expected >= 5)
+        stat = chi_square_stat(observed, expected)
+        assert stat < scipy.stats.chi2.ppf(0.99, len(expected) - 1)
+
     def test_invalid_mean(self):
         rng = RngState(0)
         for bad in (-1.0, float("inf"), float("nan")):
             with pytest.raises(InvalidMean):
                 rng.poisson(bad)
+
+
+def _words_used(rng):
+    # Philox words drawn so far: four per counter step, less the buffer
+    st = rng._bits.state
+    ctr = sum(int(v) << (64 * i) for i, v in enumerate(st["state"]["counter"]))
+    return 4 * ctr + int(st["buffer_pos"]) - 4
+
+
+class TestPoissonIsArrivalCount:
+    @pytest.mark.parametrize("mean", [0.5, 7.5, 1e4])
+    def test_scalar_is_arrival_count(self, mean):
+        a, b = RngState(31, 2), RngState(31, 2)
+        assert a.poisson(mean) == b.arrivals(0.0, mean).size
+        assert a.uniform01() == b.uniform01()
+
+    def test_scalar_uses_count_plus_one_words(self):
+        rng = RngState(32)
+        count = rng.poisson(1e6)
+        assert _words_used(rng) == count + 1
+
+    def test_empty_draws_use_no_words(self):
+        rng = RngState(42)
+        assert rng.poisson(0.0) == 0
+        assert rng.poisson(0.0, size=3).tolist() == [0, 0, 0]
+        assert rng.poisson(5.0, size=0).size == 0
+        assert _words_used(rng) == 0
+
+    def test_batch_memory_does_not_grow_with_the_path(self):
+        # 10^7 arrival times held at once would take 80 MB
+        tracemalloc.start()
+        try:
+            RngState(33).poisson(100.0, size=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class TestSize:
+    DRAWS = {
+        "uniform01": lambda rng, size: rng.uniform01(size=size),
+        "exponential": lambda rng, size: rng.exponential(1.0, size=size),
+        "erlang": lambda rng, size: rng.erlang(2, 1.0, size=size),
+        "poisson": lambda rng, size: rng.poisson(5.0, size=size),
+    }
+
+    @pytest.mark.parametrize("method", sorted(DRAWS))
+    @pytest.mark.parametrize("bad", [2.5, 2.0, -1, True, "3"])
+    def test_invalid_size(self, method, bad):
+        with pytest.raises(InvalidParameter):
+            self.DRAWS[method](RngState(0), bad)
+
+    @pytest.mark.parametrize("method", sorted(DRAWS))
+    def test_numpy_integer_size(self, method):
+        got = self.DRAWS[method](RngState(0), np.int64(3))
+        want = self.DRAWS[method](RngState(0), 3)
+        assert np.array_equal(got, want)
 
 
 class TestConstruction:
