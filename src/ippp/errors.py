@@ -75,14 +75,15 @@ class NegativeRate(IpppError):
 
 
 class BoundViolation(IpppError):
-    """Raised when a declared upper bound is exceeded by an observed rate."""
+    """Raised when an observed rate exceeds its upper bound: the declared
+    bound, or the level of the rejection envelope's segment."""
 
     def __init__(self, x: float, value: float, bound: float):
         self.x = x
         self.value = value
         self.bound = bound
         super().__init__(
-            f"rate {value!r} at x={x!r} exceeds the declared bound {bound!r}"
+            f"rate {value!r} at x={x!r} exceeds its upper bound {bound!r}"
         )
 
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameter, OutOfRange, ToleranceNotMet
-from .rate_model import Interval, RateModel
+from .rate_model import _SEGMENTS, Interval, RateModel, _partition
 
 __all__ = [
     "DEFAULT_TOL",
@@ -110,9 +110,6 @@ _WG = np.array(
 )
 
 _DEPTH_CAP = 50
-
-# segments in a window's partition; each gets tol / _SEGMENTS of the budget
-_SEGMENTS = 1024
 
 # How far the inverse will probe for mass on an unbounded domain before
 # declaring the target unreachable.
@@ -219,8 +216,7 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
             model.evaluate(point)  # raises DomainViolation with context
     if a == b:
         return 0.0
-    steps = np.cumsum(np.full(_SEGMENTS - 1, (b - a) / _SEGMENTS))
-    edges = np.concatenate([[a], a + steps, [b]])
+    edges = _partition(a, b)
     return float(np.sum(_masses(model.evaluate, edges[:-1], edges[1:], tol)))
 
 

@@ -20,10 +20,16 @@ composition.  Evaluation is vectorized over numpy arrays and raises
 intermediate result is non-finite, so a division by zero or ``log`` of a
 negative number is reported where it happened rather than surfacing as a
 ``nan`` downstream.
+
+:func:`enclose` is the interval counterpart of :func:`evaluate`: given
+arrays of segments, it returns for each one an interval that holds every
+value ``evaluate`` can return inside it, which gives rejection sampling a
+sound upper bound for any expression.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +49,7 @@ __all__ = [
     "parse",
     "parse_text",
     "evaluate",
+    "enclose",
 ]
 
 # Functions the language knows, with their arity.
@@ -389,3 +396,135 @@ def evaluate(expr: RateExpr, x):
         # Constant sub-expressions collapse to scalars; broadcast back out.
         out = np.full(arr.shape, float(out))
     return out
+
+
+# -- interval enclosures -------------------------------------------------------
+#
+# Natural interval extension (R. E. Moore, *Interval Analysis*, 1966): each
+# node maps an interval of its operands to an interval holding every value
+# the node can take on them.  + - * / and sqrt are correctly rounded
+# (IEEE 754), so rounding is monotone and the ends computed in floats
+# already hold the value ``evaluate`` computes at any point in between.
+# numpy's exp, log, sin, cos and power carry a few ulps of error, both at
+# the ends and at that point, so their results are widened outward by
+# _WIDEN relative plus the smallest normal float.  A lane with no finite
+# enclosure is (-inf, inf).
+
+_WIDEN = 4.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_HALF_PI = 0.5 * math.pi
+
+
+def _unnan(lo, hi):
+    # NaN ends (0 * inf, inf - inf, a function outside its domain) open up
+    return np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi)
+
+
+def _widen(lo, hi):
+    return _unnan(lo - (np.abs(lo) * _WIDEN + _TINY), hi + (np.abs(hi) * _WIDEN + _TINY))
+
+
+def _unbounded_where(bad, lo, hi):
+    return np.where(bad, -np.inf, lo), np.where(bad, np.inf, hi)
+
+
+def _hull(*values):
+    # NaN propagates through min and max, for _unnan to open up
+    return functools.reduce(np.minimum, values), functools.reduce(np.maximum, values)
+
+
+def _periodic(fn, lo, hi, crest):
+    # sin or cos over [lo, hi]: 1 where a crest c + 2 pi k lies inside,
+    # -1 where a trough c + pi + 2 pi k does, else the ends' values; the
+    # slack counts a crest near an end as inside, which only widens
+    two_pi = 2.0 * math.pi
+    ends_lo, ends_hi = _hull(fn(lo), fn(hi))
+
+    def inside(c):
+        t_lo, t_hi = (lo - c) / two_pi, (hi - c) / two_pi
+        slack = 1e-12 * (1.0 + np.maximum(np.abs(t_lo), np.abs(t_hi)))
+        return np.floor(t_hi + slack) >= np.ceil(t_lo - slack)
+
+    return np.where(inside(crest + math.pi), -1.0, ends_lo), np.where(inside(crest), 1.0, ends_hi)
+
+
+def _power(base, expo):
+    (bl, bh), (el, eh) = base, expo
+    corners = [np.power(b, e) for b in (bl, bh) for e in (el, eh)]
+    lo, hi = _hull(*corners)
+    point_int = (el == eh) & np.isfinite(el) & (el == np.floor(el))
+    straddle = (bl <= 0.0) & (bh >= 0.0)
+    # an even power dips to 0 inside a base interval holding 0
+    lo = np.where(point_int & (el > 0) & (np.fmod(el, 2.0) == 0) & straddle, 0.0, lo)
+    # x^-n across 0 has a pole; a non-integer power of a negative base is
+    # undefined, and a range of exponents over one may pass odd and even
+    bad = (point_int & (el < 0) & straddle) | (~point_int & (bl < 0.0))
+    return _unbounded_where(bad, *_widen(lo, hi))
+
+
+def _enclose(node: RateExpr, lo, hi):
+    if isinstance(node, Num):
+        # numpy scalars, so that 1/0 follows numpy's rules as in evaluate
+        return np.float64(node.value), np.float64(node.value)
+    if isinstance(node, Var):
+        return lo, hi
+    if isinstance(node, Unary):
+        a, b = _enclose(node.operand, lo, hi)
+        return np.negative(b), np.negative(a)
+    if isinstance(node, Binary):
+        (al, ah), (bl, bh) = _enclose(node.left, lo, hi), _enclose(node.right, lo, hi)
+        if node.op == "+":
+            return _unnan(np.add(al, bl), np.add(ah, bh))
+        if node.op == "-":
+            return _unnan(np.subtract(al, bh), np.subtract(ah, bl))
+        if node.op == "*":
+            return _unnan(*_hull(al * bl, al * bh, ah * bl, ah * bh))
+        if node.op == "/":
+            out = _unnan(*_hull(al / bl, al / bh, ah / bl, ah / bh))
+            return _unbounded_where((bl <= 0.0) & (bh >= 0.0), *out)
+        return _power((al, ah), (bl, bh))
+    if isinstance(node, Call):
+        args = [_enclose(a, lo, hi) for a in node.args]
+        (al, ah) = args[0]
+        if node.func == "exp":
+            return _widen(np.exp(al), np.exp(ah))
+        if node.func == "log":
+            return _unbounded_where(al <= 0.0, *_widen(np.log(al), np.log(ah)))
+        if node.func == "sqrt":
+            return _unbounded_where(al < 0.0, np.sqrt(al), np.sqrt(ah))
+        if node.func == "sin":
+            return _widen(*_periodic(np.sin, al, ah, _HALF_PI))
+        if node.func == "cos":
+            return _widen(*_periodic(np.cos, al, ah, 0.0))
+        if node.func == "abs":
+            # the end nearer 0, or 0 when the interval holds it
+            low = np.where(al >= 0.0, al, np.where(ah <= 0.0, np.negative(ah), 0.0))
+            return low, np.maximum(np.abs(al), np.abs(ah))
+        (bl, bh) = args[1]
+        if node.func == "min":
+            return np.minimum(al, bl), np.minimum(ah, bh)
+        return np.maximum(al, bl), np.maximum(ah, bh)
+    raise TypeError(f"not a RateExpr node: {node!r}")
+
+
+def enclose(expr: RateExpr, lo, hi):
+    """Interval enclosure of ``expr`` over each segment [lo, hi].
+
+    ``lo`` and ``hi`` are arrays (or scalars) of segment edges with
+    lo <= hi.  Returns float arrays ``(low, high)`` of their broadcast
+    shape such that wherever :func:`evaluate` succeeds at an x in a
+    segment, its value lies in [low, high] of that lane.  A lane with no
+    finite enclosure (a divisor interval holding 0, ``log`` of a part
+    <= 0, ``sqrt`` of a part < 0, a power with a pole in the base
+    interval or a non-integer power of a base that can go negative,
+    overflow) has ``high == inf``.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    shape = np.broadcast(lo, hi).shape
+    with np.errstate(all="ignore"):
+        low, high = _enclose(expr, lo, hi)
+    return (
+        np.broadcast_to(np.asarray(low, dtype=float), shape).copy(),
+        np.broadcast_to(np.asarray(high, dtype=float), shape).copy(),
+    )

@@ -7,11 +7,19 @@ strict: querying outside the domain raises
 :class:`~ippp.errors.NegativeRate`, and (in debug runs) a value above the
 declared bound raises :class:`~ippp.errors.BoundViolation`.
 
-Built-in families (constant, linear, piecewise constant, sinusoidal) know
-their exact supremum over a window, which keeps rejection sampling tight.
-Arbitrary expressions in ``x`` are supported through
-:meth:`RateModel.from_expression`; lacking a closed form, their bound falls
-back to a 1025-point grid maximum times a 1.5 safety factor.
+Every rate source has ``supremum(lo, hi)``, an upper bound for the rate on
+each segment [lo[i], hi[i]] of arrays of edges.  The built-in families
+(constant, linear, piecewise constant, sinusoidal) give their exact
+supremum; an expression in ``x`` (:meth:`RateModel.from_expression`) gives
+the upper end of its interval enclosure (:func:`ippp.rate_expr.enclose`),
+which holds every value the expression can take on the segment.
+
+:meth:`RateModel.envelope` turns these into the rejection sampler's
+envelope over a window: one level per segment of the 1024-segment
+partition that :func:`ippp.quadrature.integrate` uses, cached per
+(model, window).  A declared bound gives a flat envelope at that level.
+Where a segment has no finite bound, building the envelope raises
+:class:`~ippp.errors.InvalidRate`, which points to ``declared_bound``.
 
 All model objects are immutable and hashable, so downstream caches can key
 on them directly.
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +38,7 @@ from .errors import (
     BoundViolation,
     DomainViolation,
     InvalidParameter,
+    InvalidRate,
     NegativeRate,
 )
 
@@ -40,10 +50,22 @@ __all__ = [
     "PiecewiseConstantRate",
     "SinusoidalRate",
     "ExpressionRate",
+    "Envelope",
     "RateModel",
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# segments in a window's partition: the envelope's pieces, and the
+# integrator's segments, each with tol / _SEGMENTS of the error budget
+_SEGMENTS = 1024
+
+
+def _partition(a: float, b: float):
+    """The _SEGMENTS + 1 edges of [a, b]: a + cumsum of equal widths, the
+    last edge exactly b."""
+    steps = np.cumsum(np.full(_SEGMENTS - 1, (b - a) / _SEGMENTS))
+    return np.concatenate([[a], a + steps, [b]])
 
 
 def _require_finite_number(name: str, value) -> float:
@@ -128,8 +150,8 @@ class ConstantRate:
         x = np.asarray(x, dtype=float)
         return np.full(x.shape, self.level)
 
-    def supremum(self, lo: float, hi: float) -> float:
-        return self.level
+    def supremum(self, lo, hi):
+        return np.full(np.broadcast(lo, hi).shape, self.level)
 
     def describe(self) -> str:
         return f"constant rate {self.level:g}"
@@ -152,9 +174,12 @@ class LinearRate:
         x = np.asarray(x, dtype=float)
         return np.maximum(0.0, self.intercept + self.slope * x)
 
-    def supremum(self, lo: float, hi: float) -> float:
+    def supremum(self, lo, hi):
         # Linear, so the max over a window sits at an endpoint.
-        return max(0.0, self.intercept + self.slope * lo, self.intercept + self.slope * hi)
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        ends = np.maximum(self.intercept + self.slope * lo, self.intercept + self.slope * hi)
+        return np.maximum(0.0, ends)
 
     def describe(self) -> str:
         return f"linear rate max(0, {self.intercept:g} + {self.slope:g}*x)"
@@ -200,13 +225,13 @@ class PiecewiseConstantRate:
         out[x == bp[-1]] = lv[-1]
         return out
 
-    def supremum(self, lo: float, hi: float) -> float:
-        bp = self.breakpoints
-        best = 0.0 if (lo < bp[0] or hi > bp[-1]) else -math.inf
-        for i, level in enumerate(self.levels):
-            if bp[i] <= hi and bp[i + 1] >= lo:
-                best = max(best, level)
-        return max(best, 0.0)
+    def supremum(self, lo, hi):
+        # the largest level of a piece meeting [lo, hi]; 0 outside the pieces
+        lo = np.asarray(lo, dtype=float)[..., None]
+        hi = np.asarray(hi, dtype=float)[..., None]
+        bp = np.asarray(self.breakpoints)
+        meets = (bp[:-1] <= hi) & (bp[1:] >= lo)
+        return np.max(np.where(meets, np.asarray(self.levels), 0.0), axis=-1)
 
     def describe(self) -> str:
         return f"piecewise constant rate with {len(self.levels)} pieces"
@@ -239,22 +264,22 @@ class SinusoidalRate:
         x = np.asarray(x, dtype=float)
         return self.offset + self.amplitude * np.sin(self.frequency * x + self.phase)
 
-    def supremum(self, lo: float, hi: float) -> float:
+    def supremum(self, lo, hi):
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        shape = np.broadcast(lo, hi).shape
         if self.amplitude == 0.0 or self.frequency == 0.0:
-            return self.offset + self.amplitude * math.sin(self.phase)
+            return np.full(shape, self.offset + self.amplitude * math.sin(self.phase))
         # The max is offset+|amplitude| iff a crest lies in the window;
         # otherwise it sits at an endpoint.
         target = math.pi / 2.0 if self.amplitude > 0 else -math.pi / 2.0
         a = self.frequency * lo + self.phase
         b = self.frequency * hi + self.phase
-        if a > b:
-            a, b = b, a
-        k_lo = math.ceil((a - target) / _TWO_PI - 1e-12)
-        k_hi = math.floor((b - target) / _TWO_PI + 1e-12)
-        if k_lo <= k_hi:
-            return self.offset + abs(self.amplitude)
-        edge = np.asarray(self((np.array([lo, hi]))))
-        return float(edge.max())
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        k_lo = np.ceil((a - target) / _TWO_PI - 1e-12)
+        k_hi = np.floor((b - target) / _TWO_PI + 1e-12)
+        edge = np.maximum(self(lo), self(hi))
+        return np.where(k_lo <= k_hi, self.offset + abs(self.amplitude), edge)
 
     def describe(self) -> str:
         return (
@@ -273,16 +298,110 @@ class ExpressionRate:
     def __call__(self, x):
         return rate_expr.evaluate(self.expr, np.asarray(x, dtype=float))
 
-    def supremum(self, lo: float, hi: float):
-        return None
+    def supremum(self, lo, hi):
+        return rate_expr.enclose(self.expr, lo, hi)[1]
 
     def describe(self) -> str:
         return f"rate expression {self.text!r}"
 
 
-# Number of grid points used when no exact supremum is available.
-_GRID_POINTS = 1025
-_GRID_SAFETY = 1.5
+def _alias_table(masses):
+    # Walker's alias table by Vose's method; leftovers (rounding) keep 1
+    n = masses.size
+    total = float(np.sum(masses))
+    prob = np.ones(n)
+    alias = np.arange(n)
+    if total <= 0.0:
+        return prob, alias
+    scaled = (masses * (n / total)).tolist()
+    small = [i for i, p in enumerate(scaled) if p < 1.0]
+    large = [i for i, p in enumerate(scaled) if p >= 1.0]
+    while small and large:
+        s, big = small.pop(), large.pop()
+        prob[s] = scaled[s]
+        alias[s] = big
+        scaled[big] = (scaled[big] + scaled[s]) - 1.0
+        (small if scaled[big] < 1.0 else large).append(big)
+    return prob, alias
+
+
+class Envelope:
+    """A piecewise-constant upper bound for the rate over a window.
+
+    ``levels[i]`` bounds the rate on [edges[i], edges[i+1]]; ``mass`` is
+    the sum of levels times widths.  :meth:`locate` draws from the density
+    proportional to the envelope, one uniform per draw, through Walker's
+    alias table of the segments' masses.
+    """
+
+    def __init__(self, edges, levels):
+        self.edges = edges
+        self.levels = levels
+        widths = np.diff(edges)
+        masses = levels * widths
+        self.mass = float(np.sum(masses))
+        prob, alias = _alias_table(masses)
+        n = levels.size
+        # column k of the table holds branch 2k, segment k for fractions
+        # below prob[k], and branch 2k + 1, segment alias[k] for the rest;
+        # each branch maps its fractions linearly onto its segment
+        seg = np.stack([np.arange(n), alias], axis=1).ravel()
+        start = np.stack([np.zeros(n), prob], axis=1).ravel()
+        share = np.stack([prob, 1.0 - prob], axis=1).ravel()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(share > 0.0, widths[seg] / share, 0.0)
+        self._prob = prob
+        self._start = start
+        self._slope = slope
+        self._lo = edges[:-1][seg]
+        self._hi = edges[1:][seg]
+        self._level = levels[seg]
+
+    def locate(self, u):
+        """Draws from the envelope's density for uniforms ``u`` in [0, 1).
+
+        u * n splits exactly into a column k and a fraction f (n is a
+        power of two), the fraction picks the branch of column k and its
+        position inside that branch's segment, so a position keeps the
+        bits of u below the column's.  Returns each draw's segment level
+        and location, the location inside its segment.
+        """
+        t = u * self._prob.size
+        column = np.floor(t)
+        f = t - column
+        k = column.astype(np.intp)
+        j = 2 * k + (f >= self._prob[k])
+        x = self._lo[j] + (f - self._start[j]) * self._slope[j]
+        np.minimum(x, self._hi[j], out=x)
+        return self._level[j], x
+
+
+@lru_cache(maxsize=256)
+def _envelope(model: "RateModel", lo: float, hi: float) -> Envelope:
+    edges = _partition(lo, hi)
+    if model.declared_bound is not None:
+        levels = np.full(_SEGMENTS, model.declared_bound)
+    else:
+        sup = model.source.supremum(edges[:-1], edges[1:])
+        levels = np.broadcast_to(np.asarray(sup, dtype=float), (_SEGMENTS,)).copy()
+        unbounded = np.nonzero(~np.isfinite(levels))[0]
+        if unbounded.size:
+            i = int(unbounded[0])
+            raise InvalidRate(
+                f"{model.source.describe()} has no finite upper bound on "
+                f"[{float(edges[i])!r}, {float(edges[i + 1])!r}] of the window "
+                f"[{lo!r}, {hi!r}]; pass declared_bound to sample it"
+            )
+        below = np.nonzero(levels < 0.0)[0]
+        if below.size:
+            # the rate is negative all over this segment, which evaluate
+            # reports; if it does not, the supremum is below the rate
+            i = int(below[0])
+            x = float(0.5 * (edges[i] + edges[i + 1]))
+            raise BoundViolation(x, model.evaluate(x), float(levels[i]))
+    edges.setflags(write=False)
+    levels.setflags(write=False)
+    return Envelope(edges, levels)
 
 
 @dataclass(frozen=True)
@@ -376,22 +495,29 @@ class RateModel:
                 bad, f"window {window} is not contained in the domain {self.domain}"
             )
 
-    def bound_on(self, window: Interval) -> float:
-        """An upper bound for the rate over ``window``.
+    def envelope(self, window: Interval) -> Envelope:
+        """The rejection sampler's envelope over ``window``, cached.
 
-        Uses the declared bound if one was given, else the family's exact
-        supremum, else a grid estimate (1025 points, times 1.5).  The grid
-        estimate can miss features narrower than the grid spacing; pass
-        ``declared_bound`` for spiky rates.
+        One level per segment of the window's 1024-segment partition (the
+        partition :func:`ippp.quadrature.integrate` uses): the declared
+        bound if one was given, else the source's ``supremum`` of each
+        segment, exact for the families and an interval enclosure for
+        expressions, so no rate value on the window exceeds its segment's
+        level.  Raises :class:`~ippp.errors.InvalidRate` where a segment
+        has no finite bound (pass ``declared_bound``), and
+        :class:`~ippp.errors.NegativeRate` (from :meth:`evaluate`) where
+        the rate is negative all over a segment.
         """
         self.require_window(window)
-        if self.declared_bound is not None:
-            return self.declared_bound
-        sup = self.source.supremum(window.lo, window.hi)
-        if sup is not None:
-            return float(sup)
-        xs = np.linspace(window.lo, window.hi, _GRID_POINTS)
-        return float(np.max(self.evaluate(xs))) * _GRID_SAFETY
+        return _envelope(self, window.lo, window.hi)
+
+    def bound_on(self, window: Interval) -> float:
+        """An upper bound for the rate over ``window``: the largest level
+        of :meth:`envelope`, so the declared bound if one was given, else
+        the largest segment supremum.  It is sound: no rate value on the
+        window exceeds it.
+        """
+        return float(np.max(self.envelope(window).levels))
 
     def describe(self) -> str:
         parts = [self.source.describe(), f"on {self.domain}"]

@@ -128,10 +128,12 @@ def sample_nth_point(
     draw in the query direction and mapped back through the inverse.  A
     shift past the reachable mass means the process has fewer than n
     points on that side: scalar calls return None, batch calls mark the
-    lane NaN.
+    lane NaN.  ``size`` follows RngState's rule: None for one value, else
+    an integer >= 0 (InvalidParameter for a bool, a non-integer or a
+    negative value).
     """
     _require_anchor(model, query)
-    steps = rng.erlang(query.n, size=1 if size is None else int(size))
+    steps = rng.erlang(query.n, size=1 if size is None else size)
     out = _nth_from_steps(model, query, steps, tol)
     if size is None:
         val = float(out[0])

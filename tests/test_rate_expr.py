@@ -224,3 +224,129 @@ class TestAgainstReference:
                     checked += 1
         # the generator must not degenerate into all-error expressions
         assert checked > 400
+
+
+def enc(text, lo, hi):
+    return rate_expr.enclose(rate_expr.parse_text(text), lo, hi)
+
+
+def _values_where_defined(expr, xs):
+    # evaluate point by point only when the whole array fails somewhere
+    try:
+        return xs, rate_expr.evaluate(expr, xs)
+    except EvalError:
+        kept, vals = [], []
+        for x in xs:
+            try:
+                vals.append(rate_expr.evaluate(expr, x))
+            except EvalError:
+                continue
+            kept.append(x)
+        return np.array(kept), np.array(vals)
+
+
+# exponents the generator never writes: non-integer, negative and in x
+_EXTRA_EXPRESSIONS = [
+    "x^0.5",
+    "(x - 1)^-1",
+    "(x + 3)^-2",
+    "2^x",
+    "abs(x)^x",
+    "x^(1/3)",
+    "exp(30*x)",
+    "1 + 200*exp(-((x-0.50049)^2)/1e-8)",
+    "max(0, sin(x))",
+    "cos(1e6*x)",
+    "sin(x)^2 + cos(x)^2",
+    "log(abs(x))",
+    "sqrt(x^2 - 1)",
+]
+
+
+class TestEnclose:
+    def test_shapes_and_constants(self):
+        lo, hi = enc("3", np.zeros(4), np.ones(4))
+        assert lo.shape == hi.shape == (4,)
+        assert np.all(lo == 3.0) and np.all(hi == 3.0)
+        lo, hi = enc("x", 0.25, 0.5)
+        assert (float(lo), float(hi)) == (0.25, 0.5)
+
+    def test_outward_by_a_few_ulps(self):
+        eps = np.finfo(float).eps
+        lo, hi = enc("2 + 0*x", 0.0, 1.0)
+        assert 2.0 - 16 * eps <= lo <= 2.0 <= hi <= 2.0 + 16 * eps
+        lo, hi = enc("x^2", -1.0, 0.5)
+        assert lo <= 0.0 <= lo + 1e-300 and 1.0 <= hi <= 1.0 + 8 * eps
+        # numpy's exp carries a few ulps of error: the ends move outward
+        lo, hi = enc("exp(x)", 0.0, 1.0)
+        assert 1.0 - 16 * eps <= lo < 1.0
+        assert math.e < hi <= math.e * (1.0 + 16 * eps)
+
+    def test_exact_operations_stay_exact(self):
+        # + - * / and sqrt round monotonically, so their ends need no
+        # widening: x - 1 on [1, 2] stays at or above 0 and has a root
+        lo, hi = enc("sqrt(x - 1)", 1.0, 2.0)
+        assert (float(lo), float(hi)) == (0.0, 1.0)
+        assert float(enc("x/4 + 1", 1.0, 2.0)[1]) == 1.5
+
+    def test_even_and_odd_powers(self):
+        assert float(enc("x^3", -2.0, 1.0)[0]) == pytest.approx(-8.0)
+        assert float(enc("x^4", -2.0, 1.0)[1]) == pytest.approx(16.0)
+        assert float(enc("x^4", -2.0, 1.0)[0]) <= 0.0
+
+    def test_sin_and_cos_crests(self):
+        lo, hi = enc("sin(x)", 1.0, 2.0)  # crest pi/2 inside
+        assert hi >= 1.0 and lo == pytest.approx(math.sin(1.0))
+        lo, hi = enc("cos(x)", 3.0, 3.5)  # trough pi inside
+        assert lo <= -1.0 and hi == pytest.approx(math.cos(3.5))
+        lo, hi = enc("sin(x)", 0.1, 0.2)  # monotone piece: the ends
+        assert lo == pytest.approx(math.sin(0.1)) and hi == pytest.approx(math.sin(0.2))
+
+    @pytest.mark.parametrize(
+        "text, lo, hi",
+        [
+            ("1/x", -1.0, 1.0),  # divisor interval holds 0
+            ("1/(x - 0.5)", 0.0, 0.5),  # ... at an end
+            ("log(x)", 0.0, 1.0),  # log of a non-positive part
+            ("sqrt(x)", -0.5, 1.0),  # sqrt of a negative part
+            ("x^0.5", -1.0, 1.0),  # non-integer power of a negative base
+            ("x^-1", -1.0, 1.0),  # negative power across 0
+            ("(-x)^x", 1.0, 2.0),  # exponent range over a negative base
+            ("exp(x)", 700.0, 800.0),  # overflow
+            ("x + 1/0", 0.0, 1.0),  # a constant with no value
+        ],
+    )
+    def test_no_finite_enclosure_is_inf(self, text, lo, hi):
+        assert enc(text, lo, hi)[1] == math.inf
+
+    def test_lanes_are_independent(self):
+        lo = np.array([-1.0, 0.5, 2.0])
+        hi = np.array([1.0, 1.0, 3.0])
+        low, high = enc("1/x", lo, hi)
+        assert high[0] == math.inf
+        for i in (1, 2):
+            one = enc("1/x", lo[i], hi[i])
+            assert (low[i], high[i]) == (float(one[0]), float(one[1]))
+
+    def test_fuzz_values_lie_in_enclosure(self):
+        # wherever evaluate succeeds at 64 points of a segment, every value
+        # lies within that segment's enclosure
+        rng = random.Random(2024)
+        gen = np.random.default_rng(2024)
+        texts = [random_expression(rng, 4) for _ in range(400)] + _EXTRA_EXPRESSIONS
+        checked = 0
+        for text in texts:
+            expr = rate_expr.parse_text(text)
+            lo = gen.uniform(-10.0, 10.0, 6)
+            hi = lo + 10.0 ** gen.uniform(-8.0, 1.0, 6)
+            low, high = rate_expr.enclose(expr, lo, hi)
+            for i in range(lo.size):
+                xs = np.linspace(lo[i], hi[i], 64)
+                xs, vals = _values_where_defined(expr, xs)
+                assert np.all((vals >= low[i]) & (vals <= high[i])), (
+                    f"{text!r} on [{lo[i]!r}, {hi[i]!r}]: values "
+                    f"[{vals.min()!r}, {vals.max()!r}] outside [{low[i]!r}, {high[i]!r}]"
+                )
+                checked += vals.size > 0
+        # the generator must not degenerate into all-error expressions
+        assert checked > 1000

@@ -9,9 +9,14 @@ from ippp.errors import (
     BoundViolation,
     DomainViolation,
     InvalidParameter,
+    InvalidRate,
     NegativeRate,
 )
 from ippp.rate_model import Domain, Interval, RateModel
+from ippp.rng import RngState
+from ippp.sampling_bounded import sample_location
+
+from stat_checks import ks_distance, ks_threshold
 
 
 class TestInterval:
@@ -164,16 +169,139 @@ class TestBoundOn:
         m = RateModel.constant(2.0, declared_bound=10.0)
         assert m.bound_on(Interval(0.0, 1.0)) == 10.0
 
-    def test_grid_fallback_with_safety_factor(self):
-        m = RateModel.from_expression("2 + 0*x")
-        assert m.bound_on(Interval(0.0, 1.0)) == pytest.approx(3.0)
-        m2 = RateModel.from_expression("x^2")
-        assert m2.bound_on(Interval(0.0, 1.0)) == pytest.approx(1.5)
+    def test_expression_enclosure(self):
+        # the interval enclosure's upper end: at or above the true
+        # supremum, within a few ulps of it
+        for text, true in (("2 + 0*x", 2.0), ("x^2", 1.0)):
+            b = RateModel.from_expression(text).bound_on(Interval(0.0, 1.0))
+            assert true <= b <= true * (1.0 + 16 * np.finfo(float).eps)
+
+    def test_unbounded_enclosure_needs_declared_bound(self):
+        with pytest.raises(InvalidRate, match="declared_bound"):
+            RateModel.from_expression("1/x").bound_on(Interval(-1.0, 1.0))
+        # x - x encloses to [-w, w] on a segment of width w, and sqrt of a
+        # part below 0 has no finite enclosure; the rate is 1 everywhere
+        # and samples under a declared bound
+        text = "1 + sqrt(x - x)"
+        with pytest.raises(InvalidRate):
+            sample_location(RateModel.from_expression(text), Interval(-1.0, 1.0), RngState(1))
+        model = RateModel.from_expression(text, declared_bound=1.0)
+        xs = sample_location(model, Interval(-1.0, 1.0), RngState(1), size=2000)
+        assert ks_distance(xs, lambda t: (t + 1.0) / 2.0) <= ks_threshold(2000)
 
     def test_window_outside_domain(self):
         m = RateModel.constant(1.0, domain=Domain(0.0, 5.0))
         with pytest.raises(DomainViolation):
             m.bound_on(Interval(4.0, 6.0))
+
+
+# the scalar suprema the families had before they took arrays of edges
+def _old_linear(src, lo, hi):
+    return max(0.0, src.intercept + src.slope * lo, src.intercept + src.slope * hi)
+
+
+def _old_pwconst(src, lo, hi):
+    bp = src.breakpoints
+    best = 0.0 if (lo < bp[0] or hi > bp[-1]) else -math.inf
+    for i, level in enumerate(src.levels):
+        if bp[i] <= hi and bp[i + 1] >= lo:
+            best = max(best, level)
+    return max(best, 0.0)
+
+
+def _old_sinusoidal(src, lo, hi):
+    if src.amplitude == 0.0 or src.frequency == 0.0:
+        return src.offset + src.amplitude * math.sin(src.phase)
+    target = math.pi / 2.0 if src.amplitude > 0 else -math.pi / 2.0
+    a = src.frequency * lo + src.phase
+    b = src.frequency * hi + src.phase
+    if a > b:
+        a, b = b, a
+    k_lo = math.ceil((a - target) / (2.0 * math.pi) - 1e-12)
+    k_hi = math.floor((b - target) / (2.0 * math.pi) + 1e-12)
+    if k_lo <= k_hi:
+        return src.offset + abs(src.amplitude)
+    return float(np.asarray(src(np.array([lo, hi]))).max())
+
+
+class TestVectorSuprema:
+    def _windows(self, seed, lo, hi):
+        g = np.random.default_rng(seed)
+        a = g.uniform(lo, hi, 1000)
+        b = a + 10.0 ** g.uniform(-4.0, 1.5, 1000)
+        return a, b
+
+    @pytest.mark.parametrize(
+        "model, old",
+        [
+            (RateModel.constant(2.5), lambda src, lo, hi: src.level),
+            (RateModel.linear(1.0, 2.0), _old_linear),
+            (RateModel.linear(3.0, -0.7), _old_linear),
+            (RateModel.piecewise_constant([0.0, 1.0, 2.5, 3.0], [1.0, 4.0, 2.0]), _old_pwconst),
+            (RateModel.sinusoidal(2.0, 1.0), _old_sinusoidal),
+            (RateModel.sinusoidal(20.0, -5.0, 0.1, 0.3), _old_sinusoidal),
+            (RateModel.sinusoidal(3.0, 1.0, -2.0), _old_sinusoidal),
+            (RateModel.sinusoidal(3.0, 1.0, 0.0, 0.4), _old_sinusoidal),
+        ],
+    )
+    def test_equal_to_scalar_formulas(self, model, old):
+        # pwconst windows start left of the pieces and end right of them
+        src = model.source
+        lo, hi = self._windows(7, -2.0, 5.0)
+        got = src.supremum(lo, hi)
+        want = [old(src, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert got.shape == (1000,)
+        assert got.tolist() == want
+
+
+class TestEnvelope:
+    def test_levels_bound_the_rate(self):
+        m = RateModel.from_expression("1 + 200*exp(-((x-0.50049)^2)/1e-8)")
+        env = m.envelope(Interval(0.0, 1.0))
+        assert env.edges.size == env.levels.size + 1 == 1025
+        assert env.edges[0] == 0.0 and env.edges[-1] == 1.0
+        assert np.all(env.levels >= 1.0)
+        # the spike at 0.50049 sits in segment 512; the grid of the old
+        # bound (1025 points) missed it
+        assert env.levels[512] >= 201.0
+        assert m.bound_on(Interval(0.0, 1.0)) == env.levels.max()
+
+    def test_cached_per_window(self):
+        m = RateModel.sinusoidal(2.0, 1.0)
+        w = Interval(0.0, 3.0)
+        assert m.envelope(w) is m.envelope(w)
+        assert m.envelope(Interval(0.0, 4.0)) is not m.envelope(w)
+
+    def test_declared_bound_is_flat(self):
+        m = RateModel.from_expression("1/x", declared_bound=7.0)
+        env = m.envelope(Interval(-1.0, 1.0))
+        assert np.all(env.levels == 7.0)
+
+    def test_partition_is_the_integrators(self):
+        m = RateModel.constant(1.0)
+        env = m.envelope(Interval(0.3, 7.1))
+        steps = np.cumsum(np.full(1023, (7.1 - 0.3) / 1024))
+        assert env.edges.tolist() == [0.3, *(0.3 + steps).tolist(), 7.1]
+
+    def test_locate_draws_segments_by_mass(self):
+        # a fine grid of uniforms through the alias table: each segment's
+        # share of the draws is its share of the envelope mass
+        m = RateModel.piecewise_constant([0.0, 1.3, 2.0, 5.0], [2.0, 0.0, 7.0])
+        env = m.envelope(Interval(-1.0, 6.0))
+        n = env.levels.size
+        us = (np.arange(200_000) + 0.5) / 200_000
+        levels, xs = env.locate(us)
+        assert np.all((xs >= -1.0) & (xs <= 6.0))
+        assert np.all((levels > 0.0) & (levels >= m.evaluate(xs)))
+        seg = np.minimum(np.searchsorted(env.edges, xs, side="right") - 1, n - 1)
+        counts = np.bincount(seg, minlength=n)
+        masses = env.levels * np.diff(env.edges)
+        np.testing.assert_allclose(counts / us.size, masses / env.mass, atol=2e-5)
+
+    def test_negative_everywhere_on_a_segment_raises(self):
+        m = RateModel.from_expression("x")
+        with pytest.raises(NegativeRate):
+            m.envelope(Interval(-1.0, 1.0))
 
 
 class TestModelObject:

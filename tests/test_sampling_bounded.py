@@ -1,7 +1,7 @@
 """Tests for bounded-window simulation and the location/order-stat laws."""
 
-import logging
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import scipy.stats
 
 import ippp.sampling_bounded as sb
 from ippp.errors import (
+    BoundViolation,
     DomainViolation,
     InvalidIndex,
     InvalidParameter,
@@ -17,7 +18,7 @@ from ippp.errors import (
     ZeroMass,
     ZeroRate,
 )
-from ippp.rate_model import Domain, Interval, RateModel
+from ippp.rate_model import Domain, Interval, LinearRate, RateModel
 from ippp.rng import RngState
 from ippp.sampling_bounded import (
     EventSet,
@@ -173,16 +174,159 @@ def test_sample_location_zero_rate_raises():
         sample_location(model, UNIT, RngState(3))
 
 
-def test_bound_doubling_recovers_and_logs(caplog, monkeypatch):
-    # simulate a grid estimate far below the true maximum of 4
-    monkeypatch.setattr(RateModel, "bound_on", lambda self, window: 0.5)
-    model = RateModel.linear(0.0, 1.0)
-    window = Interval(0.0, 4.0)
-    with caplog.at_level(logging.WARNING, logger="ippp.sampling_bounded"):
-        xs = sample_location(model, window, RngState(13), size=200)
-    assert np.all((xs >= 0.0) & (xs <= 4.0))
-    doublings = [r for r in caplog.records if "doubling the bound" in r.getMessage()]
-    assert doublings
+@dataclass(frozen=True)
+class _LowSupremum:
+    """The linear rate x with a supremum that under-reports by half."""
+
+    inner: LinearRate = LinearRate(0.0, 1.0)
+
+    def __call__(self, x):
+        return self.inner(x)
+
+    def supremum(self, lo, hi):
+        return 0.5 * self.inner.supremum(lo, hi)
+
+    def describe(self):
+        return "linear rate x with a low supremum"
+
+
+def test_low_envelope_raises_bound_violation():
+    # an envelope below the rate is a broken contract, never doubled
+    model = RateModel(_LowSupremum())
+    with pytest.raises(BoundViolation) as info:
+        sample_location(model, Interval(0.0, 4.0), RngState(13), size=200)
+    assert info.value.value > info.value.bound
+
+
+SPIKE2 = "1 + 200*exp(-((x-0.50049)^2)/1e-8)"
+
+
+def _words(rng):
+    # Philox words drawn so far: four per counter step, less the buffer
+    st = rng._bits.state
+    ctr = sum(int(v) << (64 * i) for i, v in enumerate(st["state"]["counter"]))
+    return 4 * ctr + int(st["buffer_pos"]) - 4
+
+
+@dataclass(frozen=True)
+class _Counted:
+    """A rate source that counts its calls and points."""
+
+    inner: object
+    tally: list = field(default_factory=lambda: [0, 0], compare=False, hash=False)
+
+    def __call__(self, x):
+        self.tally[0] += 1
+        self.tally[1] += np.size(x)
+        return self.inner(x)
+
+    def supremum(self, lo, hi):
+        return self.inner.supremum(lo, hi)
+
+    def describe(self):
+        return self.inner.describe()
+
+
+@pytest.mark.parametrize(
+    "model, window",
+    [
+        (RateModel.sinusoidal(2.0, 1.0), Interval(0.0, 50.0)),
+        (RateModel.from_expression(SPIKE2), UNIT),
+        (RateModel.piecewise_constant([0.0, 1e-3, 1.0], [1.0, 0.0]), UNIT),
+    ],
+)
+@pytest.mark.parametrize("size", [None, 1, 7, 3000])
+def test_two_words_per_candidate(model, window, size):
+    counted = RateModel(_Counted(model.source))
+    rng = RngState(3)
+    sample_location(counted, window, rng, size=size)
+    assert _words(rng) == 2 * counted.source.tally[1]
+
+
+def test_window_is_count_then_locations():
+    model = RateModel.from_expression("2 + sin(3*x)")
+    window = Interval(0.0, 40.0)
+    for s in range(5):
+        es = simulate_window(model, window, RngState(s))
+        rng = RngState(s)
+        count = rng.poisson(es.meta["mean"])
+        want = np.sort(sample_location(model, window, rng, size=count))
+        assert es.points.tobytes() == want.tobytes()
+        cond = simulate_conditional(model, window, 37, RngState(s, 1))
+        want = np.sort(sample_location(model, window, RngState(s, 1), size=37))
+        assert cond.points.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [2.5, True, -1, "3"])
+def test_sample_location_size_validated(bad):
+    model = RateModel.sinusoidal(2.0, 1.0)
+    with pytest.raises(InvalidParameter):
+        sample_location(model, Interval(0.0, 5.0), RngState(1), size=bad)
+
+
+def test_sample_location_numpy_integer_size():
+    model = RateModel.sinusoidal(2.0, 1.0)
+    xs = sample_location(model, Interval(0.0, 5.0), RngState(1), size=np.int64(3))
+    assert xs.shape == (3,)
+    assert sample_location(model, Interval(0.0, 5.0), RngState(1), size=0).shape == (0,)
+
+
+# ------------------------------------------------------ spiky rates (laws)
+
+
+def _bump_mass(c, a, mu, w, lo, hi):
+    """Closed-form mass of c + a*exp(-(x-mu)^2/w) over [lo, hi]."""
+    s = math.sqrt(w)
+    return c * (hi - lo) + a * math.sqrt(math.pi * w) / 2.0 * (
+        math.erf((hi - mu) / s) - math.erf((lo - mu) / s)
+    )
+
+
+def _binom_p(k, n, p):
+    return scipy.stats.binomtest(k, n, p).pvalue
+
+
+def test_spike_share_conditional():
+    # 100 x 200 points: the share within +-5e-4 of the spike is 3.52%
+    # (the grid-and-doubling envelope put 0.05% there)
+    model = RateModel.from_expression(SPIKE2)
+    mu, band = 0.50049, 5e-4
+    pts = np.concatenate(
+        [simulate_conditional(model, UNIT, 200, RngState(11, s)).points for s in range(100)]
+    )
+    share = _bump_mass(1.0, 200.0, mu, 1e-8, mu - band, mu + band) / _bump_mass(
+        1.0, 200.0, mu, 1e-8, 0.0, 1.0
+    )
+    assert share == pytest.approx(0.0352, abs=1e-4)
+    inside = int(np.count_nonzero(np.abs(pts - mu) <= band))
+    assert _binom_p(inside, pts.size, share) > 0.01
+
+
+def test_spike_share_simulate_window():
+    # 1 + 1000*exp(-((x-5.0003)^2)/1e-6) on [0, 10]: counts and band share
+    model = RateModel.from_expression("1 + 1000*exp(-((x-5.0003)^2)/1e-6)")
+    window = Interval(0.0, 10.0)
+    mu, band = 5.0003, 5e-3
+    pts = np.concatenate([simulate_window(model, window, RngState(12, s)).points for s in range(1500)])
+    mass = _bump_mass(1.0, 1000.0, mu, 1e-6, 0.0, 10.0)
+    share = _bump_mass(1.0, 1000.0, mu, 1e-6, mu - band, mu + band) / mass
+    inside = int(np.count_nonzero(np.abs(pts - mu) <= band))
+    assert _binom_p(inside, pts.size, share) > 0.01
+    assert abs(pts.size - 1500 * mass) <= 3.0 * math.sqrt(1500 * mass)
+
+
+def test_spike_window_rate_calls():
+    # the envelope is built from supremum, not the rate: the rejection
+    # draws of a spike window take a handful of rate calls (about 1800
+    # under the grid-and-doubling envelope)
+    source = _Counted(RateModel.from_expression("1 + 1000*exp(-((x-5.0003)^2)/1e-6)").source)
+    model = RateModel(source)
+    window = Interval(0.0, 10.0)
+    expected_count(model, window)
+    before = source.tally[0]
+    es = simulate_window(model, window, RngState(1))
+    assert len(es) > 0
+    assert source.tally[0] - before <= 4
 
 
 def test_non_termination_guard(monkeypatch):

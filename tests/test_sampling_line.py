@@ -363,3 +363,31 @@ def test_mass_fraction_of_batch_matches():
     frac = np.mean(np.isfinite(draws))
     mass = nth_point_mass(HALF_MASS, q)
     assert abs(frac - mass) <= 3.0 * math.sqrt(mass * (1.0 - mass) / 20_000)
+
+
+def test_nth_point_spike_band_time_change():
+    # the time-change route on the spike the rejection route is tested
+    # on: the first point above 0 falls within +-5e-4 of the spike with
+    # probability exp(-R(mu - b)) - exp(-R(mu + b))
+    model = RateModel.from_expression("1 + 200*exp(-((x-0.50049)^2)/1e-8)")
+    mu, band, w = 0.50049, 5e-4, 1e-8
+
+    def R(t):
+        s = math.sqrt(w)
+        return t + 200.0 * math.sqrt(math.pi * w) / 2.0 * (math.erf((t - mu) / s) - math.erf(-mu / s))
+
+    p = math.exp(-R(mu - band)) - math.exp(-R(mu + band))
+    draws = sample_nth_point(model, above(0.0, 1), RngState(19), size=20_000)
+    inside = int(np.count_nonzero(np.abs(draws - mu) <= band))
+    assert scipy.stats.binomtest(inside, draws.size, p).pvalue > 0.01
+
+
+@pytest.mark.parametrize("bad", [2.5, True, -1])
+def test_nth_point_size_validated(bad):
+    with pytest.raises(InvalidParameter):
+        sample_nth_point(UNIT_RATE, above(0.0, 1), RngState(1), size=bad)
+
+
+def test_nth_point_numpy_integer_size():
+    draws = sample_nth_point(UNIT_RATE, above(0.0, 1), RngState(1), size=np.int64(3))
+    assert draws.shape == (3,)
