@@ -25,7 +25,7 @@ import shlex
 import sys
 
 from . import __version__
-from .errors import IpppError
+from .errors import InvalidRate, IpppError
 from .quadrature import DEFAULT_TOL, integrate
 from .rate_model import Interval, RateModel
 from .rng import RngState
@@ -62,6 +62,13 @@ def _add_rate_flags(parser):
     )
     parser.add_argument(
         "--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance"
+    )
+    parser.add_argument(
+        "--bound",
+        type=float,
+        metavar="B",
+        help="declared upper bound on the rate over the domain, used as the "
+        "rejection envelope (for rates with no finite enclosure)",
     )
 
 
@@ -213,7 +220,7 @@ def _param_list(parser, params, key):
         parser.error(f"--params: parameter {key!r} must be colon-separated numbers")
 
 
-def _family_model(parser, name, params):
+def _family_model(parser, name, params, bound):
     if name == "constant":
         model_args = (_param_float(parser, params, "c"),)
         build = RateModel.constant
@@ -241,26 +248,30 @@ def _family_model(parser, name, params):
         stray = ", ".join(sorted(params))
         parser.error(f"--params: unknown parameter(s) for {name}: {stray}")
     try:
-        return build(*model_args)
+        return build(*model_args, declared_bound=bound)
     except IpppError as exc:
         parser.error(f"--params: {exc}")
 
 
 def _build_model(parser, args):
+    bound = args.bound
+    if bound is not None and not (math.isfinite(bound) and bound > 0):
+        parser.error(f"--bound: must be finite and > 0, got {bound:g}")
     if args.rate is not None and args.rate_family is not None:
         parser.error("conflicting rate sources: give --rate or --rate-family, not both")
     if args.rate is not None:
         if args.params is not None:
             parser.error("--params: only valid with --rate-family")
         try:
-            return RateModel.from_expression(args.rate)
+            return RateModel.from_expression(args.rate, declared_bound=bound)
         except IpppError as exc:
             parser.error(f"--rate: {exc}")
     if args.rate_family is None:
         parser.error("a rate source is required: --rate or --rate-family")
     if args.params is None:
         parser.error(f"--params: required with --rate-family {args.rate_family}")
-    return _family_model(parser, args.rate_family, _parse_params(parser, args.params))
+    params = _parse_params(parser, args.params)
+    return _family_model(parser, args.rate_family, params, bound)
 
 
 def _window(parser, args):
@@ -455,6 +466,10 @@ def main(argv=None) -> int:
         text = _dispatch(parser, args, argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except InvalidRate as exc:
+        # the library's message points to declared_bound
+        print(f"{exc} (--bound on the command line)", file=sys.stderr)
+        return 1
     except IpppError as exc:
         print(exc, file=sys.stderr)
         return 1

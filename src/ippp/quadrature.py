@@ -4,7 +4,10 @@ One integrator serves the whole library.  :func:`_masses` takes a
 Gauss-Kronrod 7-15 panel over each segment of a partition and refines by
 interval bisection each segment whose |K15 - G7| error estimate (G7 is the
 embedded 7-point Gauss rule) exceeds its budget of tol / 1024, as in the
-adaptive Gauss-Kronrod scheme of QUADPACK (Piessens et al., 1983).  The
+adaptive Gauss-Kronrod scheme of QUADPACK (Piessens et al., 1983).  Each
+rate call of the refinement takes up to 16 pieces of every open segment;
+the accepted pieces, and the order they are summed in, are those of one
+piece per call, so the sums do not change with the width of a round.  The
 node and weight constants below were derived for this module by a
 high-precision Newton solve of the moment equations (the 15-point
 extension integrates polynomials through degree 22 exactly, which the
@@ -19,19 +22,25 @@ window could step over a narrow spike with all 15 nodes.
 anchored at 0: R(t) is the mass on (0, t] for t >= 0 and minus the mass
 on (t, 0] for t < 0.  It memoizes integrals on a deterministic grid of
 checkpoints, so repeated path simulation costs O(path length), and values
-never depend on query order.  R at any other point is its left
+never depend on query order.  A query plans every batch of checkpoints it
+needs first and integrates them in one rate call, which also evaluates
+the rate at each new checkpoint.  R at any other point is its left
 checkpoint's value plus the mass of one more segment.
 
 Its generalized inverse inf{t : R(t) >= y} supports the time-change
-sampler.  Each target is bracketed by two adjacent checkpoints and solved
-by a safeguarded Newton iteration on R(t) = y, using R' = r: a Newton step
-is taken only when it stays inside the shrinking bracket and at least
-halves the previous step, otherwise the bracket is bisected.  Results
-satisfy |R(inverse(y)) - y| <= 2 tol; plateaus (rate zero over an
-interval) resolve to their left edge, through the bisection; within one
-call, targets at least tol/8 apart come out in order (each lane polishes
-its mass gap to 1e-4 tol); and a target's result does not depend on the
-other targets in its call, so scalar and batched calls agree bitwise.
+sampler.  Each target is bracketed by two adjacent checkpoints and
+started where the cubic Hermite interpolant of R through R and r at both
+of them reaches y (Hörmann & Leydold, ACM TOMACS 13(4), 2003).  It is
+then solved by a safeguarded Newton iteration on R(t) = y, using R' = r:
+a Newton step is taken only when it stays inside the shrinking bracket
+and at least halves the previous step, otherwise the bracket is bisected.
+A lane stops once its mass gap is within max(1e-4 tol, 2 eps |y|), the
+second term being the rounding floor of the gap itself.  Results satisfy
+|R(inverse(y)) - y| <= 2 tol; plateaus (rate zero over an interval)
+resolve to their left edge, through the bisection; within one call,
+targets at least tol/8 apart come out in order while 4 eps |y| < tol/8;
+and a target's result does not depend on the other targets in its call,
+so scalar and batched calls agree bitwise.
 """
 
 from __future__ import annotations
@@ -110,81 +119,111 @@ _WG = np.array(
 )
 
 _DEPTH_CAP = 50
+# pieces that each interval's stack gives up to one round of _adaptive
+_ROUND_PIECES = 16
+
+# Newton steps on the Hermite interpolant that start each inverse lane
+_START_STEPS = 3
+
+_EPS = float(np.finfo(float).eps)
 
 # How far the inverse will probe for mass on an unbounded domain before
 # declaring the target unreachable.
 _MAX_PROBE = 1e15
 
 
-def _panels(f, lows, highs, rate_at_highs: bool = False):
+def _panels(f, lows, highs, extra=None):
     """Vectorized panels over parallel arrays of interval edges.
 
     Each lane's weighted sums are rounded the same way whatever the number
     of lanes, so a lane's result does not depend on the batch it sits in.
-    With ``rate_at_highs`` the rate at each high edge is evaluated in the
-    same rate call and returned as a third array.
+    With ``extra`` the rate at those points is evaluated in the same rate
+    call and returned as a third array.
     """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
+    n = len(lows)
     half = 0.5 * (highs - lows)
-    xs = np.empty((len(lows), 16 if rate_at_highs else 15))
-    np.multiply.outer(half, _XK, out=xs[:, :15])
-    xs[:, :15] += (0.5 * (highs + lows))[:, None]
-    if rate_at_highs:
-        xs[:, 15] = highs
-    fx = np.asarray(f(xs.reshape(-1)), dtype=float).reshape(xs.shape)
+    xs = np.empty(15 * n + (0 if extra is None else len(extra)))
+    nodes = xs[: 15 * n].reshape(n, 15)
+    np.multiply.outer(half, _XK, out=nodes)
+    nodes += (0.5 * (highs + lows))[:, None]
+    if extra is not None:
+        xs[15 * n :] = extra
+    fx = np.asarray(f(xs), dtype=float)
     # one dot product per row: a 2-D matmul blocks rows together and
     # rounds a row differently depending on its neighbours
-    nodes = fx[:, None, :15]
-    k15 = half * np.matmul(nodes, _WK)[:, 0]
-    g7 = half * np.matmul(nodes[:, :, 1::2], _WG)[:, 0]
-    if rate_at_highs:
-        return k15, np.abs(k15 - g7), fx[:, 15].copy()
-    return k15, np.abs(k15 - g7)
+    rows = fx[: 15 * n].reshape(n, 1, 15)
+    k15 = half * np.matmul(rows, _WK)[:, 0]
+    g7 = half * np.matmul(rows[:, :, 1::2], _WG)[:, 0]
+    if extra is None:
+        return k15, np.abs(k15 - g7)
+    return k15, np.abs(k15 - g7), fx[15 * n :]
 
 
 def _adaptive(f, lows, highs, tol: float):
     """Adaptive bisection over parallel intervals, one rate call per round.
 
-    Each interval keeps its own stack of pieces, with error budgets
-    proportional to width that sum to tol / _SEGMENTS (tol is the
-    caller's, which ToleranceNotMet reports).  A round pops the top piece of
-    every unfinished stack, accepts it when its |K15 - G7| estimate is
-    within budget and otherwise pushes its two halves (right half on top).
-    So every interval takes the same pieces, and sums them in the same
-    order, whatever intervals share its batch.
+    Each interval keeps its own stack of pieces, in position order with
+    the rightmost on top, with error budgets proportional to width that
+    sum to tol / _SEGMENTS (tol is the caller's, which ToleranceNotMet
+    reports).  A round pops up to _ROUND_PIECES pieces off every
+    unfinished stack, accepts each piece whose |K15 - G7| estimate is
+    within budget and pushes both halves of every other piece back in
+    position order.  Acceptance depends on the piece alone, so the
+    accepted pieces are the ones a round of one piece would accept, and
+    they are summed from the rightmost leftward, the order in which a
+    depth-first walk that takes the right half first meets them.  So every
+    interval gets the same total whatever the round width and whatever
+    intervals share its batch.  Depths never decrease up a stack, so a
+    round that pushes pieces of some depth has first popped every piece
+    of that depth: at most 2 * _ROUND_PIECES pieces of one depth wait on
+    a stack.
     """
     lows = np.asarray(lows, dtype=float).tolist()
     highs = np.asarray(highs, dtype=float).tolist()
     seg_tol = tol / _SEGMENTS
-    totals = [0.0] * len(lows)
     worst = [0.0] * len(lows)
+    accepted = [[] for _ in lows]
     stacks = [[(a, b, 0)] if a != b else [] for a, b in zip(lows, highs)]
     live = [i for i, stack in enumerate(stacks) if stack]
     while live:
-        pieces = [stacks[i].pop() for i in live]
+        groups = []
+        for i in live:
+            groups.append(stacks[i][-_ROUND_PIECES:])
+            del stacks[i][-_ROUND_PIECES:]
+        pieces = [p for group in groups for p in group]
         vals, errs = _panels(f, [p[0] for p in pieces], [p[1] for p in pieces])
-        for i, (a, b, depth), value, err in zip(live, pieces, vals.tolist(), errs.tolist()):
-            if err <= seg_tol * (b - a) / (highs[i] - lows[i]):
-                totals[i] += value
-                continue
-            if depth >= _DEPTH_CAP:
-                raise ToleranceNotMet(max(worst[i], err), tol)
-            worst[i] = max(worst[i], err)
-            mid = 0.5 * (a + b)
-            stacks[i].append((a, mid, depth + 1))
-            stacks[i].append((mid, b, depth + 1))
+        results = iter(zip(vals.tolist(), errs.tolist()))
+        for i, group in zip(live, groups):
+            for (a, b, depth), (value, err) in zip(group, results):
+                if err <= seg_tol * (b - a) / (highs[i] - lows[i]):
+                    accepted[i].append((a, b, value))
+                    continue
+                if depth >= _DEPTH_CAP:
+                    raise ToleranceNotMet(max(worst[i], err), tol)
+                worst[i] = max(worst[i], err)
+                mid = 0.5 * (a + b)
+                stacks[i].append((a, mid, depth + 1))
+                stacks[i].append((mid, b, depth + 1))
         live = [i for i in live if stacks[i]]
+    totals = []
+    for pieces in accepted:
+        total = 0.0
+        for _, _, value in sorted(pieces, reverse=True):
+            total += value
+        totals.append(total)
     return np.array(totals)
 
 
-def _masses(f, lows, highs, tol: float, rate_at_highs: bool = False):
+def _masses(f, lows, highs, tol: float, extra=None):
     """Signed mass over each [low, high]: one panel per lane, refined
     adaptively where its error estimate exceeds tol / _SEGMENTS.
 
-    With ``rate_at_highs`` also returns the rate at each high edge.
+    With ``extra`` also returns the rate at those points, from the same
+    first rate call.
     """
-    out = _panels(f, lows, highs, rate_at_highs)
+    out = _panels(f, lows, highs, extra)
     vals = out[0]
     bad = np.nonzero(out[1] > tol / _SEGMENTS)[0]
     if bad.size:
@@ -193,7 +232,7 @@ def _masses(f, lows, highs, tol: float, rate_at_highs: bool = False):
         sign = np.where(a <= b, 1.0, -1.0)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         vals[bad] = sign * _adaptive(f, lo, hi, tol)
-    return (vals, out[2]) if rate_at_highs else vals
+    return vals if extra is None else (vals, out[2])
 
 
 def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
@@ -248,6 +287,31 @@ def _clipped_rate(model: RateModel):
     return f
 
 
+def _hermite_start(u, m0, m1):
+    """Where the cubic Hermite interpolant of R on a bracket reaches a
+    target, in units of the bracket.
+
+    On [0, 1], scaled so that R runs from 0 to 1, the interpolant is
+    H(s) = ((c3 s + c2) s + m0) s with end slopes m0 and m1 (r times the
+    width over the mass).  Starting on the chord, s = u, up to
+    _START_STEPS Newton steps on H(s) = u are taken, each clipped to
+    [0, 1]; a lane whose step is not finite keeps its last s.  This is the
+    start of Hörmann & Leydold's fast numerical inversion (ACM TOMACS
+    13(4), 2003): a cubic through the values and derivatives at both
+    ends.  The safeguarded solve that follows does not rely on it.
+    """
+    s = np.clip(u, 0.0, 1.0)
+    c3 = m0 + m1 - 2.0
+    c2 = 3.0 - 2.0 * m0 - m1
+    with np.errstate(all="ignore"):
+        for _ in range(_START_STEPS):
+            h = ((c3 * s + c2) * s + m0) * s
+            dh = (3.0 * c3 * s + 2.0 * c2) * s + m0
+            nxt = np.clip(s - (h - u) / dh, 0.0, 1.0)
+            s = np.where(np.isfinite(nxt), nxt, s)
+    return s
+
+
 class CumulativeIntensity:
     """The map t -> R(t), memoized on a deterministic checkpoint grid.
 
@@ -295,55 +359,102 @@ class CumulativeIntensity:
             self._h0 = 1.0 / _SEGMENTS
         self._t = np.array([self._anchor])
         self._r = np.array([0.0])
+        # r at each checkpoint, for the inverse's starts; the anchor's
+        # comes with the first growth
+        self._rate = np.array([math.nan])
         self._added = {1: 0, -1: 0}  # segments added above (1) and below (-1)
 
     # -- grid bookkeeping ------------------------------------------------
 
-    def _seg_width(self, j: int) -> float:
-        octave = max(0, j - self._UNIFORM_SEGMENTS) // self._SEGMENTS_PER_OCTAVE
-        return self._h0 * float(2**octave)
+    def _limit(self, sign: int) -> float:
+        if sign > 0:
+            return min(self.model.domain.hi, _MAX_PROBE)
+        return max(self.model.domain.lo, -_MAX_PROBE)
 
     def _exhausted(self, sign: int) -> bool:
-        if sign > 0:
-            return self._t[-1] >= min(self.model.domain.hi, _MAX_PROBE)
-        return self._t[0] <= max(self.model.domain.lo, -_MAX_PROBE)
+        return sign * self._t[-1 if sign > 0 else 0] >= sign * self._limit(sign)
 
-    def _grow(self, sign: int):
-        """Add one batch of checkpoints above the top (sign > 0) or below
-        the bottom (sign < 0)."""
-        end = -1 if sign > 0 else 0
-        start = self._t[end]
-        widths = [self._seg_width(self._added[sign] + i) for i in range(self._BATCH)]
-        edges = start + sign * np.cumsum(widths)
+    def _batch(self, sign: int, start: float, added: int):
+        """The next batch of checkpoints past ``start``, the outermost of
+        the ``added`` segments so far on one side (sign > 0: above)."""
+        j = added + np.arange(self._BATCH)
+        octave = np.maximum(0, j - self._UNIFORM_SEGMENTS) // self._SEGMENTS_PER_OCTAVE
+        edges = start + sign * np.cumsum(np.ldexp(self._h0, octave))
         dom_edge = self.model.domain.hi if sign > 0 else self.model.domain.lo
         edges = edges[sign * edges <= sign * dom_edge]
         if len(edges) < self._BATCH and math.isfinite(dom_edge):
             # close the last partial segment exactly at the domain edge
             if len(edges) == 0 or sign * edges[-1] < sign * dom_edge:
                 edges = np.append(edges, dom_edge)
-        if len(edges) == 0:
+        return edges
+
+    def _plan(self, sign: int, target: float):
+        """The batches that extend one side of the grid (sign > 0: above)
+        past ``target`` or to its limit, lazily, as (sign, start, edges)."""
+        start = self._t[-1 if sign > 0 else 0]
+        added = self._added[sign]
+        limit = self._limit(sign)
+        while sign * start < sign * target and sign * start < sign * limit:
+            edges = self._batch(sign, start, added)
+            yield sign, start, edges
+            start = edges[-1]
+            added += len(edges)
+
+    def _extend(self, batches):
+        """Add planned batches of checkpoints, integrating all their
+        segments and the rate at every new checkpoint in one rate call.
+
+        R accumulates batch by batch from the checkpoint each batch starts
+        at, so the values are those of adding the batches one at a time.
+        """
+        if not batches:
             return
-        inner = np.concatenate([[start], edges[:-1]])
-        # _masses is signed, so each segment goes in as (low, high)
-        lows, highs = (inner, edges) if sign > 0 else (edges, inner)
-        vals = _masses(self._f, lows, highs, self.tol)
-        r = self._r[end] + sign * np.cumsum(vals)
-        if sign > 0:
-            self._t = np.concatenate([self._t, edges])
-            self._r = np.concatenate([self._r, r])
-        else:
-            self._t = np.concatenate([edges[::-1], self._t])
-            self._r = np.concatenate([r[::-1], self._r])
-        self._added[sign] += len(edges)
+        lows, highs = [], []
+        for sign, start, edges in batches:
+            inner = np.concatenate([[start], edges[:-1]])
+            # _masses is signed, so each segment goes in as (low, high)
+            lows.append(inner if sign > 0 else edges)
+            highs.append(edges if sign > 0 else inner)
+        extra = [edges for _, _, edges in batches]
+        fresh = len(self._t) == 1
+        if fresh:
+            extra.append([self._anchor])
+        vals, rates = _masses(
+            self._f,
+            np.concatenate(lows),
+            np.concatenate(highs),
+            self.tol,
+            np.concatenate(extra),
+        )
+        if fresh:
+            self._rate = rates[-1:].copy()
+        last = {1: self._r[-1], -1: self._r[0]}
+        parts = {1: [], -1: []}
+        k = 0
+        for sign, _, edges in batches:
+            n = len(edges)
+            r = last[sign] + sign * np.cumsum(vals[k : k + n])
+            last[sign] = r[-1]
+            parts[sign].append((edges, r, rates[k : k + n]))
+            self._added[sign] += n
+            k += n
+        below, above = parts[-1][::-1], parts[1]
+
+        def joined(col, old):
+            # the checkpoints below the grid go in farthest first
+            return np.concatenate(
+                [p[col][::-1] for p in below] + [old] + [p[col] for p in above]
+            )
+
+        self._t = joined(0, self._t)
+        self._r = joined(1, self._r)
+        self._rate = joined(2, self._rate)
 
     def _cover(self, lo: float, hi: float):
         """Extend the grid until it covers [lo, hi] (clamped to the domain)."""
         lo = self.model.domain.clamp(lo)
         hi = self.model.domain.clamp(hi)
-        while self._t[-1] < hi and not self._exhausted(1):
-            self._grow(1)
-        while self._t[0] > lo and not self._exhausted(-1):
-            self._grow(-1)
+        self._extend([*self._plan(1, hi), *self._plan(-1, lo)])
 
     def _probe(self, y: float, sign: int):
         # downward, >= rather than >: a target tying the lowest explored
@@ -352,7 +463,7 @@ class CumulativeIntensity:
         while not self._exhausted(sign) and (
             self._r[-1] < y if sign > 0 else self._r[0] >= y
         ):
-            self._grow(sign)
+            self._extend([next(self._plan(sign, sign * math.inf))])
 
     # -- public surface ----------------------------------------------------
 
@@ -437,48 +548,55 @@ class CumulativeIntensity:
             roots = np.full(y_ok.shape, self._t[0])
             need = ~at_bottom
             if np.any(need):
-                idxn = idx[need]
-                roots[need] = self._solve(
-                    y_ok[need],
-                    self._t[idxn - 1],
-                    self._r[idxn - 1],
-                    self._t[idxn],
-                    self._r[idxn],
-                )
+                roots[need] = self._solve(y_ok[need], idx[need])
             out[ok] = roots
         return out
 
-    def _solve(self, ys, lo, lo_r, hi, hi_r):
+    def _solve(self, ys, idx):
         """Per-lane safeguarded Newton solve of R(t) = y, R' = r.
 
-        On entry R(lo) < y <= R(hi), with lo and hi adjacent checkpoints.
-        Each lane starts on the chord between them.  Every round measures
-        R(t) from the fixed anchor lo with one panel (refined adaptively
-        when its error estimate is too big) and r(t) in the same rate
-        call, and shrinks the bracket to the side of t that keeps the
-        root.  The Newton step is taken only when it lands strictly
-        inside the bracket and is at most half the previous step, as in
-        Numerical Recipes' rtsafe; otherwise the lane bisects.  Where
-        r(t) = 0 (a plateau) the lane always bisects, which walks it to
-        the plateau's left edge.
+        On entry R(lo) < y <= R(hi), with lo and hi the checkpoints at
+        idx - 1 and idx.  Each lane starts where the cubic Hermite
+        interpolant of R on [lo, hi], through R and r at both checkpoints,
+        reaches y (:func:`_hermite_start`).  Every round measures R(t) from
+        the fixed anchor lo with one panel (refined adaptively when its
+        error estimate is too big) and r(t) in the same rate call, and
+        shrinks the bracket to the side of t that keeps the root.  The
+        Newton step is taken only when it lands strictly inside the
+        bracket and is at most half the previous step, as in Numerical
+        Recipes' rtsafe; otherwise the lane bisects.  Where r(t) = 0 (a
+        plateau) the lane always bisects, which walks it to the plateau's
+        left edge.
 
-        A lane stops where r(t) > 0 and either |R(t) - y| <= _POLISH * tol
-        or the Newton step rounds to t itself; it returns t.  Polishing
-        far below tol keeps results monotone in y for targets as close as
-        tol / 8.  A lane whose bracket has no float left strictly inside
-        (or that runs out of rounds) returns its bracket's upper end.
+        A lane stops where r(t) > 0 and either the Newton step rounds to t
+        itself or |R(t) - y| <= max(_POLISH * tol, 2 eps |y|); it returns
+        t.  The second bound is the rounding error of the gap R(lo) +
+        mass - y, below which no lane can polish; where it is above
+        _POLISH * tol a lane would otherwise bisect until no float is left
+        in its bracket.  A lane ends within that bound of its target, so
+        results come out in order for targets tol / 8 apart while
+        4 eps |y| < tol / 8 (|y| below about 1.4e5 at the default tol).  A
+        lane whose bracket has no float left strictly inside (or that runs
+        out of rounds) returns its bracket's upper end.
         """
-        anchor_t, anchor_r = lo, lo_r
-        lo = lo.copy()
-        hi = hi.copy()
-        t = np.clip(lo + (ys - lo_r) / (hi_r - lo_r) * (hi - lo), lo, hi)
-        step = hi - lo
+        anchor_t, anchor_r = self._t[idx - 1], self._r[idx - 1]
+        lo = anchor_t.copy()
+        hi = self._t[idx]
+        width = hi - lo
+        seg_mass = self._r[idx] - anchor_r
+        s = _hermite_start(
+            (ys - anchor_r) / seg_mass,
+            self._rate[idx - 1] * width / seg_mass,
+            self._rate[idx] * width / seg_mass,
+        )
+        t = np.clip(lo + s * width, lo, hi)
+        step = width
         out = hi.copy()
-        polish = self._POLISH * self.tol
+        floor = np.maximum(self._POLISH * self.tol, 2.0 * _EPS * np.abs(ys))
         active = np.arange(len(ys))
         for _ in range(self._MAX_ROUNDS):
             ta, loa, hia = t[active], lo[active], hi[active]
-            mass, rate = _masses(self._f, anchor_t[active], ta, self.tol, True)
+            mass, rate = _masses(self._f, anchor_t[active], ta, self.tol, ta)
             gap = anchor_r[active] + mass - ys[active]
             above = gap >= 0.0
             loa = np.where(above, loa, ta)
@@ -493,7 +611,7 @@ class CumulativeIntensity:
                 & (np.abs(newton - ta) <= 0.5 * step[active])
             )
             mid = loa + 0.5 * (hia - loa)
-            converged = positive & ((np.abs(gap) <= polish) | (newton == ta))
+            converged = positive & ((np.abs(gap) <= floor[active]) | (newton == ta))
             collapsed = ~converged & ~use_newton & ((mid <= loa) | (mid >= hia))
             out[active[converged]] = ta[converged]
             out[active[collapsed]] = hia[collapsed]

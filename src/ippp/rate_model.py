@@ -420,6 +420,18 @@ class RateModel:
             if b <= 0:
                 raise InvalidParameter(f"declared_bound must be positive, got {b!r}")
             object.__setattr__(self, "declared_bound", b)
+        # every cache keyed on a model hashes it; an expression's hash walks
+        # its whole syntax tree, so it is taken once here
+        object.__setattr__(
+            self, "_hash", hash((self.source, self.domain, self.declared_bound))
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: string hashes differ between processes
+        return type(self), (self.source, self.domain, self.declared_bound)
 
     # -- construction helpers ------------------------------------------------
 

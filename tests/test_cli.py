@@ -796,3 +796,47 @@ def test_import_and_simulate_leave_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bound_samples_a_rate_with_no_enclosure(capsys):
+    # sqrt(x - x) has no finite enclosure: x - x encloses to [-w, w]
+    argv = ["simulate", "--rate", "1 + sqrt(x - x)", "--window", "0", "1"]
+    argv += ["--seed", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "declared_bound" in err and "--bound" in err
+    code, out, err = run(capsys, *argv, "--bound", "1")
+    assert code == 0, err
+    points = [p for _, p in parse_csv_points(out)]
+    assert points and all(0.0 <= p <= 1.0 for p in points)
+
+
+def test_bound_validation(capsys):
+    for value in ("0", "-1", "nan", "inf"):
+        code, _, err = run(
+            capsys, "intensity", "--rate", "1", "--window", "0", "1", "--bound", value
+        )
+        assert code == 2
+        assert "--bound" in err
+
+
+def test_bound_reaches_family_models(capsys):
+    code, _, err = run(
+        capsys,
+        "simulate",
+        "--rate-family",
+        "constant",
+        "--params",
+        "c=2",
+        "--window",
+        "0",
+        "5",
+        "--seed",
+        "1",
+        "--bound",
+        "1",
+    )
+    # the declared bound is below the rate: evaluation reports it
+    assert code == 1
+    assert "bound" in err

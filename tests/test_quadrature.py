@@ -20,9 +20,13 @@ from ippp.errors import (
     OutOfRange,
     ToleranceNotMet,
 )
+import ippp.quadrature as quadrature
 from ippp.quadrature import (
+    _DEPTH_CAP,
+    _SEGMENTS,
     DEFAULT_TOL,
     CumulativeIntensity,
+    _adaptive,
     _panels,
     _WG,
     _WK,
@@ -74,6 +78,36 @@ class _CountingSource:
 
     def describe(self):
         return self.inner.describe()
+
+
+def _adaptive_one_piece(f, lows, highs, tol):
+    """_adaptive as one piece per interval per round: the reference.
+
+    Each interval's stack holds its pieces in position order; a round pops
+    the top (rightmost) piece, accepts it within budget or pushes its two
+    halves, right half on top, and adds accepted values as they come.
+    """
+    lows = np.asarray(lows, dtype=float).tolist()
+    highs = np.asarray(highs, dtype=float).tolist()
+    seg_tol = tol / _SEGMENTS
+    totals = [0.0] * len(lows)
+    stacks = [[(a, b, 0)] if a != b else [] for a, b in zip(lows, highs)]
+    live = [i for i, stack in enumerate(stacks) if stack]
+    while live:
+        pieces = [stacks[i].pop() for i in live]
+        vals, errs = _panels(f, [p[0] for p in pieces], [p[1] for p in pieces])
+        results = zip(live, pieces, vals.tolist(), errs.tolist())
+        for i, (a, b, depth), value, err in results:
+            if err <= seg_tol * (b - a) / (highs[i] - lows[i]):
+                totals[i] += value
+                continue
+            if depth >= _DEPTH_CAP:
+                raise ToleranceNotMet(err, tol)
+            mid = 0.5 * (a + b)
+            stacks[i].append((a, mid, depth + 1))
+            stacks[i].append((mid, b, depth + 1))
+        live = [i for i in live if stacks[i]]
+    return np.array(totals)
 
 
 class TestPanel:
@@ -195,6 +229,54 @@ class TestIntegrate:
         assert err.value.achieved > 0
 
 
+class TestAdaptive:
+    RATES = (
+        SPIKE,
+        "max(0, sin(x))",
+        "2+sin(x)",
+        RateModel.piecewise_constant([0.0, 2.1, 5.3, 8.0], [3.0, 1.0, 4.0]),
+    )
+
+    def test_bitwise_equal_to_one_piece_per_round(self):
+        rng = np.random.default_rng(17)
+        for rate in self.RATES:
+            model = RateModel.from_expression(rate) if isinstance(rate, str) else rate
+            lows = rng.uniform(3.0, 7.0, size=40)
+            highs = lows + rng.uniform(0.0, 3.0, size=40)
+            ok = []
+            for a, b in zip(lows, highs):
+                try:
+                    want = _adaptive_one_piece(model.evaluate, [a], [b], DEFAULT_TOL)
+                except ToleranceNotMet:
+                    # a jump inside a piece: the known defect, in both
+                    with pytest.raises(ToleranceNotMet):
+                        _adaptive(model.evaluate, [a], [b], DEFAULT_TOL)
+                    continue
+                got = _adaptive(model.evaluate, [a], [b], DEFAULT_TOL)
+                assert np.array_equal(got, want)
+                ok.append((a, b, float(want[0])))
+            assert len(ok) >= 20, model.describe()
+            a, b, want = map(np.array, zip(*ok))
+            assert np.array_equal(_adaptive(model.evaluate, a, b, DEFAULT_TOL), want)
+
+    def test_depth_cap_still_raises(self):
+        with pytest.raises(ToleranceNotMet) as err:
+            _adaptive(SIN_MODEL.evaluate, [0.0], [1.0], 1e-18)
+        assert err.value.requested == 1e-18
+
+    def test_spike_table_panel_calls(self, monkeypatch):
+        # a count, not a time: the spike's pieces go 16 to a rate call
+        calls = []
+        monkeypatch.setattr(
+            quadrature, "_panels", lambda *a: calls.append(a) or _panels(*a)
+        )
+        model = RateModel.from_expression(SPIKE)
+        ci = CumulativeIntensity(model, span=Interval(-0.5, 10.0))
+        ci(np.array([-0.5, 10.0]))
+        assert len(calls) <= 10
+        assert abs(ci(10.0) - SPIKE_MASS) <= 2 * DEFAULT_TOL
+
+
 class TestCumulativeIntensity:
     def test_tolerance_not_met_reports_callers_tol(self):
         with pytest.raises(ToleranceNotMet) as err:
@@ -273,6 +355,22 @@ class TestCumulativeIntensity:
         assert spanned(10.0) == pytest.approx(
             cumulative_intensity(SIN_MODEL)(10.0), abs=2 * DEFAULT_TOL
         )
+
+    def test_fresh_table_grows_in_one_rate_call(self, monkeypatch):
+        calls = []
+        masses = quadrature._masses
+        monkeypatch.setattr(
+            quadrature, "_masses", lambda *a: calls.append(len(a[1])) or masses(*a)
+        )
+        ci = CumulativeIntensity(SIN_MODEL, span=Interval(-0.5, 10.0))
+        ci._cover(-0.5, 10.0)
+        # 1024 segments of the span above the anchor and one batch below
+        assert calls == [1024 + 128]
+        reference = CumulativeIntensity(SIN_MODEL, span=Interval(-0.5, 10.0))
+        for t in np.arange(0.0, 10.01, 1.25):
+            reference(t)  # one batch at a time
+        reference(-0.5)
+        assert ci.checkpoints == reference.checkpoints
 
     def test_concurrent_queries_agree_with_serial(self):
         reference = CumulativeIntensity(SIN_MODEL)
@@ -396,6 +494,22 @@ class TestInverse:
                 ts = ci.inverse_many(y0 + steps)
                 assert np.all(np.diff(ts) >= 0.0), (text, y0)
 
+    def test_near_ties_far_out(self):
+        # R from 1e3 to 1e4, where the gap's rounding floor 2 eps |y| is
+        # above 1e-4 tol but 4 eps |y| is still below tol/8
+        offsets = np.random.default_rng(19).uniform(62.0, 198.0, size=12)
+        steps = np.arange(64) * (DEFAULT_TOL / 8)
+        model = RateModel.linear(1.0, 0.5)
+        for span in (None, Interval(0.0, 200.0)):
+            ci = CumulativeIntensity(model, span=span)
+            for y0 in ci(offsets):
+                assert 1e3 <= y0 <= 1e4
+                ys = y0 + steps
+                ts = ci.inverse_many(ys)
+                assert np.all(np.diff(ts) >= 0.0), (span, y0)
+                singles = np.array([ci.inverse(float(y)) for y in ys])
+                assert np.array_equal(ts, singles), (span, y0)
+
     def test_round_trip_on_spike_flank(self):
         m = RateModel.from_expression(SPIKE)
         ci = CumulativeIntensity(m, span=Interval(-0.5, 10.0))
@@ -411,7 +525,19 @@ class TestInverse:
         ys = np.random.default_rng(13).uniform(lo, hi, size=10_000)
         src.points = 0
         ci.inverse_many(ys)
-        assert src.points / ys.size <= 80
+        assert src.points / ys.size <= 32
+
+    def test_rate_points_per_target_far_out(self):
+        # |y| up to 2.5e5, where one ulp of y exceeds 1e-4 tol: each lane
+        # must stop at the rounding floor of its gap instead of bisecting
+        src = _CountingSource(RateModel.linear(1.0, 0.5).source)
+        ci = CumulativeIntensity(RateModel(source=src), span=Interval(900.0, 1000.0))
+        lo, hi = ci(900.0), ci(1000.0)
+        ys = np.random.default_rng(13).uniform(lo, hi, size=10_000)
+        src.points = 0
+        ts = ci.inverse_many(ys)
+        assert src.points / ys.size <= 20
+        assert np.max(np.abs(ci(ts) - ys)) <= 2 * DEFAULT_TOL
 
     def test_directional_mass(self):
         ci = CumulativeIntensity(UNIT_MODEL)

@@ -1,6 +1,10 @@
 """Tests for rate families, domains, bounds, and model validation."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,6 +321,54 @@ class TestModelObject:
         b = RateModel.from_expression("2 + 0.5*sin(x)")
         assert a == b
         assert len({a, b}) == 1
+
+    def test_hash_is_taken_once(self):
+        class CountingHash:
+            """A rate source that counts how often it is hashed."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.hashes = 0
+
+            def __call__(self, x):
+                return self.inner(x)
+
+            def __eq__(self, other):
+                return isinstance(other, CountingHash) and self.inner == other.inner
+
+            def __hash__(self):
+                self.hashes += 1
+                return hash(self.inner)
+
+        src = CountingHash(RateModel.from_expression("2 + sin(x)").source)
+        model = RateModel(source=src)
+        cache = {model: 1}
+        for _ in range(1000):
+            assert cache[model] == 1
+        assert src.hashes == 1
+        twin = RateModel(source=CountingHash(src.inner))
+        assert twin == model and hash(twin) == hash(model)
+
+    def test_hash_survives_pickling_into_another_process(self):
+        # string hashes differ between processes, so the cached hash must
+        # be taken again on unpickling
+        model = RateModel.from_expression("2 + 0.5*sin(x)", declared_bound=3.0)
+        code = (
+            "import pickle, sys\n"
+            "from ippp.rate_model import RateModel\n"
+            "twin = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+            "fresh = RateModel.from_expression('2 + 0.5*sin(x)', declared_bound=3.0)\n"
+            "assert twin == fresh and hash(twin) == hash(fresh)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, pickle.dumps(model).hex()],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_describe_mentions_domain(self):
         m = RateModel.constant(1.0, domain=Domain(0.0, 5.0))
