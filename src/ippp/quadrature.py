@@ -24,8 +24,9 @@ on (t, 0] for t < 0.  It memoizes integrals on a deterministic grid of
 checkpoints, so repeated path simulation costs O(path length), and values
 never depend on query order.  A query plans every batch of checkpoints it
 needs first and integrates them in one rate call, which also evaluates
-the rate at each new checkpoint.  R at any other point is its left
-checkpoint's value plus the mass of one more segment.
+the rate at each new checkpoint (NaN where that fails: the panels never
+evaluate at a checkpoint, so R does not need it).  R at any other point
+is its left checkpoint's value plus the mass of one more segment.
 
 Its generalized inverse inf{t : R(t) >= y} supports the time-change
 sampler.  Each target is bracketed by two adjacent checkpoints and
@@ -34,13 +35,13 @@ of them reaches y (Hörmann & Leydold, ACM TOMACS 13(4), 2003).  It is
 then solved by a safeguarded Newton iteration on R(t) = y, using R' = r:
 a Newton step is taken only when it stays inside the shrinking bracket
 and at least halves the previous step, otherwise the bracket is bisected.
-A lane stops once its mass gap is within max(1e-4 tol, 2 eps |y|), the
-second term being the rounding floor of the gap itself.  Results satisfy
-|R(inverse(y)) - y| <= 2 tol; plateaus (rate zero over an interval)
-resolve to their left edge, through the bisection; within one call,
-targets at least tol/8 apart come out in order while 4 eps |y| < tol/8;
-and a target's result does not depend on the other targets in its call,
-so scalar and batched calls agree bitwise.
+A lane stops once its mass gap is within max(1e-4 tol, min(2 eps |y|,
+tol)), the middle term being the rounding floor of the gap itself.
+Results satisfy |R(inverse(y)) - y| <= 2 tol; plateaus (rate zero over
+an interval) resolve to their left edge, through the bisection; within
+one call, targets at least tol/8 apart come out in order while
+4 eps |y| < tol/8; and a target's result does not depend on the other
+targets in its call, so scalar and batched calls agree bitwise.
 """
 
 from __future__ import annotations
@@ -51,7 +52,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameter, OutOfRange, ToleranceNotMet
+from .errors import (
+    BoundViolation,
+    EvalError,
+    InvalidParameter,
+    NegativeRate,
+    OutOfRange,
+    ToleranceNotMet,
+)
 from .rate_model import _SEGMENTS, Interval, RateModel, _partition
 
 __all__ = [
@@ -295,10 +303,11 @@ def _hermite_start(u, m0, m1):
     H(s) = ((c3 s + c2) s + m0) s with end slopes m0 and m1 (r times the
     width over the mass).  Starting on the chord, s = u, up to
     _START_STEPS Newton steps on H(s) = u are taken, each clipped to
-    [0, 1]; a lane whose step is not finite keeps its last s.  This is the
-    start of Hörmann & Leydold's fast numerical inversion (ACM TOMACS
-    13(4), 2003): a cubic through the values and derivatives at both
-    ends.  The safeguarded solve that follows does not rely on it.
+    [0, 1]; a lane whose step is not finite keeps its last s, so a lane
+    with a NaN slope starts on the chord.  This is the start of Hörmann &
+    Leydold's fast numerical inversion (ACM TOMACS 13(4), 2003): a cubic
+    through the values and derivatives at both ends.  The safeguarded
+    solve that follows does not rely on it.
     """
     s = np.clip(u, 0.0, 1.0)
     c3 = m0 + m1 - 2.0
@@ -406,6 +415,11 @@ class CumulativeIntensity:
 
         R accumulates batch by batch from the checkpoint each batch starts
         at, so the values are those of adding the batches one at a time.
+        The panels' nodes lie strictly inside their segments, so a rate
+        that cannot be evaluated at a checkpoint (0/0 at a removable
+        singularity, say) leaves R well defined: the call is redone
+        without the checkpoints, whose rates are then NaN and whose
+        brackets the inverse starts on the chord.
         """
         if not batches:
             return
@@ -419,13 +433,14 @@ class CumulativeIntensity:
         fresh = len(self._t) == 1
         if fresh:
             extra.append([self._anchor])
-        vals, rates = _masses(
-            self._f,
-            np.concatenate(lows),
-            np.concatenate(highs),
-            self.tol,
-            np.concatenate(extra),
-        )
+        lows, highs, extra = map(np.concatenate, (lows, highs, extra))
+        try:
+            vals, rates = _masses(self._f, lows, highs, self.tol, extra)
+        except (EvalError, NegativeRate, BoundViolation):
+            rates = None
+        if rates is None:
+            vals = _masses(self._f, lows, highs, self.tol)
+            rates = np.full(len(extra), math.nan)
         if fresh:
             self._rate = rates[-1:].copy()
         last = {1: self._r[-1], -1: self._r[0]}
@@ -463,7 +478,8 @@ class CumulativeIntensity:
         while not self._exhausted(sign) and (
             self._r[-1] < y if sign > 0 else self._r[0] >= y
         ):
-            self._extend([next(self._plan(sign, sign * math.inf))])
+            start = self._t[-1 if sign > 0 else 0]
+            self._extend([(sign, start, self._batch(sign, start, self._added[sign]))])
 
     # -- public surface ----------------------------------------------------
 
@@ -569,15 +585,18 @@ class CumulativeIntensity:
         left edge.
 
         A lane stops where r(t) > 0 and either the Newton step rounds to t
-        itself or |R(t) - y| <= max(_POLISH * tol, 2 eps |y|); it returns
-        t.  The second bound is the rounding error of the gap R(lo) +
-        mass - y, below which no lane can polish; where it is above
-        _POLISH * tol a lane would otherwise bisect until no float is left
-        in its bracket.  A lane ends within that bound of its target, so
-        results come out in order for targets tol / 8 apart while
-        4 eps |y| < tol / 8 (|y| below about 1.4e5 at the default tol).  A
-        lane whose bracket has no float left strictly inside (or that runs
-        out of rounds) returns its bracket's upper end.
+        itself or |R(t) - y| <= max(_POLISH * tol, min(2 eps |y|, tol)); it
+        returns t.  The middle term is the rounding error of the gap
+        R(lo) + mass - y, below which no lane can polish; where it is
+        above _POLISH * tol a lane would otherwise bisect until no float
+        is left in its bracket.  Capped at tol, it keeps |R(t) - y| within
+        2 tol; past the cap (|y| above about tol / eps, 4.5e6 at the
+        default tol) lanes bisect to the last float.  A lane ends within
+        the floor of its target, so results come out in order for targets
+        tol / 8 apart while 4 eps |y| < tol / 8 (|y| below about 1.4e5 at
+        the default tol).  A lane whose bracket has no float left strictly
+        inside (or that runs out of rounds) returns its bracket's upper
+        end.
         """
         anchor_t, anchor_r = self._t[idx - 1], self._r[idx - 1]
         lo = anchor_t.copy()
@@ -592,7 +611,9 @@ class CumulativeIntensity:
         t = np.clip(lo + s * width, lo, hi)
         step = width
         out = hi.copy()
-        floor = np.maximum(self._POLISH * self.tol, 2.0 * _EPS * np.abs(ys))
+        floor = np.maximum(
+            self._POLISH * self.tol, np.minimum(2.0 * _EPS * np.abs(ys), self.tol)
+        )
         active = np.arange(len(ys))
         for _ in range(self._MAX_ROUNDS):
             ta, loa, hia = t[active], lo[active], hi[active]

@@ -80,6 +80,30 @@ class _CountingSource:
         return self.inner.describe()
 
 
+class _PatchedSource:
+    """A rate source equal to ``inner`` except at one point, where it
+    returns ``value`` (the limit of a removable singularity there)."""
+
+    def __init__(self, inner, point, value):
+        self.inner = inner
+        self.point = point
+        self.value = value
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        hit = x == self.point
+        out = np.full(x.shape, self.value)
+        if not np.all(hit):
+            out[~hit] = self.inner(x[~hit])
+        return out
+
+    def supremum(self, lo, hi):
+        return self.inner.supremum(lo, hi)
+
+    def describe(self):
+        return self.inner.describe()
+
+
 def _adaptive_one_piece(f, lows, highs, tol):
     """_adaptive as one piece per interval per round: the reference.
 
@@ -516,6 +540,43 @@ class TestInverse:
         ys = np.random.default_rng(11).uniform(ci(4.99), ci(5.01), size=20_000)
         ts = ci.inverse_many(ys)
         assert np.max(np.abs(ci(ts) - ys)) <= 2 * DEFAULT_TOL
+
+    def test_removable_singularity_at_a_checkpoint(self):
+        # 0/0 at the anchor or at another checkpoint, where the panels
+        # never evaluate: R must not need the rate there, and it must be
+        # the R of the same rate with the limit filled in
+        cases = [
+            ("2 + sin(x)/x", 0.0, 3.0, None),
+            ("x/(exp(x)-1)", 0.0, 1.0, Interval(-3.0, 5.0)),
+            ("2 + sin(x-1)/(x-1)", 1.0, 3.0, None),
+        ]
+        points = np.random.default_rng(23).uniform(-3.0, 5.0, size=200)
+        for text, point, limit, span in cases:
+            model = RateModel.from_expression(text)
+            with pytest.raises(EvalError):
+                model.evaluate(point)
+            patched = RateModel(source=_PatchedSource(model.source, point, limit))
+            ci = CumulativeIntensity(model, span=span)
+            ref = CumulativeIntensity(patched, span=span)
+            assert np.array_equal(ci(points), ref(points)), text
+            assert ci.checkpoints == ref.checkpoints, text
+            assert ci(4.5) == pytest.approx(integrate(model, 0.0, 4.5), abs=4 * DEFAULT_TOL)
+            ys = np.sort(np.random.default_rng(29).uniform(ci(-2.9), ci(4.9), size=300))
+            ts = ci.inverse_many(ys)
+            assert np.max(np.abs(ci(ts) - ys)) <= 2 * DEFAULT_TOL, text
+            assert np.all(np.diff(ts) >= 0.0), text
+            assert np.array_equal(ts, [ci.inverse(float(y)) for y in ys]), text
+
+    def test_round_trip_at_small_tol_and_large_targets(self):
+        # R about 8100 at tol 1e-12: 2 eps |y| = 3.6e-12 is above 2 tol,
+        # so the gap's rounding floor must be capped at tol.  Targets just
+        # past a plateau are reached by bisection, whose gaps pass through
+        # every scale.
+        model = RateModel.piecewise_constant([0.0, 3.0, 3.5, 5.0], [2700.0, 0.0, 1.0])
+        ci = CumulativeIntensity(model, tol=1e-12)
+        ys = ci(3.25) + np.random.default_rng(5).uniform(0.0, 1e-8, size=2000)
+        ts = ci.inverse_many(ys)
+        assert np.max(np.abs(ci(ts) - ys)) <= 2e-12
 
     def test_rate_points_per_target(self):
         # a count, not a time: it does not depend on machine load
