@@ -509,10 +509,20 @@ class CumulativeIntensity:
         return float(out) if scalar else out
 
     def _eval_covered(self, flat):
-        """R at points already inside the covered range; lock is held."""
+        """R at points already inside the covered range; lock is held.
+
+        A point that is a checkpoint reads its stored value, with no rate
+        call: its segment [t, t] has no mass, and its panel's nodes would
+        all sit at t, where the rate may not be defined.
+        """
         idx = np.searchsorted(self._t, flat, side="right") - 1
         idx = np.clip(idx, 0, len(self._t) - 1)
-        return self._r[idx] + _masses(self._f, self._t[idx], flat, self.tol)
+        left = self._t[idx]
+        out = self._r[idx]
+        off = flat != left
+        if np.any(off):
+            out[off] += _masses(self._f, left[off], flat[off], self.tol)
+        return out
 
     def inverse(self, y: float) -> float:
         """Generalized inverse inf{t : R(t) >= y}; see :meth:`inverse_many`.

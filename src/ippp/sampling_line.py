@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,6 +210,82 @@ def nth_point_density(
     return float(out) if scalar else out
 
 
+def _poisson_term(k: int, m: float) -> float:
+    """P(Poisson(m) = k) for m > 0, from its logarithm."""
+    return math.exp(k * math.log(m) - m - math.lgamma(k + 1))
+
+
+def _poisson_below(n: int, m: float) -> float:
+    """P(Poisson(m) < n) for m >= n > 0, summed downward from k = n - 1.
+
+    The terms shrink by k / m <= (n - 1) / m < 1 going down, and the sum
+    stops once a term no longer changes it (the term after k = 0 is 0).
+    """
+    term = _poisson_term(n - 1, m)
+    total = 0.0
+    k = n - 1
+    while term > sys.float_info.epsilon * total:
+        total += term
+        term *= k / m
+        k -= 1
+    return total
+
+
+def _poisson_from(n: int, m: float) -> float:
+    """P(Poisson(m) >= n) for 0 < m < n, summed upward from k = n.
+
+    The terms shrink by m / (k + 1) < 1 going up.
+    """
+    term = _poisson_term(n, m)
+    total = 0.0
+    k = n
+    while term > sys.float_info.epsilon * total:
+        total += term
+        k += 1
+        term *= m / k
+    return total
+
+
+@lru_cache(maxsize=256)
+def _erlang_cap(n: int) -> float:
+    """The mass past which the Erlang(n, 1) tail is below _TAIL_EPS.
+
+    Bisects P(Poisson(m) < n) = _TAIL_EPS for m >= n, where that tail
+    falls as m grows, to the last float.
+    """
+    lo = float(n)
+    step = 1.0
+    while _poisson_below(n, lo + step) > _TAIL_EPS:
+        lo += step
+        step *= 2.0
+    hi = lo + step
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if _poisson_below(n, mid) > _TAIL_EPS:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _erlang_cdf(n: int, m: float) -> float:
+    """The Erlang(n, 1) CDF at m, which is P(Poisson(m) >= n); 1.0 from
+    the cap on.
+
+    Below the mean (m < n) it sums the upper Poisson series, otherwise it
+    takes 1 minus the lower one, so neither branch cancels: the lower sum
+    is at most about 1/2 when m >= n.
+    """
+    if m <= 0.0:
+        return 0.0
+    if m >= _erlang_cap(n):
+        return 1.0
+    if m < n:
+        return _poisson_from(n, m)
+    return 1.0 - _poisson_below(n, m)
+
+
 def nth_point_mass(
     model: RateModel,
     query: NthPointQuery,
@@ -215,17 +293,14 @@ def nth_point_mass(
 ) -> float:
     """Total probability that the n-th point exists on the query's side.
 
-    The Erlang(n, 1) CDF of the directional intensity mass.  The mass
-    scan stops once the Erlang tail beyond it is below 1e-12, at which
-    point the result is 1 to well past any reported precision.
+    The Erlang(n, 1) CDF of the directional intensity mass m, which is the
+    Poisson tail P(Poisson(m) >= n): the sum over k >= n of
+    e^-m m^k / k! below the mean, and 1 minus the sum over k < n above it,
+    each summed from its largest term in log space.  The mass scan stops
+    once the Erlang tail beyond it is below 1e-12, at which point the
+    result is 1 to well past any reported precision.
     """
-    # imported here: scipy.special would otherwise dominate `import ippp`
-    import scipy.special
-
     _require_anchor(model, query)
     ci = cumulative_intensity(model, tol)
-    cap = float(scipy.special.gammainccinv(query.n, _TAIL_EPS))
-    mass = ci.directional_mass(query.anchor, query.direction.sign, cap)
-    if mass >= cap:
-        return 1.0
-    return float(scipy.special.gammainc(query.n, mass))
+    cap = _erlang_cap(query.n)
+    return _erlang_cdf(query.n, ci.directional_mass(query.anchor, query.direction.sign, cap))

@@ -9,9 +9,17 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
-from ippp.cli import _build_parser, _render_points, main
+from ippp.cli import (
+    _build_parser,
+    _meta,
+    _render_json,
+    _render_points,
+    _render_table,
+    main,
+)
 from ippp.rate_model import RateModel
 from ippp.rng import RngState
 from ippp.sampling_line import Direction, NthPointQuery, sample_nth_point
@@ -780,22 +788,86 @@ def test_numeric_error_surfaces_verbatim(capsys):
     assert "x=" in err
 
 
-def test_import_and_simulate_leave_scipy_unloaded():
-    # scipy.special is most of the import time; only nth_point_mass needs it
-    code = (
-        "import sys\n"
-        "import ippp\n"
-        "assert 'scipy' not in sys.modules, 'import ippp'\n"
-        "from ippp.cli import main\n"
-        "main(['simulate', '--rate', '2+sin(x)', '--window', '0', '5', '--seed', '1'])\n"
-        "assert 'scipy' not in sys.modules, 'simulate'\n"
-    )
+def test_no_subcommand_needs_scipy():
+    # scipy is a test dependency only: a child process in which importing
+    # it fails must still run every subcommand
+    code = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not installed")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from ippp.cli import main
+
+rate = ["--rate", "2+sin(x)"]
+seed = ["--seed", "1", "--reps", "2"]
+runs = [
+    ["intensity", *rate, "--window", "0", "5"],
+    ["simulate", *rate, "--window", "0", "5", *seed],
+    ["simulate-n", *rate, "--window", "0", "5", "--count", "4", *seed],
+    ["next-point", *rate, "--from", "1", "--n", "3", "--direction", "up", *seed],
+    ["density", "order-stat", *rate, "--window", "0", "5", "--k", "2",
+     "--m", "4", "--grid", "0", "5", "11", "--format", "json"],
+    ["density", "nth-point", "--rate", "exp(-x^2/2)", "--from", "-1", "--n",
+     "2", "--direction", "up", "--grid", "-1", "4", "11", "--format", "json"],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+assert "scipy" not in sys.modules
+"""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    assert '"mass": ' in proc.stdout
+
+
+# values whose JSON spellings the column writer must keep: null, the
+# non-finite names, signed zero, the extremes and plain ints
+ODD_VALUES = [None, math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 7, 0.1]
+
+
+@pytest.mark.parametrize("key, names", [("points", ("rep", "point")), ("table", ("x", "value"))])
+def test_json_writer_matches_json_dumps(key, names):
+    meta = {"version": "0", "cmd": "ippp 'a, b'", "seed": None, "stream": 3, "mass": 0.5}
+    cases = [
+        [],
+        [(0, 1.5)],
+        list(enumerate(ODD_VALUES)),
+        list(zip(ODD_VALUES, reversed(ODD_VALUES))),
+    ]
+    for rows in cases:
+        body = {"meta": meta, key: [dict(zip(names, row)) for row in rows]}
+        assert _render_json(meta, key, names, rows) == json.dumps(body, indent=2) + "\n"
+
+
+def test_json_renderers_match_json_dumps_and_schema():
+    argv = ["simulate", "--rate", "1", "--window", "0", "1", "--seed", "1", "--format", "json"]
+    args = _build_parser().parse_args(argv)
+    rows = [(rep, val) for rep, val in enumerate(ODD_VALUES) if val is None or math.isfinite(val)]
+    body = {
+        "meta": _meta(args, argv),
+        "points": [{"rep": rep, "point": val} for rep, val in rows],
+    }
+    out = _render_points(args, argv, rows)
+    assert out == json.dumps(body, indent=2) + "\n"
+    jsonschema.validate(json.loads(out), load_schema())
+
+    xs = np.array([-0.0, 5e-324, 1e300, 0.1, 2.0])
+    values = np.array([0.0, 1e300, -0.0, 5e-324, 7.0])
+    body = {
+        "meta": _meta(args, argv, mass=0.25),
+        "table": [{"x": float(x), "value": float(v)} for x, v in zip(xs, values)],
+    }
+    out = _render_table(args, argv, xs, values, mass=0.25)
+    assert out == json.dumps(body, indent=2) + "\n"
+    jsonschema.validate(json.loads(out), load_schema())
 
 
 def test_bound_samples_a_rate_with_no_enclosure(capsys):

@@ -567,6 +567,23 @@ class TestInverse:
             assert np.all(np.diff(ts) >= 0.0), text
             assert np.array_equal(ts, [ci.inverse(float(y)) for y in ys]), text
 
+    def test_checkpoint_query_reads_the_table(self):
+        # R at a checkpoint is its stored value, with no rate call; the
+        # rate is not evaluated at the point, where 2 + sin(x)/x is 0/0
+        singular = RateModel.from_expression("2 + sin(x)/x")
+        assert CumulativeIntensity(singular)(0.0) == 0.0
+        src = _CountingSource(RateModel.from_expression("2+sin(x)").source)
+        ci = CumulativeIntensity(RateModel(source=src))
+        ci(3.0)
+        ts, rs = map(np.array, zip(*ci.checkpoints))
+        src.calls = 0
+        assert np.array_equal(ci(ts), rs)
+        assert src.calls == 0
+        # lanes off the checkpoints keep their own bits in a mixed batch
+        mixed = np.concatenate([ts, ts[:-1] + 1e-3])
+        singles = [ci(float(t)) for t in mixed]
+        assert np.array_equal(ci(mixed), singles)
+
     def test_round_trip_at_small_tol_and_large_targets(self):
         # R about 8100 at tol 1e-12: 2 eps |y| = 3.6e-12 is above 2 tol,
         # so the gap's rounding floor must be capped at tol.  Targets just

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 
 from ippp.errors import InvalidParameter
@@ -15,6 +16,8 @@ from ippp.sampling_bounded import simulate_window
 from ippp.sampling_line import (
     Direction,
     NthPointQuery,
+    _erlang_cap,
+    _erlang_cdf,
     nth_point_density,
     nth_point_mass,
     sample_nth_point,
@@ -355,6 +358,40 @@ def test_mass_matches_density_integral():
             lambda t: nth_point_density(HALF_MASS, q, t), 0.25, 1.0, limit=200
         )
         assert total == pytest.approx(nth_point_mass(HALF_MASS, q), abs=1e-6)
+
+
+def test_erlang_cdf_against_scipy_small_n():
+    for n in range(1, 101):
+        cap = _erlang_cap(n)
+        ms = np.linspace(0.0, cap, 200, endpoint=False)
+        got = np.array([_erlang_cdf(n, float(m)) for m in ms])
+        want = scipy.special.gammainc(n, ms)
+        assert np.max(np.abs(got - want)) <= 1e-13, n
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_erlang_cdf_against_scipy_large_n(n):
+    ms = np.linspace(0.0, _erlang_cap(n), 600, endpoint=False)
+    got = np.array([_erlang_cdf(n, float(m)) for m in ms])
+    want = scipy.special.gammainc(n, ms)
+    keep = want >= 1e-300
+    assert np.count_nonzero(keep) > 100
+    assert np.max(np.abs(got[keep] / want[keep] - 1.0)) <= 1e-10
+
+
+def test_erlang_cap_against_scipy():
+    for n in [*range(1, 101), 1000, 10_000]:
+        want = scipy.special.gammainccinv(n, 1e-12)
+        assert abs(_erlang_cap(n) / want - 1.0) <= 1e-12, n
+
+
+def test_erlang_cdf_edges():
+    for n in (1, 5, 1000):
+        cap = _erlang_cap(n)
+        assert _erlang_cdf(n, 0.0) == 0.0
+        assert _erlang_cdf(n, cap) == 1.0
+        assert _erlang_cdf(n, 2.0 * cap) == 1.0
+        assert _erlang_cdf(n, float(n)) == pytest.approx(scipy.special.gammainc(n, n), abs=1e-13)
 
 
 def test_mass_fraction_of_batch_matches():
