@@ -132,8 +132,10 @@ class OutOfRange(IpppError):
         )
 
 
-class InvalidParameter(IpppError):
-    """Raised for structurally invalid arguments (shapes, rates, indices)."""
+class InvalidParameter(IpppError, ValueError):
+    """Raised for structurally invalid arguments (shapes, rates, indices,
+    non-finite query points); also a ValueError, the built-in for a bad
+    argument value."""
 
 
 class InvalidRate(InvalidParameter):

@@ -15,11 +15,12 @@ so ``^`` is right-associative and binds tighter than unary minus:
 The module exposes three layers: :func:`tokenize` (source text to tokens),
 :func:`parse` (tokens to an immutable AST), and :func:`evaluate` (AST plus a
 scalar or array ``x`` to values).  :func:`parse_text` is the obvious
-composition.  Evaluation is vectorized over numpy arrays and raises
-:class:`~ippp.errors.EvalError` with a source position as soon as any
-intermediate result is non-finite, so a division by zero or ``log`` of a
-negative number is reported where it happened rather than surfacing as a
-``nan`` downstream.
+composition.  A number literal must be finite (``1e400`` is a
+:class:`~ippp.errors.ParseError` at its position).  Evaluation is
+vectorized over numpy arrays and raises :class:`~ippp.errors.EvalError`
+with a source position as soon as any intermediate result is non-finite,
+so a division by zero or ``log`` of a negative number is reported where
+it happened rather than surfacing as a ``nan`` downstream.
 
 :func:`enclose` is the interval counterpart of :func:`evaluate`: given
 arrays of segments, it returns for each one an interval that holds every
@@ -35,7 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalError, LexError, ParseError, UnknownFunction, UnknownVariable
+from .errors import (
+    EvalError,
+    InvalidParameter,
+    LexError,
+    ParseError,
+    UnknownFunction,
+    UnknownVariable,
+)
 
 __all__ = [
     "Token",
@@ -263,7 +271,10 @@ class _Parser:
             raise self.error("a number, name or '('")
         if tok.kind == "number":
             self.advance()
-            return Num(float(tok.lexeme), tok.position)
+            value = float(tok.lexeme)
+            if not math.isfinite(value):
+                raise ParseError(tok.position, f"a finite number, got {tok.lexeme!r}")
+            return Num(value, tok.position)
         if tok.kind == "identifier":
             self.advance()
             nxt = self.peek()
@@ -311,7 +322,8 @@ class _Parser:
 
 
 def parse(tokens: list[Token]) -> RateExpr:
-    """Parse a token list into an AST, requiring all input to be consumed."""
+    """Parse a token list into an AST, requiring all input to be consumed
+    and every number to be finite."""
     parser = _Parser(tokens)
     node = parser.expr()
     leftover = parser.peek()
@@ -333,6 +345,10 @@ _BINARY_FNS = {
     "^": np.power,
 }
 
+# these map finite operands to finite values, and every operand is finite
+# (x, a literal, or a checked node), so they skip the finiteness check
+_TOTAL_FNS = frozenset({"sin", "cos", "abs", "min", "max"})
+
 _CALL_FNS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -345,9 +361,10 @@ _CALL_FNS = {
 }
 
 
-def _require_finite(values, node: RateExpr, what: str, x):
-    if np.all(np.isfinite(values)):
+def _require_finite(values, node: RateExpr, x):
+    if np.isfinite(values).all():
         return values
+    what = f"operator {node.op!r}" if type(node) is Binary else f"function {node.func!r}"
     if np.ndim(values) == 0:
         where = float(x) if np.ndim(x) == 0 else None
     else:
@@ -358,21 +375,20 @@ def _require_finite(values, node: RateExpr, what: str, x):
 
 
 def _eval(node: RateExpr, x):
-    if isinstance(node, Num):
+    # the node classes are final, so exact type tests dispatch them
+    kind = type(node)
+    if kind is Binary:
+        out = _BINARY_FNS[node.op](_eval(node.left, x), _eval(node.right, x))
+        return _require_finite(out, node, x)
+    if kind is Num:
         return node.value
-    if isinstance(node, Var):
+    if kind is Var:
         return x
-    if isinstance(node, Unary):
+    if kind is Call:
+        out = _CALL_FNS[node.func](*[_eval(a, x) for a in node.args])
+        return out if node.func in _TOTAL_FNS else _require_finite(out, node, x)
+    if kind is Unary:
         return np.negative(_eval(node.operand, x))
-    if isinstance(node, Binary):
-        left = _eval(node.left, x)
-        right = _eval(node.right, x)
-        out = _BINARY_FNS[node.op](left, right)
-        return _require_finite(out, node, f"operator {node.op!r}", x)
-    if isinstance(node, Call):
-        args = [_eval(a, x) for a in node.args]
-        out = _CALL_FNS[node.func](*args)
-        return _require_finite(out, node, f"function {node.func!r}", x)
     raise TypeError(f"not a RateExpr node: {node!r}")
 
 
@@ -382,11 +398,12 @@ def evaluate(expr: RateExpr, x):
     ``x`` may be a float or a numpy array; the result has the same shape.
     A scalar input returns a plain float.  Non-finite intermediates raise
     :class:`EvalError` carrying the source position of the operator or
-    function that produced them.
+    function that produced them; a non-finite ``x`` raises
+    :class:`~ippp.errors.InvalidParameter`.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
+    if not np.isfinite(arr).all():
+        raise InvalidParameter("x must be finite")
     with np.errstate(all="ignore"):
         out = _eval(expr, arr)
     if arr.ndim == 0:
@@ -407,8 +424,10 @@ def evaluate(expr: RateExpr, x):
 # already hold the value ``evaluate`` computes at any point in between.
 # numpy's exp, log, sin, cos and power carry a few ulps of error, both at
 # the ends and at that point, so their results are widened outward by
-# _WIDEN relative plus the smallest normal float.  A lane with no finite
-# enclosure is (-inf, inf).
+# _WIDEN relative plus the smallest normal float.  sin and cos widen only
+# their end values: numpy's never leave [-1, 1], so a crest or trough
+# inside gives exactly 1 or -1.  A lane with no finite enclosure is
+# (-inf, inf).
 
 _WIDEN = 4.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -435,10 +454,12 @@ def _hull(*values):
 
 def _periodic(fn, lo, hi, crest):
     # sin or cos over [lo, hi]: 1 where a crest c + 2 pi k lies inside,
-    # -1 where a trough c + pi + 2 pi k does, else the ends' values; the
-    # slack counts a crest near an end as inside, which only widens
+    # -1 where a trough c + pi + 2 pi k does, else the ends' values,
+    # widened within [-1, 1]; the slack counts a crest near an end as
+    # inside, which only widens
     two_pi = 2.0 * math.pi
-    ends_lo, ends_hi = _hull(fn(lo), fn(hi))
+    ends_lo, ends_hi = _widen(*_hull(fn(lo), fn(hi)))
+    ends_lo, ends_hi = np.maximum(ends_lo, -1.0), np.minimum(ends_hi, 1.0)
 
     def inside(c):
         t_lo, t_hi = (lo - c) / two_pi, (hi - c) / two_pi
@@ -493,9 +514,9 @@ def _enclose(node: RateExpr, lo, hi):
         if node.func == "sqrt":
             return _unbounded_where(al < 0.0, np.sqrt(al), np.sqrt(ah))
         if node.func == "sin":
-            return _widen(*_periodic(np.sin, al, ah, _HALF_PI))
+            return _periodic(np.sin, al, ah, _HALF_PI)
         if node.func == "cos":
-            return _widen(*_periodic(np.cos, al, ah, 0.0))
+            return _periodic(np.cos, al, ah, 0.0)
         if node.func == "abs":
             # the end nearer 0, or 0 when the interval holds it
             low = np.where(al >= 0.0, al, np.where(ah <= 0.0, np.negative(ah), 0.0))

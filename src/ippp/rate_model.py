@@ -7,12 +7,18 @@ strict: querying outside the domain raises
 :class:`~ippp.errors.NegativeRate`, and (in debug runs) a value above the
 declared bound raises :class:`~ippp.errors.BoundViolation`.
 
+A rate source is an expression in ``x`` (:class:`ExpressionRate`) or a
+piecewise-constant table (:class:`PiecewiseConstantRate`).  The constant,
+linear and sinusoidal families are shorthands for the expressions
+``level``, ``max(0, intercept + slope*x)`` and
+``offset + amplitude*sin(frequency*x + phase)``, built from their
+parameters without parsing and described by their family name.
+
 Every rate source has ``supremum(lo, hi)``, an upper bound for the rate on
-each segment [lo[i], hi[i]] of arrays of edges.  The built-in families
-(constant, linear, piecewise constant, sinusoidal) give their exact
-supremum; an expression in ``x`` (:meth:`RateModel.from_expression`) gives
-the upper end of its interval enclosure (:func:`ippp.rate_expr.enclose`),
-which holds every value the expression can take on the segment.
+each segment [lo[i], hi[i]] of arrays of edges.  A piecewise-constant
+rate gives its exact supremum; an expression gives the upper end of its
+interval enclosure (:func:`ippp.rate_expr.enclose`), which holds every
+value the expression can take on the segment.
 
 :meth:`RateModel.envelope` turns these into the rejection sampler's
 envelope over a window: one level per segment of the 1024-segment
@@ -45,16 +51,11 @@ from .errors import (
 __all__ = [
     "Interval",
     "Domain",
-    "ConstantRate",
-    "LinearRate",
     "PiecewiseConstantRate",
-    "SinusoidalRate",
     "ExpressionRate",
     "Envelope",
     "RateModel",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 # segments in a window's partition: the envelope's pieces, and the
 # integrator's segments, each with tol / _SEGMENTS of the error budget
@@ -138,54 +139,6 @@ class Domain:
 
 
 @dataclass(frozen=True)
-class ConstantRate:
-    """r(x) = level."""
-
-    level: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "level", _require_finite_number("level", self.level))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape, self.level)
-
-    def supremum(self, lo, hi):
-        return np.full(np.broadcast(lo, hi).shape, self.level)
-
-    def describe(self) -> str:
-        return f"constant rate {self.level:g}"
-
-
-@dataclass(frozen=True)
-class LinearRate:
-    """r(x) = max(0, intercept + slope*x), clamped so it stays a valid rate."""
-
-    intercept: float
-    slope: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "intercept", _require_finite_number("intercept", self.intercept)
-        )
-        object.__setattr__(self, "slope", _require_finite_number("slope", self.slope))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.maximum(0.0, self.intercept + self.slope * x)
-
-    def supremum(self, lo, hi):
-        # Linear, so the max over a window sits at an endpoint.
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        ends = np.maximum(self.intercept + self.slope * lo, self.intercept + self.slope * hi)
-        return np.maximum(0.0, ends)
-
-    def describe(self) -> str:
-        return f"linear rate max(0, {self.intercept:g} + {self.slope:g}*x)"
-
-
-@dataclass(frozen=True)
 class PiecewiseConstantRate:
     """r(x) = levels[i] on [breakpoints[i], breakpoints[i+1]), zero outside.
 
@@ -238,62 +191,12 @@ class PiecewiseConstantRate:
 
 
 @dataclass(frozen=True)
-class SinusoidalRate:
-    """r(x) = offset + amplitude * sin(frequency*x + phase).
-
-    Requires offset >= |amplitude| so the rate never goes negative.
-    """
-
-    offset: float
-    amplitude: float
-    frequency: float = 1.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        for name in ("offset", "amplitude", "frequency", "phase"):
-            object.__setattr__(
-                self, name, _require_finite_number(name, getattr(self, name))
-            )
-        if self.offset < abs(self.amplitude):
-            raise InvalidParameter(
-                f"offset must be >= |amplitude| to keep the rate nonnegative, "
-                f"got offset={self.offset!r}, amplitude={self.amplitude!r}"
-            )
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.offset + self.amplitude * np.sin(self.frequency * x + self.phase)
-
-    def supremum(self, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        shape = np.broadcast(lo, hi).shape
-        if self.amplitude == 0.0 or self.frequency == 0.0:
-            return np.full(shape, self.offset + self.amplitude * math.sin(self.phase))
-        # The max is offset+|amplitude| iff a crest lies in the window;
-        # otherwise it sits at an endpoint.
-        target = math.pi / 2.0 if self.amplitude > 0 else -math.pi / 2.0
-        a = self.frequency * lo + self.phase
-        b = self.frequency * hi + self.phase
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        k_lo = np.ceil((a - target) / _TWO_PI - 1e-12)
-        k_hi = np.floor((b - target) / _TWO_PI + 1e-12)
-        edge = np.maximum(self(lo), self(hi))
-        return np.where(k_lo <= k_hi, self.offset + abs(self.amplitude), edge)
-
-    def describe(self) -> str:
-        return (
-            f"sinusoidal rate {self.offset:g} + {self.amplitude:g}"
-            f"*sin({self.frequency:g}*x + {self.phase:g})"
-        )
-
-
-@dataclass(frozen=True)
 class ExpressionRate:
-    """A rate given by an expression in ``x``, e.g. ``"2 + 0.5*sin(x)"``."""
+    """A rate given by an expression in ``x``, e.g. ``"2 + 0.5*sin(x)"``,
+    with the text :meth:`describe` returns."""
 
     expr: rate_expr.RateExpr
-    text: str
+    description: str
 
     def __call__(self, x):
         return rate_expr.evaluate(self.expr, np.asarray(x, dtype=float))
@@ -302,7 +205,40 @@ class ExpressionRate:
         return rate_expr.enclose(self.expr, lo, hi)[1]
 
     def describe(self) -> str:
-        return f"rate expression {self.text!r}"
+        return self.description
+
+
+# The families' syntax trees, whose values keep the bits of the formulas
+# they write out.  Node positions index the expression as describe()
+# prints it.  A factor 1 adds no node, since 1*v is v.  Nor does a phase
+# 0: v + 0 differs from v only in the sign of a zero, which the offset's
+# sum drops.  The linear intercept stays even when 0, because
+# max(0, -0.0) is -0.0.
+
+
+def _times(c: float, c_at: int, node, at: int):
+    if c == 1.0:
+        return node
+    return rate_expr.Binary("*", rate_expr.Num(c, c_at), node, at)
+
+
+def _linear_expr(intercept: float, slope: float, text: str):
+    # max(0, intercept + slope*x)
+    plus, times = text.index(" + ") + 1, text.index("*")
+    slope_x = _times(slope, plus + 2, rate_expr.Var(times + 1), times)
+    line = rate_expr.Binary("+", rate_expr.Num(intercept, 7), slope_x, plus)
+    return rate_expr.Call("max", (rate_expr.Num(0.0, 4), line), 0)
+
+
+def _sinusoidal_expr(offset, amplitude, frequency, phase, text: str):
+    # offset + amplitude*sin(frequency*x + phase)
+    plus, times = text.index(" + ") + 1, text.index("*sin")
+    inner_plus, inner_times = text.rindex(" + ") + 1, text.index("*x")
+    arg = _times(frequency, times + 5, rate_expr.Var(inner_times + 1), inner_times)
+    if phase != 0.0:
+        arg = rate_expr.Binary("+", arg, rate_expr.Num(phase, inner_plus + 2), inner_plus)
+    wave = _times(amplitude, plus + 2, rate_expr.Call("sin", (arg,), times + 1), times)
+    return rate_expr.Binary("+", rate_expr.Num(offset, 0), wave, plus)
 
 
 def _alias_table(masses):
@@ -437,11 +373,19 @@ class RateModel:
 
     @classmethod
     def constant(cls, level, domain=None, declared_bound=None):
-        return cls(ConstantRate(level), domain or Domain(), declared_bound)
+        """r(x) = level."""
+        level = _require_finite_number("level", level)
+        src = ExpressionRate(rate_expr.Num(level, 0), f"constant rate {level:g}")
+        return cls(src, domain or Domain(), declared_bound)
 
     @classmethod
     def linear(cls, intercept, slope, domain=None, declared_bound=None):
-        return cls(LinearRate(intercept, slope), domain or Domain(), declared_bound)
+        """r(x) = max(0, intercept + slope*x), clipped so it stays a rate."""
+        intercept = _require_finite_number("intercept", intercept)
+        slope = _require_finite_number("slope", slope)
+        text = f"max(0, {intercept:g} + {slope:g}*x)"
+        src = ExpressionRate(_linear_expr(intercept, slope, text), f"linear rate {text}")
+        return cls(src, domain or Domain(), declared_bound)
 
     @classmethod
     def piecewise_constant(cls, breakpoints, levels, domain=None, declared_bound=None):
@@ -452,13 +396,28 @@ class RateModel:
     def sinusoidal(
         cls, offset, amplitude, frequency=1.0, phase=0.0, domain=None, declared_bound=None
     ):
-        src = SinusoidalRate(offset, amplitude, frequency, phase)
+        """r(x) = offset + amplitude*sin(frequency*x + phase).
+
+        Requires offset >= |amplitude| so the rate never goes negative.
+        """
+        offset = _require_finite_number("offset", offset)
+        amplitude = _require_finite_number("amplitude", amplitude)
+        frequency = _require_finite_number("frequency", frequency)
+        phase = _require_finite_number("phase", phase)
+        if offset < abs(amplitude):
+            raise InvalidParameter(
+                f"offset must be >= |amplitude| to keep the rate nonnegative, "
+                f"got offset={offset!r}, amplitude={amplitude!r}"
+            )
+        text = f"{offset:g} + {amplitude:g}*sin({frequency:g}*x + {phase:g})"
+        expr = _sinusoidal_expr(offset, amplitude, frequency, phase, text)
+        src = ExpressionRate(expr, f"sinusoidal rate {text}")
         return cls(src, domain or Domain(), declared_bound)
 
     @classmethod
     def from_expression(cls, text, domain=None, declared_bound=None):
-        expr = rate_expr.parse_text(text)
-        return cls(ExpressionRate(expr, text), domain or Domain(), declared_bound)
+        src = ExpressionRate(rate_expr.parse_text(text), f"rate expression {text!r}")
+        return cls(src, domain or Domain(), declared_bound)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -470,8 +429,8 @@ class RateModel:
         exceeds the declared bound.
         """
         arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("x must be finite")
+        if not np.isfinite(arr).all():
+            raise InvalidParameter("x must be finite")
         inside = self.domain.contains(arr)
         if not np.all(inside):
             if arr.ndim == 0:
@@ -513,10 +472,10 @@ class RateModel:
         One level per segment of the window's 1024-segment partition (the
         partition :func:`ippp.quadrature.integrate` uses): the declared
         bound if one was given, else the source's ``supremum`` of each
-        segment, exact for the families and an interval enclosure for
-        expressions, so no rate value on the window exceeds its segment's
-        level.  Raises :class:`~ippp.errors.InvalidRate` where a segment
-        has no finite bound (pass ``declared_bound``), and
+        segment, exact for a piecewise-constant rate and an interval
+        enclosure for expressions, so no rate value on the window exceeds
+        its segment's level.  Raises :class:`~ippp.errors.InvalidRate`
+        where a segment has no finite bound (pass ``declared_bound``), and
         :class:`~ippp.errors.NegativeRate` (from :meth:`evaluate`) where
         the rate is negative all over a segment.
         """

@@ -5,8 +5,9 @@ count with mean equal to the window's intensity mass and, given the
 count, i.i.d. locations with density r(x) / mass.  Locations come from
 thinning under a piecewise-constant envelope (Lewis & Shedler, *Naval
 Res. Logistics Q.* 26, 1979): :meth:`RateModel.envelope` bounds the rate
-on each of the window's 1024 segments, soundly (exact family suprema,
-interval enclosures of expressions, or the declared bound).  A candidate
+on each of the window's 1024 segments, soundly (interval enclosures of
+expressions, the constant, linear and sinusoidal families included, the
+exact supremum of a piecewise-constant rate, or the declared bound).  A candidate
 takes two words: one uniform picks a segment in proportion to its
 envelope mass and a position inside it, through an alias table, and the
 other accepts it with probability r(x) / level.  No integration is

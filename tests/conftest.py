@@ -9,3 +9,6 @@ def pytest_configure(config):
     src = str(config.rootpath / "src")
     paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     os.environ["PYTHONPATH"] = os.pathsep.join(paths)
+    # as filterwarnings does here: a numpy RuntimeWarning in a child
+    # process (overflow, invalid value) fails its test too
+    os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"

@@ -132,6 +132,22 @@ def test_rate_parse_error_names_flag(capsys):
     assert "--rate" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["intensity", "--window", "0", "1"],
+        ["density", "nth-point", "--from", "0", "--n", "1", "--direction", "up",
+         "--grid", "0", "1", "3"],
+    ],
+)
+def test_nonfinite_rate_literal_names_flag(capsys, argv):
+    # 1e400 overflows to inf; it once printed inf or nan rows and exit 0
+    code, out, err = run(capsys, *argv, "--rate", "1e400")
+    assert code == 2
+    assert out == ""
+    assert "--rate" in err and "1e400" in err
+
+
 def test_params_without_family(capsys):
     code, _, err = run(
         capsys, "intensity", "--rate", "x", "--params", "c=1", "--window", "0", "1"

@@ -13,6 +13,7 @@ import pytest
 from ippp import rate_expr
 from ippp.errors import (
     EvalError,
+    InvalidParameter,
     LexError,
     ParseError,
     UnknownFunction,
@@ -134,6 +135,12 @@ class TestParserErrors:
         with pytest.raises(ParseError):
             rate_expr.parse_text("")
 
+    def test_nonfinite_literal(self):
+        with pytest.raises(ParseError) as err:
+            rate_expr.parse_text("2 + 1e400")
+        assert err.value.position == 4
+        assert "1e400" in str(err.value)
+
     def test_trailing_tokens(self):
         with pytest.raises(ParseError) as err:
             rate_expr.parse_text("1 2")
@@ -192,6 +199,8 @@ class TestEvaluate:
         expr = rate_expr.parse_text("x")
         with pytest.raises(ValueError):
             rate_expr.evaluate(expr, math.inf)
+        with pytest.raises(InvalidParameter):
+            rate_expr.evaluate(expr, np.array([1.0, math.nan]))
 
     def test_min_max(self):
         assert ev("min(2, x)", 5.0) == 2.0
@@ -295,10 +304,14 @@ class TestEnclose:
         assert float(enc("x^4", -2.0, 1.0)[0]) <= 0.0
 
     def test_sin_and_cos_crests(self):
+        # numpy's sin and cos never leave [-1, 1], so a crest or trough
+        # inside is exact
         lo, hi = enc("sin(x)", 1.0, 2.0)  # crest pi/2 inside
-        assert hi >= 1.0 and lo == pytest.approx(math.sin(1.0))
+        assert hi == 1.0 and lo == pytest.approx(math.sin(1.0))
         lo, hi = enc("cos(x)", 3.0, 3.5)  # trough pi inside
-        assert lo <= -1.0 and hi == pytest.approx(math.cos(3.5))
+        assert lo == -1.0 and hi == pytest.approx(math.cos(3.5))
+        assert float(enc("2 + sin(x)", 0.0, 20.0)[1]) == 3.0
+        assert enc("sin(1/x)", -1.0, 1.0) == (-1.0, 1.0)
         lo, hi = enc("sin(x)", 0.1, 0.2)  # monotone piece: the ends
         assert lo == pytest.approx(math.sin(0.1)) and hi == pytest.approx(math.sin(0.2))
 

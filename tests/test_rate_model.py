@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,9 +17,17 @@ from ippp.errors import (
     InvalidRate,
     NegativeRate,
 )
-from ippp.rate_model import Domain, Interval, RateModel
+from ippp.quadrature import cumulative_intensity, integrate
+from ippp.rate_expr import Binary, Call, Num, Var
+from ippp.rate_model import Domain, Interval, PiecewiseConstantRate, RateModel
 from ippp.rng import RngState
-from ippp.sampling_bounded import sample_location
+from ippp.sampling_bounded import sample_location, simulate_conditional, simulate_window
+from ippp.sampling_line import (
+    NthPointQuery,
+    nth_point_density,
+    sample_nth_point,
+    sample_path_time_change,
+)
 
 from stat_checks import ks_distance, ks_threshold
 
@@ -104,6 +113,13 @@ class TestFamilies:
 
 
 class TestEvaluateChecks:
+    def test_nonfinite_x_is_invalid_parameter(self):
+        for model in (RateModel.constant(1.0), RateModel.from_expression("x")):
+            for x in (math.inf, np.array([0.0, math.nan])):
+                with pytest.raises(InvalidParameter, match="finite"):
+                    model.evaluate(x)
+        assert issubclass(InvalidParameter, ValueError)
+
     def test_domain_violation_scalar(self):
         m = RateModel.constant(1.0, domain=Domain(0.0, 5.0))
         with pytest.raises(DomainViolation):
@@ -199,6 +215,112 @@ class TestBoundOn:
             m.bound_on(Interval(4.0, 6.0))
 
 
+# The constant, linear and sinusoidal families as rate sources of their
+# own, before they became expressions: the reference for the expressions.
+
+
+@dataclass(frozen=True)
+class _OldConstant:
+    level: float
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.full(x.shape, self.level)
+
+    def supremum(self, lo, hi):
+        return np.full(np.broadcast(lo, hi).shape, self.level)
+
+    def describe(self):
+        return f"constant rate {self.level:g}"
+
+    def family(self):
+        return RateModel.constant(self.level)
+
+
+@dataclass(frozen=True)
+class _OldLinear:
+    intercept: float
+    slope: float
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.maximum(0.0, self.intercept + self.slope * x)
+
+    def supremum(self, lo, hi):
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        ends = np.maximum(self.intercept + self.slope * lo, self.intercept + self.slope * hi)
+        return np.maximum(0.0, ends)
+
+    def describe(self):
+        return f"linear rate max(0, {self.intercept:g} + {self.slope:g}*x)"
+
+    def family(self):
+        return RateModel.linear(self.intercept, self.slope)
+
+
+@dataclass(frozen=True)
+class _OldSinusoidal:
+    offset: float
+    amplitude: float
+    frequency: float = 1.0
+    phase: float = 0.0
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.offset + self.amplitude * np.sin(self.frequency * x + self.phase)
+
+    def supremum(self, lo, hi):
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        shape = np.broadcast(lo, hi).shape
+        if self.amplitude == 0.0 or self.frequency == 0.0:
+            return np.full(shape, self.offset + self.amplitude * math.sin(self.phase))
+        target = math.pi / 2.0 if self.amplitude > 0 else -math.pi / 2.0
+        a = self.frequency * lo + self.phase
+        b = self.frequency * hi + self.phase
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        k_lo = np.ceil((a - target) / (2.0 * math.pi) - 1e-12)
+        k_hi = np.floor((b - target) / (2.0 * math.pi) + 1e-12)
+        edge = np.maximum(self(lo), self(hi))
+        return np.where(k_lo <= k_hi, self.offset + abs(self.amplitude), edge)
+
+    def describe(self):
+        return (
+            f"sinusoidal rate {self.offset:g} + {self.amplitude:g}"
+            f"*sin({self.frequency:g}*x + {self.phase:g})"
+        )
+
+    def family(self):
+        return RateModel.sinusoidal(self.offset, self.amplitude, self.frequency, self.phase)
+
+
+OLD_FAMILIES = [
+    _OldConstant(2.0),
+    _OldConstant(0.0),
+    _OldLinear(1.0, 0.5),
+    _OldLinear(3.0, -0.7),
+    _OldLinear(-2.0, 1.0),
+    _OldLinear(0.0, -1.5),
+    _OldSinusoidal(2.0, 1.0),
+    _OldSinusoidal(20.0, 5.0, 0.1, 0.0),
+    _OldSinusoidal(20.0, -5.0, 0.1, 0.3),
+    _OldSinusoidal(3.0, 1.0, -2.0),
+    _OldSinusoidal(1.0, 1.0, 3.0, -1.0),
+]
+
+
+def _sinusoid_level_ok(old_src, new, old):
+    # at or above the old supremum, within 4 ulps of the rate's top
+    # offset + |amplitude|, and exactly the top where the old one is
+    top = old_src.offset + abs(old_src.amplitude)
+    new, old = np.asarray(new), np.asarray(old)
+    assert np.all(new >= old)
+    assert np.all(new - old <= 4 * np.spacing(top))
+    assert np.all(new[old == top] == top)
+    assert np.all(new <= top)
+
+
 # the scalar suprema the families had before they took arrays of edges
 def _old_linear(src, lo, hi):
     return max(0.0, src.intercept + src.slope * lo, src.intercept + src.slope * hi)
@@ -238,24 +360,146 @@ class TestVectorSuprema:
     @pytest.mark.parametrize(
         "model, old",
         [
-            (RateModel.constant(2.5), lambda src, lo, hi: src.level),
-            (RateModel.linear(1.0, 2.0), _old_linear),
-            (RateModel.linear(3.0, -0.7), _old_linear),
+            (RateModel(_OldConstant(2.5)), lambda src, lo, hi: src.level),
+            (RateModel(_OldLinear(1.0, 2.0)), _old_linear),
+            (RateModel(_OldLinear(3.0, -0.7)), _old_linear),
             (RateModel.piecewise_constant([0.0, 1.0, 2.5, 3.0], [1.0, 4.0, 2.0]), _old_pwconst),
-            (RateModel.sinusoidal(2.0, 1.0), _old_sinusoidal),
-            (RateModel.sinusoidal(20.0, -5.0, 0.1, 0.3), _old_sinusoidal),
-            (RateModel.sinusoidal(3.0, 1.0, -2.0), _old_sinusoidal),
-            (RateModel.sinusoidal(3.0, 1.0, 0.0, 0.4), _old_sinusoidal),
+            (RateModel(_OldSinusoidal(2.0, 1.0)), _old_sinusoidal),
+            (RateModel(_OldSinusoidal(20.0, -5.0, 0.1, 0.3)), _old_sinusoidal),
+            (RateModel(_OldSinusoidal(3.0, 1.0, -2.0)), _old_sinusoidal),
+            (RateModel(_OldSinusoidal(3.0, 1.0, 0.0, 0.4)), _old_sinusoidal),
         ],
     )
     def test_equal_to_scalar_formulas(self, model, old):
-        # pwconst windows start left of the pieces and end right of them
+        # pwconst windows start left of the pieces and end right of them;
+        # a family's expression encloses as its old vectorized supremum
+        # did: bit for bit, and for a sinusoid within a few ulps above
         src = model.source
         lo, hi = self._windows(7, -2.0, 5.0)
-        got = src.supremum(lo, hi)
         want = [old(src, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert src.supremum(lo, hi).tolist() == want
+        got = src if isinstance(src, PiecewiseConstantRate) else src.family().source
+        got = got.supremum(lo, hi)
         assert got.shape == (1000,)
-        assert got.tolist() == want
+        if isinstance(src, _OldSinusoidal):
+            _sinusoid_level_ok(src, got, want)
+        else:
+            assert got.tolist() == want
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def _family_window(old):
+    if isinstance(old, _OldSinusoidal):
+        return Interval(0.3, 90.0)
+    return Interval(-1.0, 9.0)
+
+
+class TestFamiliesAsExpressions:
+    def test_describe(self):
+        assert RateModel.constant(2).source.describe() == "constant rate 2"
+        assert RateModel.linear(1, 0.5).source.describe() == "linear rate max(0, 1 + 0.5*x)"
+        assert (
+            RateModel.sinusoidal(20, 5, 0.1).source.describe()
+            == "sinusoidal rate 20 + 5*sin(0.1*x + 0)"
+        )
+        for old in OLD_FAMILIES:
+            assert old.family().describe() == RateModel(old).describe()
+
+    def test_syntax_tree_positions_index_the_printed_expression(self):
+        def walk(node):
+            yield node
+            if isinstance(node, Call):
+                for arg in node.args:
+                    yield from walk(arg)
+            elif isinstance(node, Binary):
+                yield from walk(node.left)
+                yield from walk(node.right)
+
+        for old in OLD_FAMILIES:
+            src = old.family().source
+            text = src.describe().split(" rate ", 1)[1]
+            for node in walk(src.expr):
+                at = node.position
+                if isinstance(node, Binary):
+                    assert text[at] == node.op
+                elif isinstance(node, Call):
+                    assert text.startswith(node.func + "(", at)
+                elif isinstance(node, Var):
+                    assert text[at] == "x"
+                else:
+                    assert isinstance(node, Num) and text[at] in "-0123456789"
+
+    def test_parameter_checks(self):
+        with pytest.raises(InvalidParameter, match="level"):
+            RateModel.constant(math.nan)
+        with pytest.raises(InvalidParameter, match="slope"):
+            RateModel.linear(1.0, math.inf)
+        with pytest.raises(InvalidParameter, match="phase"):
+            RateModel.sinusoidal(2.0, 1.0, 1.0, "a")
+        with pytest.raises(InvalidParameter, match="amplitude"):
+            RateModel.sinusoidal(1.0, -2.0)
+
+    @pytest.mark.parametrize("old", OLD_FAMILIES, ids=repr)
+    def test_values_bitwise(self, old):
+        xs = np.random.default_rng(3).uniform(-50.0, 50.0, 20_000)
+        xs = np.concatenate([xs, [0.0, -0.0, 1e-300, -4.0, 2.0]])
+        new = old.family()
+        assert _bits(new.evaluate(xs)) == _bits(old(xs))
+        assert _bits([new.evaluate(float(x)) for x in xs[:50]]) == _bits(old(xs[:50]))
+
+    @pytest.mark.parametrize("old", OLD_FAMILIES, ids=repr)
+    def test_envelope_levels(self, old):
+        window = _family_window(old)
+        new = old.family().envelope(window).levels
+        want = RateModel(old).envelope(window).levels
+        if isinstance(old, _OldSinusoidal):
+            _sinusoid_level_ok(old, new, want)
+        else:
+            assert _bits(new) == _bits(want)
+
+    @pytest.mark.parametrize("old", OLD_FAMILIES, ids=repr)
+    def test_integration_route_bitwise(self, old):
+        window = _family_window(old)
+        new, ref = old.family(), RateModel(old)
+        assert integrate(new, window.lo, window.hi) == integrate(ref, window.lo, window.hi)
+        ts = np.linspace(window.lo, window.hi, 33)
+        ys = np.linspace(0.25, 40.0, 97)
+        tables = []
+        for model in (new, ref):
+            ci = cumulative_intensity(model, span=window)
+            r, roots = ci(ts), ci.inverse_many(ci(window.lo) + ys, missing="nan")
+            tables.append((_bits(r), _bits(roots), ci.checkpoints))
+        assert tables[0] == tables[1]
+        query = NthPointQuery(window.lo + 1.0, 3, "above")
+        for seed in (1, 2):
+            a = sample_path_time_change(new, window, RngState(seed))
+            b = sample_path_time_change(ref, window, RngState(seed))
+            assert a == b
+            a = sample_nth_point(new, query, RngState(seed), size=64)
+            b = sample_nth_point(ref, query, RngState(seed), size=64)
+            assert _bits(a) == _bits(b)
+        grid = np.linspace(window.lo, window.lo + 20.0, 41)
+        assert _bits(nth_point_density(new, query, grid)) == _bits(
+            nth_point_density(ref, query, grid)
+        )
+
+    @pytest.mark.parametrize(
+        "old", [o for o in OLD_FAMILIES if not isinstance(o, _OldSinusoidal)], ids=repr
+    )
+    def test_rejection_bitwise(self, old):
+        window = _family_window(old)
+        new, ref = old.family(), RateModel(old)
+        for seed in (1, 2, 3):
+            assert simulate_window(new, window, RngState(seed)) == simulate_window(
+                ref, window, RngState(seed)
+            )
+        if old.family().bound_on(window) > 0.0:
+            a = simulate_conditional(new, window, 200, RngState(4))
+            b = simulate_conditional(ref, window, 200, RngState(4))
+            assert a == b
 
 
 class TestEnvelope:

@@ -18,7 +18,7 @@ from ippp.errors import (
     ZeroMass,
     ZeroRate,
 )
-from ippp.rate_model import Domain, Interval, LinearRate, RateModel
+from ippp.rate_model import Domain, Interval, RateModel
 from ippp.rng import RngState
 from ippp.sampling_bounded import (
     EventSet,
@@ -178,7 +178,7 @@ def test_sample_location_zero_rate_raises():
 class _LowSupremum:
     """The linear rate x with a supremum that under-reports by half."""
 
-    inner: LinearRate = LinearRate(0.0, 1.0)
+    inner: object = RateModel.from_expression("x").source
 
     def __call__(self, x):
         return self.inner(x)
