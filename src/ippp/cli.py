@@ -276,8 +276,8 @@ def _build_model(parser, args):
 
 def _window(parser, args):
     lo, hi = args.window
-    if not lo < hi:
-        parser.error(f"--window: need LO < HI, got {lo:g} {hi:g}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        parser.error(f"--window: need finite LO < HI, got {lo:g} {hi:g}")
     return Interval(lo, hi)
 
 
@@ -285,10 +285,10 @@ def _grid(parser, args):
     import numpy as np
 
     lo, hi, steps = args.grid
-    if steps != int(steps) or int(steps) < 2:
+    if not (steps.is_integer() and steps >= 2):
         parser.error(f"--grid: STEPS must be an integer >= 2, got {steps:g}")
-    if not lo < hi:
-        parser.error(f"--grid: need LO < HI, got {lo:g} {hi:g}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        parser.error(f"--grid: need finite LO < HI, got {lo:g} {hi:g}")
     return np.linspace(lo, hi, int(steps))
 
 
@@ -302,8 +302,8 @@ def _query(parser, args):
 
 
 def _check_positive(parser, args):
-    if args.tol <= 0.0:
-        parser.error(f"--tol: must be > 0, got {args.tol:g}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        parser.error(f"--tol: must be finite and > 0, got {args.tol:g}")
 
 
 def _check_sampling_flags(parser, args):

@@ -54,6 +54,7 @@ import numpy as np
 
 from .errors import (
     BoundViolation,
+    DomainViolation,
     EvalError,
     InvalidParameter,
     NegativeRate,
@@ -145,6 +146,7 @@ def _panels(f, lows, highs, extra=None):
 
     Each lane's weighted sums are rounded the same way whatever the number
     of lanes, so a lane's result does not depend on the batch it sits in.
+    Nodes lie within their lane's ends, so inside the domain with them.
     With ``extra`` the rate at those points is evaluated in the same rate
     call and returned as a third array.
     """
@@ -156,6 +158,9 @@ def _panels(f, lows, highs, extra=None):
     nodes = xs[: 15 * n].reshape(n, 15)
     np.multiply.outer(half, _XK, out=nodes)
     nodes += (0.5 * (highs + lows))[:, None]
+    # a few ulps wide, a lane's outer nodes can round past its ends
+    ends = np.minimum(lows, highs)[:, None], np.maximum(lows, highs)[:, None]
+    np.clip(nodes, *ends, out=nodes)
     if extra is not None:
         xs[15 * n :] = extra
     fx = np.asarray(f(xs), dtype=float)
@@ -169,8 +174,12 @@ def _panels(f, lows, highs, extra=None):
     return k15, np.abs(k15 - g7), fx[15 * n :]
 
 
-def _adaptive(f, lows, highs, tol: float):
+def _adaptive(f, lows, highs, tol: float, errs=None):
     """Adaptive bisection over parallel intervals, one rate call per round.
+
+    With ``errs``, the estimates of depth-0 panels already taken and over
+    budget, each interval starts at its two halves, and ToleranceNotMet
+    counts those estimates.
 
     Each interval keeps its own stack of pieces, in position order with
     the rightmost on top, with error budgets proportional to width that
@@ -191,9 +200,14 @@ def _adaptive(f, lows, highs, tol: float):
     lows = np.asarray(lows, dtype=float).tolist()
     highs = np.asarray(highs, dtype=float).tolist()
     seg_tol = tol / _SEGMENTS
-    worst = [0.0] * len(lows)
+    if errs is None:
+        worst = [0.0] * len(lows)
+        stacks = [[(a, b, 0)] if a != b else [] for a, b in zip(lows, highs)]
+    else:
+        worst = np.asarray(errs, dtype=float).tolist()
+        mids = [0.5 * (a + b) for a, b in zip(lows, highs)]
+        stacks = [[(a, m, 1), (m, b, 1)] for a, m, b in zip(lows, mids, highs)]
     accepted = [[] for _ in lows]
-    stacks = [[(a, b, 0)] if a != b else [] for a, b in zip(lows, highs)]
     live = [i for i, stack in enumerate(stacks) if stack]
     while live:
         groups = []
@@ -231,15 +245,15 @@ def _masses(f, lows, highs, tol: float, extra=None):
     With ``extra`` also returns the rate at those points, from the same
     first rate call.
     """
+    # points past the probe limit sit beyond the last checkpoint, in lanes
+    # with low > high, whose signed mass is minus that of [high, low]
+    sign = np.where(np.less_equal(lows, highs), 1.0, -1.0)
+    lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
     out = _panels(f, lows, highs, extra)
-    vals = out[0]
+    vals = sign * out[0]
     bad = np.nonzero(out[1] > tol / _SEGMENTS)[0]
     if bad.size:
-        a, b = np.asarray(lows)[bad], np.asarray(highs)[bad]
-        # points past the probe limit sit beyond the last checkpoint
-        sign = np.where(a <= b, 1.0, -1.0)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        vals[bad] = sign * _adaptive(f, lo, hi, tol)
+        vals[bad] = sign[bad] * _adaptive(f, lows[bad], highs[bad], tol, out[1][bad])
     return vals if extra is None else (vals, out[2])
 
 
@@ -248,8 +262,9 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
 
     [a, b] is split as a checkpoint table sized to it splits it, into 1024
     equal segments with error budgets tol / 1024 that sum to tol.  Both
-    endpoints must lie in the model's domain.  Negative rates and
-    expression evaluation failures propagate from model.evaluate.
+    endpoints must lie in the model's domain (DomainViolation), so every
+    panel node does.  Negative rates and expression evaluation failures
+    propagate from the rate call.
     """
     a = float(a)
     b = float(b)
@@ -260,11 +275,11 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
     tol = _check_tol(tol)
     for point in (a, b):
         if not model.domain.contains(point):
-            model.evaluate(point)  # raises DomainViolation with context
+            raise DomainViolation(point)
     if a == b:
         return 0.0
     edges = _partition(a, b)
-    return float(np.sum(_masses(model.evaluate, edges[:-1], edges[1:], tol)))
+    return float(np.sum(_masses(model._rate, edges[:-1], edges[1:], tol)))
 
 
 def _check_tol(tol) -> float:
@@ -272,27 +287,6 @@ def _check_tol(tol) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameter(f"tol must be finite and > 0, got {tol!r}")
     return tol
-
-
-def _clipped_rate(model: RateModel):
-    """The rate extended by zero outside its domain.
-
-    Panels whose nodes land a rounding error past a domain edge must not
-    trip DomainViolation.
-    """
-    lo, hi = model.domain.lo, model.domain.hi
-
-    def f(xs):
-        xs = np.asarray(xs, dtype=float)
-        inside = (xs >= lo) & (xs <= hi)
-        if np.all(inside):
-            return np.asarray(model.evaluate(xs), dtype=float)
-        out = np.zeros(xs.shape)
-        if np.any(inside):
-            out[inside] = model.evaluate(xs[inside])
-        return out
-
-    return f
 
 
 def _hermite_start(u, m0, m1):
@@ -352,7 +346,6 @@ class CumulativeIntensity:
     ):
         self.model = model
         self.tol = _check_tol(tol)
-        self._f = _clipped_rate(model)
         self._lock = threading.RLock()
         # R(anchor) = 0; the anchor is 0 clamped into the domain, which
         # changes nothing (no mass lies between 0 and the nearer edge).
@@ -435,11 +428,11 @@ class CumulativeIntensity:
             extra.append([self._anchor])
         lows, highs, extra = map(np.concatenate, (lows, highs, extra))
         try:
-            vals, rates = _masses(self._f, lows, highs, self.tol, extra)
+            vals, rates = _masses(self.model._rate, lows, highs, self.tol, extra)
         except (EvalError, NegativeRate, BoundViolation):
             rates = None
         if rates is None:
-            vals = _masses(self._f, lows, highs, self.tol)
+            vals = _masses(self.model._rate, lows, highs, self.tol)
             rates = np.full(len(extra), math.nan)
         if fresh:
             self._rate = rates[-1:].copy()
@@ -521,7 +514,7 @@ class CumulativeIntensity:
         out = self._r[idx]
         off = flat != left
         if np.any(off):
-            out[off] += _masses(self._f, left[off], flat[off], self.tol)
+            out[off] += _masses(self.model._rate, left[off], flat[off], self.tol)
         return out
 
     def inverse(self, y: float) -> float:
@@ -627,7 +620,7 @@ class CumulativeIntensity:
         active = np.arange(len(ys))
         for _ in range(self._MAX_ROUNDS):
             ta, loa, hia = t[active], lo[active], hi[active]
-            mass, rate = _masses(self._f, anchor_t[active], ta, self.tol, ta)
+            mass, rate = _masses(self.model._rate, anchor_t[active], ta, self.tol, ta)
             gap = anchor_r[active] + mass - ys[active]
             above = gap >= 0.0
             loa = np.where(above, loa, ta)

@@ -2,9 +2,13 @@
 
 A :class:`RateModel` wraps a nonnegative rate function r together with the
 domain it lives on and an optional declared upper bound.  Evaluation is
-strict: querying outside the domain raises
-:class:`~ippp.errors.DomainViolation`, a negative value raises
-:class:`~ippp.errors.NegativeRate`, and (in debug runs) a value above the
+strict.  :meth:`RateModel.evaluate` checks points from outside: a
+non-finite x raises :class:`~ippp.errors.InvalidParameter` and one
+outside the domain :class:`~ippp.errors.DomainViolation`.  The library's
+own points (panel nodes, checkpoints, inverse iterates, rejection
+candidates) lie inside the domain by construction and skip those checks.
+All go through one rate call, where a negative value raises
+:class:`~ippp.errors.NegativeRate` and (in debug runs) a value above the
 declared bound raises :class:`~ippp.errors.BoundViolation`.
 
 A rate source is an expression in ``x`` (:class:`ExpressionRate`) or a
@@ -330,11 +334,11 @@ def _envelope(model: "RateModel", lo: float, hi: float) -> Envelope:
             )
         below = np.nonzero(levels < 0.0)[0]
         if below.size:
-            # the rate is negative all over this segment, which evaluate
-            # reports; if it does not, the supremum is below the rate
+            # the rate is negative all over this segment, which the rate
+            # call reports; if it does not, the supremum is below the rate
             i = int(below[0])
-            x = float(0.5 * (edges[i] + edges[i + 1]))
-            raise BoundViolation(x, model.evaluate(x), float(levels[i]))
+            x = np.asarray(0.5 * (edges[i] + edges[i + 1]))
+            raise BoundViolation(float(x), float(model._rate(x)), float(levels[i]))
     edges.setflags(write=False)
     levels.setflags(write=False)
     return Envelope(edges, levels)
@@ -422,39 +426,39 @@ class RateModel:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x):
-        """Evaluate the rate at ``x`` (scalar or array).
+        """Evaluate the rate at ``x`` (scalar or array) from outside.
 
-        Raises DomainViolation outside the domain, NegativeRate on negative
-        values, and (with assertions enabled) BoundViolation when a value
-        exceeds the declared bound.
+        Raises InvalidParameter for a non-finite x and DomainViolation
+        outside the domain, then the errors of :meth:`_rate`.
         """
         arr = np.asarray(x, dtype=float)
         if not np.isfinite(arr).all():
             raise InvalidParameter("x must be finite")
-        inside = self.domain.contains(arr)
-        if not np.all(inside):
-            if arr.ndim == 0:
-                bad = float(arr)
-            else:
-                bad = float(arr[~np.asarray(inside)].flat[0])
-            raise DomainViolation(bad)
-        vals = np.asarray(self.source(arr), dtype=float)
-        neg = vals < 0
-        if np.any(neg):
-            if arr.ndim == 0:
-                raise NegativeRate(float(arr), float(vals))
-            i = int(np.argmax(neg))
-            raise NegativeRate(float(arr.flat[i]), float(vals.flat[i]))
-        if __debug__ and self.declared_bound is not None:
-            over = vals > self.declared_bound
-            if np.any(over):
-                if arr.ndim == 0:
-                    raise BoundViolation(float(arr), float(vals), self.declared_bound)
-                i = int(np.argmax(over))
-                raise BoundViolation(
-                    float(arr.flat[i]), float(vals.flat[i]), self.declared_bound
-                )
+        outside = (arr < self.domain.lo) | (arr > self.domain.hi)
+        if outside.any():
+            raise DomainViolation(float(arr[outside].flat[0]))
+        vals = self._rate(arr)
         return float(vals) if arr.ndim == 0 else vals
+
+    def _rate(self, x):
+        """The rate at an array ``x`` of points that must lie inside the
+        domain; only the source checks ``x`` (an expression, that it is
+        finite).  Raises NegativeRate and (with assertions enabled)
+        BoundViolation at the first point that breaks them.
+        """
+        vals = np.asarray(self.source(x), dtype=float)
+        bad = vals < 0.0
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NegativeRate(float(x.flat[i]), float(vals.flat[i]))
+        if __debug__ and self.declared_bound is not None:
+            bad = vals > self.declared_bound
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise BoundViolation(
+                    float(x.flat[i]), float(vals.flat[i]), self.declared_bound
+                )
+        return vals
 
     def require_window(self, window: Interval) -> None:
         """Check that a window lies inside the domain."""
@@ -476,7 +480,7 @@ class RateModel:
         enclosure for expressions, so no rate value on the window exceeds
         its segment's level.  Raises :class:`~ippp.errors.InvalidRate`
         where a segment has no finite bound (pass ``declared_bound``), and
-        :class:`~ippp.errors.NegativeRate` (from :meth:`evaluate`) where
+        :class:`~ippp.errors.NegativeRate` (from the rate call) where
         the rate is negative all over a segment.
         """
         self.require_window(window)

@@ -176,7 +176,7 @@ def _rejection_sample(model, window, rng, count):
         drawn += block
         levels, xs = env.locate(rng.uniform01(size=block))
         us = rng.uniform01(size=block)
-        rates = np.asarray(model.evaluate(xs), dtype=float)
+        rates = model._rate(xs)
         over = np.nonzero(rates > levels)[0]
         if over.size:
             i = int(over[0])
@@ -253,24 +253,27 @@ def simulate_conditional(
     return EventSet(window, pts, meta)
 
 
-def _window_mass_or_raise(model, window, tol):
-    mass = expected_count(model, window, tol)
-    if mass <= tol:
-        raise ZeroMass(mass, tol)
-    return mass
+def _finite_x(x):
+    """``x`` as an array, checked where it enters a density."""
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InvalidParameter("x must be finite")
+    return arr
 
 
 def location_density(model: RateModel, window: Interval, x, tol: float = DEFAULT_TOL):
     """Density of a single point's location: r(x)/mass inside, 0 outside."""
     model.require_window(window)
-    mass = _window_mass_or_raise(model, window, tol)
-    arr = np.asarray(x, dtype=float)
+    arr = _finite_x(x)
+    mass = expected_count(model, window, tol)
+    if mass <= tol:
+        raise ZeroMass(mass, tol)
     scalar = arr.ndim == 0
     flat = arr.reshape(-1)
     out = np.zeros(flat.shape)
     inside = (flat >= window.lo) & (flat <= window.hi)
     if np.any(inside):
-        out[inside] = np.asarray(model.evaluate(flat[inside]), dtype=float) / mass
+        out[inside] = model._rate(flat[inside]) / mass
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
 
@@ -278,12 +281,12 @@ def location_density(model: RateModel, window: Interval, x, tol: float = DEFAULT
 def location_cdf(model: RateModel, window: Interval, x, tol: float = DEFAULT_TOL):
     """CDF of a single point's location, clamped to [0, 1]."""
     model.require_window(window)
+    arr = _finite_x(x)
     ci = cumulative_intensity(model, tol, span=window)
     r_lo = ci(window.lo)
     mass = ci(window.hi) - r_lo
     if mass <= tol:
         raise ZeroMass(mass, tol)
-    arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     clipped = np.clip(arr, window.lo, window.hi)
     vals = np.clip((ci(clipped) - r_lo) / mass, 0.0, 1.0)

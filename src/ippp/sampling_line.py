@@ -26,7 +26,7 @@ from .errors import InvalidParameter
 from .quadrature import DEFAULT_TOL, cumulative_intensity
 from .rate_model import Interval, RateModel
 from .rng import RngState
-from .sampling_bounded import EventSet, _base_meta
+from .sampling_bounded import EventSet, _base_meta, _finite_x
 
 __all__ = [
     "Direction",
@@ -188,11 +188,9 @@ def nth_point_density(
     """
     _require_anchor(model, query)
     ci = cumulative_intensity(model, tol)
-    arr = np.asarray(x, dtype=float)
+    arr = _finite_x(x)
     scalar = arr.ndim == 0
     flat = arr.reshape(-1)
-    if not np.all(np.isfinite(flat)):
-        raise InvalidParameter("x must be finite")
     out = np.zeros(flat.shape)
     sign = query.direction.sign
     onside = (
@@ -204,8 +202,7 @@ def nth_point_density(
         xs = flat[onside]
         # table round-off can leave a tiny negative mass on a plateau
         u = np.maximum(sign * (ci(xs) - ci(query.anchor)), 0.0)
-        rates = np.asarray(model.evaluate(xs), dtype=float)
-        out[onside] = rates * np.exp(_erlang_log_pdf(u, query.n))
+        out[onside] = model._rate(xs) * np.exp(_erlang_log_pdf(u, query.n))
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
 

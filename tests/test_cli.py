@@ -354,11 +354,12 @@ def test_simulate_json_validates_against_schema(capsys):
 
 
 def test_simulate_window_order_checked(capsys):
-    code, _, err = run(
-        capsys, "simulate", "--rate", "1", "--window", "5", "1", "--seed", "2"
-    )
-    assert code == 2
-    assert "--window" in err
+    for window in (("5", "1"), ("0", "inf"), ("nan", "1")):
+        code, _, err = run(
+            capsys, "simulate", "--rate", "1", "--window", *window, "--seed", "2"
+        )
+        assert code == 2, window
+        assert "--window" in err, window
 
 
 # ------------------------------------------------------------ simulate-n
@@ -618,26 +619,25 @@ def test_density_order_stat_validates_indices(capsys):
 
 
 def test_density_grid_validation(capsys):
-    code, _, err = run(
-        capsys,
-        "density",
-        "order-stat",
-        "--rate",
-        "1",
-        "--window",
-        "0",
-        "1",
-        "--k",
-        "1",
-        "--m",
-        "1",
-        "--grid",
-        "0",
-        "1",
-        "2.5",
-    )
-    assert code == 2
-    assert "--grid" in err
+    for grid in (("0", "1", "2.5"), ("0", "inf", "3"), ("0", "1", "inf"), ("nan", "1", "3")):
+        code, _, err = run(
+            capsys,
+            "density",
+            "order-stat",
+            "--rate",
+            "1",
+            "--window",
+            "0",
+            "1",
+            "--k",
+            "1",
+            "--m",
+            "1",
+            "--grid",
+            *grid,
+        )
+        assert code == 2, grid
+        assert "--grid" in err, grid
 
 
 def test_density_rejects_seed(capsys):
@@ -789,11 +789,12 @@ def test_reps_validation(capsys):
 
 
 def test_tol_validation(capsys):
-    code, _, err = run(
-        capsys, "intensity", "--rate", "1", "--window", "0", "1", "--tol", "-1"
-    )
-    assert code == 2
-    assert "--tol" in err
+    for tol in ("-1", "nan", "inf"):
+        code, _, err = run(
+            capsys, "intensity", "--rate", "1", "--window", "0", "1", "--tol", tol
+        )
+        assert code == 2, tol
+        assert "--tol" in err, tol
 
 
 def test_numeric_error_surfaces_verbatim(capsys):

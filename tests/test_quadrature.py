@@ -34,6 +34,8 @@ from ippp.quadrature import (
     integrate,
 )
 from ippp.rate_model import Domain, Interval, RateModel
+from ippp.rng import RngState
+from ippp.sampling_bounded import sample_location, simulate_window
 
 SIN_MODEL = RateModel.sinusoidal(2.0, 1.0)
 UNIT_MODEL = RateModel.constant(1.0)
@@ -153,6 +155,33 @@ class TestPanel:
     def test_error_estimate_fires_above_gauss_exactness(self):
         _, err = _panel(lambda x: x**16, -1.0, 1.0)
         assert err > 1e-10
+
+    def test_nodes_stay_within_their_lanes(self):
+        # a lane a few ulps wide rounds its outer nodes past its ends
+        # unless they are clipped, and a lane ending at a domain edge
+        # would then evaluate the rate outside the domain
+        seen = []
+
+        def f(xs):
+            seen.append(xs.copy())
+            return np.ones_like(xs)
+
+        one = 1.0
+        lows, highs = [], []
+        for k in (1, 2, 3, 5, 8):
+            for a in (one, -one, 3.0, 1e-300, 0.0):
+                b = a
+                for _ in range(k):
+                    b = math.nextafter(b, math.inf)
+                lows += [a, b]  # forward and reversed
+                highs += [b, a]
+        lows += [-2.0, 7.0]
+        highs += [5.0, 7.0]
+        _panels(f, lows, highs)
+        nodes = seen[0].reshape(len(lows), 15)
+        lo = np.minimum(lows, highs)[:, None]
+        hi = np.maximum(lows, highs)[:, None]
+        assert np.all((nodes >= lo) & (nodes <= hi))
 
 
 class TestIntegrate:
@@ -282,6 +311,31 @@ class TestAdaptive:
             assert len(ok) >= 20, model.describe()
             a, b, want = map(np.array, zip(*ok))
             assert np.array_equal(_adaptive(model.evaluate, a, b, DEFAULT_TOL), want)
+
+    def test_first_panel_reused(self, monkeypatch):
+        # intervals whose depth-0 panel is over budget start at their two
+        # halves: the same bits and the same reported error, one panel
+        # call fewer
+        for tol in (DEFAULT_TOL, 1e-18):
+            f = RateModel.from_expression("2+sin(40*x)").evaluate
+            lows = np.linspace(3.0, 6.0, 7)
+            highs = lows + 0.75
+            _, errs = _panels(f, lows, highs)
+            assert np.all(errs > tol / _SEGMENTS)
+            results = []
+            for first in (None, errs):
+                calls = []
+                monkeypatch.setattr(
+                    quadrature, "_panels", lambda *a: calls.append(a) or _panels(*a)
+                )
+                try:
+                    got = _adaptive(f, lows, highs, tol, first)
+                except ToleranceNotMet as err:
+                    got = err.achieved
+                results.append((got, len(calls)))
+            (want, n_want), (got, n_got) = results
+            assert np.array_equal(got, want), tol
+            assert n_got == n_want - 1, tol
 
     def test_depth_cap_still_raises(self):
         with pytest.raises(ToleranceNotMet) as err:
@@ -461,6 +515,15 @@ class TestInverse:
         ci = CumulativeIntensity(m)
         assert ci.inverse(0.0) == 0.0
 
+    def test_jump_just_past_a_lane_end(self):
+        # the solve's lanes end a few ulps short of the jump at 2; nodes
+        # that rounded past a lane's end saw the jump from outside, so the
+        # lane never met its budget and the inverse raised ToleranceNotMet
+        m = RateModel.piecewise_constant([0.0, 2.0, 5.0, 8.0], [3.0, 1.0, 4.0])
+        ci = CumulativeIntensity(m, span=Interval(-2.0, 3.0))
+        y = float.fromhex("0x1.7ff0dcc106adbp+2")
+        assert abs(3.0 * ci.inverse(y) - y) <= 2 * DEFAULT_TOL
+
     def test_out_of_range_above_bounded_domain(self):
         m = RateModel.piecewise_constant([0.0, 1.0], [2.0], domain=Domain(0.0, 1.0))
         ci = CumulativeIntensity(m)
@@ -632,3 +695,82 @@ class TestInverse:
             ci.inverse(math.nan)
         with pytest.raises(InvalidParameter):
             ci.inverse_many(np.array([1.0, math.inf]))
+
+
+class TestDomainEdges:
+    """Rates that cannot be evaluated past a finite domain edge: every
+    point the integration and rejection routes evaluate must lie inside
+    the domain, up to and at the edge."""
+
+    # (model, closed-form R anchored where 0 clamps into the domain, the
+    # edge, a step from the edge into the domain)
+    CASES = (
+        (
+            RateModel.from_expression("sqrt(x)", domain=Domain(0.0, math.inf)),
+            lambda t: 2.0 / 3.0 * t**1.5,
+            0.0,
+            4.0,
+        ),
+        (
+            RateModel.from_expression("sqrt(1-x)", domain=Domain(-math.inf, 1.0)),
+            lambda t: 2.0 / 3.0 * (1.0 - (1.0 - t) ** 1.5),
+            1.0,
+            -4.0,
+        ),
+        # below 1 the floats are twice as dense, so the nodes of a lane one
+        # ulp wide starting at 1 round below it unless clipped
+        (
+            RateModel.from_expression("sqrt(x-1)", domain=Domain(1.0, math.inf)),
+            lambda t: 2.0 / 3.0 * (t - 1.0) ** 1.5,
+            1.0,
+            4.0,
+        ),
+    )
+
+    @staticmethod
+    def _ulps_from(edge, k, towards):
+        x = edge
+        for _ in range(k):
+            x = math.nextafter(x, towards)
+        return x
+
+    def test_integrate_up_to_the_edge(self):
+        for model, big_r, edge, inward in self.CASES:
+            for k in (1, 3, 1000):
+                near = self._ulps_from(edge, k, inward)
+                a, b = sorted((near, edge))
+                want = abs(big_r(b) - big_r(a))
+                assert abs(integrate(model, a, b) - want) <= 2 * DEFAULT_TOL
+            a, b = sorted((edge, edge + inward))
+            want = big_r(b) - big_r(a)
+            assert abs(integrate(model, a, b) - want) <= 2 * DEFAULT_TOL
+
+    def test_table_and_inverse_up_to_the_edge(self):
+        for model, big_r, edge, inward in self.CASES:
+            near = [self._ulps_from(edge, k, inward) for k in (1, 2, 5)]
+            ts = np.array([edge, *near, edge + 0.5 * inward, edge + inward])
+            for span in (None, Interval(*sorted((edge, edge + 0.001 * inward)))):
+                ci = CumulativeIntensity(model, span=span)
+                got = ci(ts)
+                assert np.max(np.abs(got - big_r(ts))) <= 2 * DEFAULT_TOL
+                # targets up to R at the edge, where the mass runs out; R
+                # a few ulps inside may round above it
+                lo, hi = sorted((ci(edge), ci(edge + inward)))
+                ys = np.sort(np.append(np.clip(got, lo, hi), np.linspace(lo, hi, 40)))
+                roots = ci.inverse_many(ys)
+                assert np.all((roots >= model.domain.lo) & (roots <= model.domain.hi))
+                assert np.max(np.abs(big_r(roots) - ys)) <= 2 * DEFAULT_TOL
+
+    def test_rejection_up_to_the_edge(self):
+        for model, big_r, edge, inward in self.CASES:
+            window = Interval(*sorted((edge, edge + inward)))
+            es = simulate_window(model, window, RngState(3))
+            want = abs(big_r(window.hi) - big_r(window.lo))
+            assert abs(es.meta["mean"] - want) <= 2 * DEFAULT_TOL
+            # next to 0, a few ulps are subnormal and hold no mass that a
+            # float can show
+            ulps = 1e-150 if edge == 0.0 else self._ulps_from(edge, 64, inward)
+            for near in (edge + 1e-12 * inward, ulps):
+                narrow = Interval(*sorted((near, edge)))
+                xs = sample_location(model, narrow, RngState(5), size=200)
+                assert np.all((xs >= narrow.lo) & (xs <= narrow.hi))

@@ -151,6 +151,41 @@ class TestEvaluateChecks:
         arr = m.evaluate(np.zeros((4,)))
         assert arr.shape == (4,)
 
+    def test_scalar_and_array_name_the_same_x(self):
+        cases = (
+            (RateModel.constant(1.0, domain=Domain(0.0, 5.0)), 6.0, DomainViolation),
+            (RateModel.from_expression("x"), -2.0, NegativeRate),
+            (RateModel.from_expression("x^2", declared_bound=1.0), 2.0, BoundViolation),
+        )
+        for model, x, error in cases:
+            for arg in (x, np.array([0.5, x, 0.75, x + 0.5]), np.array([[0.5], [x]])):
+                with pytest.raises(error) as err:
+                    model.evaluate(arg)
+                assert err.value.x == x, (model.describe(), arg)
+
+
+class TestRateCall:
+    def test_library_points_do_not_go_through_evaluate(self, monkeypatch):
+        # integrate, the checkpoint table, the inverse and the rejection
+        # sampler evaluate the rate at points they build inside the
+        # domain, through the one rate call that skips evaluate's checks
+        def refuse(self, x):
+            raise AssertionError("evaluate called on a library point")
+
+        monkeypatch.setattr(RateModel, "evaluate", refuse)
+        model = RateModel.from_expression("3 + cos(2*x)/2", domain=Domain(-1.0, 40.0))
+        window = Interval(0.0, 12.0)
+        assert integrate(model, 0.0, 12.0) == pytest.approx(
+            36.0 + math.sin(24.0) / 4.0, abs=2e-9
+        )
+        ci = cumulative_intensity(model, span=window)
+        ts = ci.inverse_many(ci(np.linspace(-1.0, 30.0, 50)))
+        assert np.all((ts >= -1.0) & (ts <= 30.0))
+        rng = RngState(4)
+        assert len(sample_path_time_change(model, window, rng)) > 0
+        assert len(simulate_window(model, window, rng)) > 0
+        assert len(simulate_conditional(model, window, 20, rng)) == 20
+
 
 class TestBoundOn:
     def test_constant(self):

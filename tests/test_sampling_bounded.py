@@ -467,6 +467,14 @@ def test_location_density_zero_mass():
         location_density(model, UNIT, 0.5)
 
 
+def test_location_density_rejects_nonfinite_x():
+    model = RateModel.constant(2.0)
+    for x in (math.nan, math.inf, np.array([0.5, math.inf])):
+        for f in (location_density, location_cdf):
+            with pytest.raises(InvalidParameter, match="x must be finite"):
+                f(model, UNIT, x)
+
+
 def test_location_cdf_quadratic():
     model = RateModel.linear(0.0, 1.0)
     window = Interval(0.0, 4.0)
