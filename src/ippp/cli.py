@@ -25,7 +25,7 @@ import shlex
 import sys
 
 from . import __version__
-from .errors import InvalidRate, IpppError
+from .errors import InvalidRate, IpppError, _integer, _real
 from .quadrature import DEFAULT_TOL, integrate
 from .rate_model import Interval, RateModel
 from .rng import RngState
@@ -61,14 +61,17 @@ def _add_rate_flags(parser):
         help="family parameters, e.g. c=1 or a=2,b=1 or breaks=0:1:2,levels=2:5",
     )
     parser.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance"
-    )
-    parser.add_argument(
         "--bound",
         type=float,
         metavar="B",
         help="declared upper bound on the rate over the domain, used as the "
         "rejection envelope (for rates with no finite enclosure)",
+    )
+
+
+def _add_tol_flag(parser):
+    parser.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance"
     )
 
 
@@ -138,17 +141,23 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("intensity", help="integral of the rate over a window")
+    p.set_defaults(run=_run_intensity)
     _add_rate_flags(p)
+    _add_tol_flag(p)
     _add_window_flag(p)
     p.add_argument("--out", metavar="PATH", help="write output to a file")
 
     p = sub.add_parser("simulate", help="simulate realizations on a window")
+    p.set_defaults(run=_run_simulate)
     _add_rate_flags(p)
+    _add_tol_flag(p)
     _add_window_flag(p)
     _add_seed_flags(p)
     _add_output_flags(p)
 
+    # no --tol: conditional simulation integrates nothing
     p = sub.add_parser("simulate-n", help="simulate with an exact point count")
+    p.set_defaults(run=_run_simulate_n)
     _add_rate_flags(p)
     _add_window_flag(p)
     p.add_argument("--count", type=int, required=True, help="exact number of points")
@@ -156,7 +165,9 @@ def _build_parser():
     _add_output_flags(p)
 
     p = sub.add_parser("next-point", help="sample the n-th point beside an anchor")
+    p.set_defaults(run=_run_next_point)
     _add_rate_flags(p)
+    _add_tol_flag(p)
     _add_anchor_flags(p)
     _add_seed_flags(p)
     _add_output_flags(p)
@@ -165,7 +176,9 @@ def _build_parser():
     dsub = p.add_subparsers(dest="density_kind", required=True)
 
     q = dsub.add_parser("order-stat", help="k-th of m points on a window")
+    q.set_defaults(run=_run_density_order_stat)
     _add_rate_flags(q)
+    _add_tol_flag(q)
     _add_window_flag(q)
     q.add_argument("--k", type=int, required=True, help="order statistic index")
     q.add_argument("--m", type=int, required=True, help="total point count")
@@ -173,12 +186,23 @@ def _build_parser():
     _add_output_flags(q)
 
     q = dsub.add_parser("nth-point", help="n-th point beside an anchor")
+    q.set_defaults(run=_run_density_nth_point)
     _add_rate_flags(q)
+    _add_tol_flag(q)
     _add_anchor_flags(q)
     _add_grid_flag(q)
     _add_output_flags(q)
 
     return parser
+
+
+def _checked(parser, flag, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a library constructor or argument
+    check, with its IpppError reported as a usage error on ``flag``."""
+    try:
+        return check(*args, **kwargs)
+    except IpppError as exc:
+        parser.error(f"{flag}: {exc}")
 
 
 def _parse_params(parser, text):
@@ -247,25 +271,21 @@ def _family_model(parser, name, params, bound):
     if params:
         stray = ", ".join(sorted(params))
         parser.error(f"--params: unknown parameter(s) for {name}: {stray}")
-    try:
-        return build(*model_args, declared_bound=bound)
-    except IpppError as exc:
-        parser.error(f"--params: {exc}")
+    return _checked(parser, "--params", build, *model_args, declared_bound=bound)
 
 
 def _build_model(parser, args):
     bound = args.bound
-    if bound is not None and not (math.isfinite(bound) and bound > 0):
-        parser.error(f"--bound: must be finite and > 0, got {bound:g}")
+    if bound is not None:
+        _checked(parser, "--bound", _real, bound, "declared_bound", low=0.0, strict=True)
     if args.rate is not None and args.rate_family is not None:
         parser.error("conflicting rate sources: give --rate or --rate-family, not both")
     if args.rate is not None:
         if args.params is not None:
             parser.error("--params: only valid with --rate-family")
-        try:
-            return RateModel.from_expression(args.rate, declared_bound=bound)
-        except IpppError as exc:
-            parser.error(f"--rate: {exc}")
+        return _checked(
+            parser, "--rate", RateModel.from_expression, args.rate, declared_bound=bound
+        )
     if args.rate_family is None:
         parser.error("a rate source is required: --rate or --rate-family")
     if args.params is None:
@@ -274,41 +294,30 @@ def _build_model(parser, args):
     return _family_model(parser, args.rate_family, params, bound)
 
 
-def _window(parser, args):
-    lo, hi = args.window
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        parser.error(f"--window: need finite LO < HI, got {lo:g} {hi:g}")
-    return Interval(lo, hi)
-
-
 def _grid(parser, args):
     import numpy as np
 
     lo, hi, steps = args.grid
-    if not (steps.is_integer() and steps >= 2):
-        parser.error(f"--grid: STEPS must be an integer >= 2, got {steps:g}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        parser.error(f"--grid: need finite LO < HI, got {lo:g} {hi:g}")
-    return np.linspace(lo, hi, int(steps))
+    # STEPS is read as a float, like LO and HI; an integral one counts as an int
+    steps = int(steps) if steps.is_integer() else steps
+    steps = _checked(parser, "--grid", _integer, steps, "STEPS", low=2)
+    span = _checked(parser, "--grid", Interval, lo, hi)
+    return np.linspace(span.lo, span.hi, steps)
 
 
 def _query(parser, args):
-    if args.n < 1:
-        parser.error(f"--n: must be >= 1, got {args.n}")
-    try:
-        return NthPointQuery(args.anchor, args.n, _DIRECTIONS[args.direction])
-    except IpppError as exc:
-        parser.error(f"--from: {exc}")
+    _checked(parser, "--n", _integer, args.n, "n", low=1)
+    return _checked(
+        parser, "--from", NthPointQuery, args.anchor, args.n, _DIRECTIONS[args.direction]
+    )
 
 
-def _check_positive(parser, args):
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        parser.error(f"--tol: must be finite and > 0, got {args.tol:g}")
-
-
-def _check_sampling_flags(parser, args):
-    if args.reps < 1:
-        parser.error(f"--reps: must be >= 1, got {args.reps}")
+def _check_shared_flags(parser, args):
+    # the flags of several subcommands, checked before any other
+    if "tol" in args:
+        _checked(parser, "--tol", _real, args.tol, "tol", low=0.0, strict=True)
+    if "reps" in args:
+        _checked(parser, "--reps", _integer, args.reps, "reps", low=1)
 
 
 def _comment_line(args, argv):
@@ -379,18 +388,15 @@ def _render_table(args, argv, xs, values, **extra):
 
 
 def _run_intensity(parser, args, argv):
-    _check_positive(parser, args)
     model = _build_model(parser, args)
-    window = _window(parser, args)
+    window = _checked(parser, "--window", Interval, *args.window)
     value = integrate(model, window.lo, window.hi, args.tol)
     return f"{value!r}\n"
 
 
 def _run_simulate(parser, args, argv):
-    _check_positive(parser, args)
-    _check_sampling_flags(parser, args)
     model = _build_model(parser, args)
-    window = _window(parser, args)
+    window = _checked(parser, "--window", Interval, *args.window)
     rows = []
     for rep in range(args.reps):
         rng = RngState(args.seed, stream=args.stream + rep)
@@ -400,12 +406,9 @@ def _run_simulate(parser, args, argv):
 
 
 def _run_simulate_n(parser, args, argv):
-    _check_positive(parser, args)
-    _check_sampling_flags(parser, args)
-    if args.count < 0:
-        parser.error(f"--count: must be >= 0, got {args.count}")
+    _checked(parser, "--count", _integer, args.count, "count", low=0)
     model = _build_model(parser, args)
-    window = _window(parser, args)
+    window = _checked(parser, "--window", Interval, *args.window)
     rows = []
     for rep in range(args.reps):
         rng = RngState(args.seed, stream=args.stream + rep)
@@ -415,8 +418,6 @@ def _run_simulate_n(parser, args, argv):
 
 
 def _run_next_point(parser, args, argv):
-    _check_positive(parser, args)
-    _check_sampling_flags(parser, args)
     model = _build_model(parser, args)
     query = _query(parser, args)
     rngs = [RngState(args.seed, stream=args.stream + rep) for rep in range(args.reps)]
@@ -426,40 +427,22 @@ def _run_next_point(parser, args, argv):
 
 
 def _run_density_order_stat(parser, args, argv):
-    _check_positive(parser, args)
-    if args.k < 1:
-        parser.error(f"--k: must be >= 1, got {args.k}")
-    if args.m < args.k:
-        parser.error(f"--m: must be >= --k, got k={args.k}, m={args.m}")
+    _checked(parser, "--k", _integer, args.k, "k", low=1)
+    _checked(parser, "--m", _integer, args.m, "m", low=args.k)
     model = _build_model(parser, args)
-    window = _window(parser, args)
+    window = _checked(parser, "--window", Interval, *args.window)
     xs = _grid(parser, args)
     values = order_statistic_density(model, window, args.k, args.m, xs, args.tol)
     return _render_table(args, argv, xs, values)
 
 
 def _run_density_nth_point(parser, args, argv):
-    _check_positive(parser, args)
     model = _build_model(parser, args)
     query = _query(parser, args)
     xs = _grid(parser, args)
     values = nth_point_density(model, query, xs, args.tol)
     mass = nth_point_mass(model, query, args.tol)
     return _render_table(args, argv, xs, values, mass=mass)
-
-
-def _dispatch(parser, args, argv):
-    if args.command == "intensity":
-        return _run_intensity(parser, args, argv)
-    if args.command == "simulate":
-        return _run_simulate(parser, args, argv)
-    if args.command == "simulate-n":
-        return _run_simulate_n(parser, args, argv)
-    if args.command == "next-point":
-        return _run_next_point(parser, args, argv)
-    if args.density_kind == "order-stat":
-        return _run_density_order_stat(parser, args, argv)
-    return _run_density_nth_point(parser, args, argv)
 
 
 def _emit(text, out_path):
@@ -477,7 +460,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        text = _dispatch(parser, args, argv)
+        _check_shared_flags(parser, args)
+        text = args.run(parser, args, argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except InvalidRate as exc:

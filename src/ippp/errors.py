@@ -4,9 +4,20 @@ Every error raised deliberately by this library derives from IpppError, so
 callers can catch one base class at the boundary.  Errors that point at a
 location in an expression carry a ``position`` attribute (0-based offset
 into the source text).
+
+Arguments are checked here, one function per kind of input: a real
+number (:func:`_real`), an integer (:func:`_integer`) and points given as
+a scalar or an array (:func:`_points`, with :func:`_shaped` for a result
+in their shape).  Python and numpy ints and floats pass; a bool, a str
+and anything else raise the error class the caller names, which says
+which argument was wrong and why.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class IpppError(Exception):
@@ -133,22 +144,76 @@ class OutOfRange(IpppError):
 
 
 class InvalidParameter(IpppError, ValueError):
-    """Raised for structurally invalid arguments (shapes, rates, indices,
-    non-finite query points); also a ValueError, the built-in for a bad
-    argument value."""
+    """Raised for invalid arguments: a number, integer or point of the
+    wrong type, non-finite or out of range, a window outside the domain;
+    also a ValueError, the built-in for a bad argument value."""
 
 
 class InvalidRate(InvalidParameter):
-    """Raised for nonpositive or non-finite distribution rate parameters."""
+    """Raised for a rate with no finite upper bound on part of a window,
+    where the rejection sampler needs one (pass ``declared_bound``)."""
 
 
 class InvalidShape(InvalidParameter):
-    """Raised for shape parameters that are not integers >= 1."""
+    """Raised for Erlang shapes that are not integers >= 1."""
 
 
 class InvalidMean(InvalidParameter):
-    """Raised for negative or non-finite Poisson means."""
+    """Raised for Poisson means that are not finite real numbers >= 0."""
 
 
 class InvalidIndex(InvalidParameter):
-    """Raised for order-statistic indices outside 1 <= k <= m."""
+    """Raised for order-statistic indices that are not integers with
+    1 <= k <= m."""
+
+
+def _real(value, name: str, error=InvalidParameter, *, low=None, strict=False, finite=True):
+    """``value`` as a float: a Python or numpy int or float, not a bool
+    and not NaN, finite unless ``finite`` is False, and >= ``low`` (> with
+    ``strict``) when ``low`` is given.  Raises ``error`` naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:  # an int beyond the largest float
+        out = math.inf if value > 0 else -math.inf
+    if math.isnan(out) or (finite and math.isinf(out)):
+        need = "finite" if finite else "a number, not NaN"
+        raise error(f"{name} must be {need}, got {value!r}")
+    if low is not None and (out < low or (strict and out == low)):
+        raise error(f"{name} must be {'>' if strict else '>='} {low!r}, got {value!r}")
+    return out
+
+
+def _integer(value, name: str, error=InvalidParameter, *, low=None, high=None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, within
+    [``low``, ``high``] where given.  Raises ``error`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    out = int(value)
+    if low is not None and out < low:
+        raise error(f"{name} must be >= {low}, got {out}")
+    if high is not None and out > high:
+        raise error(f"{name} must be <= {high}, got {out}")
+    return out
+
+
+def _points(x, name: str = "x", error=InvalidParameter):
+    """``x``, a real scalar or array of any shape, as a float array, with
+    one pass over it to check that every point is finite.  Raises
+    ``error`` naming ``name``."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{name} must be real numbers, got dtype {arr.dtype.name}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise error(f"{name} must be finite")
+    return arr
+
+
+def _shaped(values, points):
+    """``values``, one per point, in the shape of the array ``points``: a
+    float for 0-d ``points``, else an array."""
+    out = np.asarray(values).reshape(points.shape)
+    return float(out) if points.ndim == 0 else out

@@ -60,6 +60,9 @@ from .errors import (
     NegativeRate,
     OutOfRange,
     ToleranceNotMet,
+    _points,
+    _real,
+    _shaped,
 )
 from .rate_model import _SEGMENTS, Interval, RateModel, _partition
 
@@ -266,13 +269,9 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
     panel node does.  Negative rates and expression evaluation failures
     propagate from the rate call.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidParameter("integration endpoints must be finite")
-    if a > b:
-        raise InvalidParameter(f"need a <= b, got a={a!r}, b={b!r}")
-    tol = _check_tol(tol)
+    a = _real(a, "a")
+    b = _real(b, "b", low=a)
+    tol = _real(tol, "tol", low=0.0, strict=True)
     for point in (a, b):
         if not model.domain.contains(point):
             raise DomainViolation(point)
@@ -280,13 +279,6 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
         return 0.0
     edges = _partition(a, b)
     return float(np.sum(_masses(model._rate, edges[:-1], edges[1:], tol)))
-
-
-def _check_tol(tol) -> float:
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameter(f"tol must be finite and > 0, got {tol!r}")
-    return tol
 
 
 def _hermite_start(u, m0, m1):
@@ -345,7 +337,7 @@ class CumulativeIntensity:
         span: Interval | None = None,
     ):
         self.model = model
-        self.tol = _check_tol(tol)
+        self.tol = _real(tol, "tol", low=0.0, strict=True)
         self._lock = threading.RLock()
         # R(anchor) = 0; the anchor is 0 clamped into the domain, which
         # changes nothing (no mass lies between 0 and the nearer edge).
@@ -488,33 +480,35 @@ class CumulativeIntensity:
         Values outside the domain clamp to the nearest edge (the rate is
         zero beyond it, so R is constant there).
         """
-        arr = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParameter("t must be finite")
-        scalar = arr.ndim == 0
+        arr = _points(t, "t")
         if arr.size == 0:
             return np.zeros(arr.shape)
         flat = np.clip(arr.reshape(-1), self.model.domain.lo, self.model.domain.hi)
         with self._lock:
             self._cover(float(flat.min()), float(flat.max()))
             out = self._eval_covered(flat)
-        out = out.reshape(arr.shape)
-        return float(out) if scalar else out
+        return _shaped(out, arr)
 
     def _eval_covered(self, flat):
         """R at points already inside the covered range; lock is held.
 
         A point that is a checkpoint reads its stored value, with no rate
         call: its segment [t, t] has no mass, and its panel's nodes would
-        all sit at t, where the rate may not be defined.
+        all sit at t, where the rate may not be defined.  A point's value
+        is capped at its right checkpoint's: the left checkpoint's value
+        plus one segment's mass can round an ulp past it (where the rate
+        falls to 0, as at some finite domain edges), and R must not
+        decrease, or the inverse would refuse a value R returned.
         """
-        idx = np.searchsorted(self._t, flat, side="right") - 1
-        idx = np.clip(idx, 0, len(self._t) - 1)
+        right = np.searchsorted(self._t, flat, side="right")
+        idx = np.clip(right - 1, 0, len(self._t) - 1)
         left = self._t[idx]
         out = self._r[idx]
         off = flat != left
         if np.any(off):
             out[off] += _masses(self.model._rate, left[off], flat[off], self.tol)
+            has_right = right < len(self._t)
+            out[has_right] = np.minimum(out[has_right], self._r[right[has_right]])
         return out
 
     def inverse(self, y: float) -> float:
@@ -523,27 +517,26 @@ class CumulativeIntensity:
         Raises OutOfRange when y is beyond the mass reachable in the
         domain (the search gives up past |t| = 1e15).
         """
-        return float(self.inverse_many(float(y)))
+        return float(self.inverse_many(y))
 
     def inverse_many(self, ys, missing: str = "raise"):
         """Generalized inverse inf{t : R(t) >= y} of every target.
 
         Flat stretches of R are resolved to their left edge, and
         |R(t) - y| <= 2 tol for every result t.  Each lane depends on its
-        own target only, so a scalar call and a batch agree bitwise.
+        own target only, so a scalar call (which returns a float) and a
+        batch agree bitwise.
         ``missing`` controls out-of-range targets: "raise" propagates
         OutOfRange (the default), "nan" marks those lanes with NaN.
         """
         if missing not in ("raise", "nan"):
             raise InvalidParameter(f"missing must be 'raise' or 'nan', got {missing!r}")
-        arr = np.asarray(ys, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParameter("targets must be finite")
+        arr = _points(ys, "targets")
         if arr.size == 0:
-            return arr.astype(float).copy()
+            return arr.copy()
         with self._lock:
             out = self._invert(arr.reshape(-1), allow_nan=(missing == "nan"))
-        return out.reshape(arr.shape)
+        return _shaped(out, arr)
 
     def _invert(self, ys, allow_nan: bool = False):
         self._probe(float(ys.max()), 1)
@@ -656,11 +649,9 @@ class CumulativeIntensity:
         Explores the grid upward (sign > 0) or downward until the running
         mass passes ``cap`` or the domain (or probe limit) is exhausted.
         """
-        if sign not in (1, -1):
+        if _real(sign, "sign") not in (1.0, -1.0):
             raise InvalidParameter(f"sign must be +1 or -1, got {sign!r}")
-        cap = float(cap)
-        if not (math.isfinite(cap) and cap >= 0):
-            raise InvalidParameter(f"cap must be finite and >= 0, got {cap!r}")
+        cap = _real(cap, "cap", low=0.0)
         with self._lock:
             r0 = self(t0)
             self._probe(r0 + sign * cap, sign)
@@ -684,4 +675,4 @@ def cumulative_intensity(
     sizes the base checkpoint spacing to span/1024 instead of the default
     1/1024.
     """
-    return _cached_intensity(model, _check_tol(tol), span)
+    return _cached_intensity(model, _real(tol, "tol", low=0.0, strict=True), span)

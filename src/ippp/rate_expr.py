@@ -38,11 +38,12 @@ import numpy as np
 
 from .errors import (
     EvalError,
-    InvalidParameter,
     LexError,
     ParseError,
     UnknownFunction,
     UnknownVariable,
+    _points,
+    _shaped,
 )
 
 __all__ = [
@@ -398,21 +399,16 @@ def evaluate(expr: RateExpr, x):
     ``x`` may be a float or a numpy array; the result has the same shape.
     A scalar input returns a plain float.  Non-finite intermediates raise
     :class:`EvalError` carrying the source position of the operator or
-    function that produced them; a non-finite ``x`` raises
-    :class:`~ippp.errors.InvalidParameter`.
+    function that produced them; an ``x`` that is not finite real
+    numbers raises :class:`~ippp.errors.InvalidParameter`.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise InvalidParameter("x must be finite")
+    arr = _points(x)
     with np.errstate(all="ignore"):
         out = _eval(expr, arr)
-    if arr.ndim == 0:
-        return float(out)
-    out = np.asarray(out, dtype=float)
-    if out.shape != arr.shape:
+    if isinstance(out, float):
         # Constant sub-expressions collapse to scalars; broadcast back out.
         out = np.full(arr.shape, float(out))
-    return out
+    return _shaped(out, arr)
 
 
 # -- interval enclosures -------------------------------------------------------

@@ -50,6 +50,9 @@ from .errors import (
     InvalidParameter,
     InvalidRate,
     NegativeRate,
+    _points,
+    _real,
+    _shaped,
 )
 
 __all__ = [
@@ -73,16 +76,6 @@ def _partition(a: float, b: float):
     return np.concatenate([[a], a + steps, [b]])
 
 
-def _require_finite_number(name: str, value) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise InvalidParameter(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(out):
-        raise InvalidParameter(f"{name} must be finite, got {out!r}")
-    return out
-
-
 @dataclass(frozen=True)
 class Interval:
     """A bounded window [lo, hi] with lo < hi."""
@@ -91,8 +84,8 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _require_finite_number("lo", self.lo))
-        object.__setattr__(self, "hi", _require_finite_number("hi", self.hi))
+        object.__setattr__(self, "lo", _real(self.lo, "lo"))
+        object.__setattr__(self, "hi", _real(self.hi, "hi"))
         if not self.lo < self.hi:
             raise InvalidParameter(
                 f"interval needs lo < hi, got [{self.lo!r}, {self.hi!r}]"
@@ -119,10 +112,8 @@ class Domain:
     hi: float = math.inf
 
     def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise InvalidParameter("domain edges must not be NaN")
+        lo = _real(self.lo, "lo", finite=False)
+        hi = _real(self.hi, "hi", finite=False)
         if not lo < hi:
             raise InvalidParameter(f"domain needs lo < hi, got ({lo!r}, {hi!r})")
         object.__setattr__(self, "lo", lo)
@@ -154,8 +145,8 @@ class PiecewiseConstantRate:
     levels: tuple
 
     def __post_init__(self):
-        bp = tuple(_require_finite_number("breakpoint", b) for b in self.breakpoints)
-        lv = tuple(_require_finite_number("level", v) for v in self.levels)
+        bp = tuple(_real(b, "breakpoint") for b in self.breakpoints)
+        lv = tuple(_real(v, "level", low=0.0) for v in self.levels)
         if len(bp) != len(lv) + 1:
             raise InvalidParameter(
                 f"need len(breakpoints) == len(levels) + 1, "
@@ -165,8 +156,6 @@ class PiecewiseConstantRate:
             raise InvalidParameter("need at least one piece")
         if any(b1 >= b2 for b1, b2 in zip(bp, bp[1:])):
             raise InvalidParameter("breakpoints must be strictly increasing")
-        if any(v < 0 for v in lv):
-            raise InvalidParameter("levels must be nonnegative")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
 
@@ -356,9 +345,7 @@ class RateModel:
         if not isinstance(self.domain, Domain):
             raise InvalidParameter(f"domain must be a Domain, got {self.domain!r}")
         if self.declared_bound is not None:
-            b = _require_finite_number("declared_bound", self.declared_bound)
-            if b <= 0:
-                raise InvalidParameter(f"declared_bound must be positive, got {b!r}")
+            b = _real(self.declared_bound, "declared_bound", low=0.0, strict=True)
             object.__setattr__(self, "declared_bound", b)
         # every cache keyed on a model hashes it; an expression's hash walks
         # its whole syntax tree, so it is taken once here
@@ -378,15 +365,15 @@ class RateModel:
     @classmethod
     def constant(cls, level, domain=None, declared_bound=None):
         """r(x) = level."""
-        level = _require_finite_number("level", level)
+        level = _real(level, "level")
         src = ExpressionRate(rate_expr.Num(level, 0), f"constant rate {level:g}")
         return cls(src, domain or Domain(), declared_bound)
 
     @classmethod
     def linear(cls, intercept, slope, domain=None, declared_bound=None):
         """r(x) = max(0, intercept + slope*x), clipped so it stays a rate."""
-        intercept = _require_finite_number("intercept", intercept)
-        slope = _require_finite_number("slope", slope)
+        intercept = _real(intercept, "intercept")
+        slope = _real(slope, "slope")
         text = f"max(0, {intercept:g} + {slope:g}*x)"
         src = ExpressionRate(_linear_expr(intercept, slope, text), f"linear rate {text}")
         return cls(src, domain or Domain(), declared_bound)
@@ -404,10 +391,10 @@ class RateModel:
 
         Requires offset >= |amplitude| so the rate never goes negative.
         """
-        offset = _require_finite_number("offset", offset)
-        amplitude = _require_finite_number("amplitude", amplitude)
-        frequency = _require_finite_number("frequency", frequency)
-        phase = _require_finite_number("phase", phase)
+        offset = _real(offset, "offset")
+        amplitude = _real(amplitude, "amplitude")
+        frequency = _real(frequency, "frequency")
+        phase = _real(phase, "phase")
         if offset < abs(amplitude):
             raise InvalidParameter(
                 f"offset must be >= |amplitude| to keep the rate nonnegative, "
@@ -431,14 +418,11 @@ class RateModel:
         Raises InvalidParameter for a non-finite x and DomainViolation
         outside the domain, then the errors of :meth:`_rate`.
         """
-        arr = np.asarray(x, dtype=float)
-        if not np.isfinite(arr).all():
-            raise InvalidParameter("x must be finite")
+        arr = _points(x)
         outside = (arr < self.domain.lo) | (arr > self.domain.hi)
         if outside.any():
             raise DomainViolation(float(arr[outside].flat[0]))
-        vals = self._rate(arr)
-        return float(vals) if arr.ndim == 0 else vals
+        return _shaped(self._rate(arr), arr)
 
     def _rate(self, x):
         """The rate at an array ``x`` of points that must lie inside the

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidMean, InvalidParameter, InvalidRate, InvalidShape
+from .errors import InvalidMean, InvalidShape, _integer, _real
 
 __all__ = ["RngState"]
 
@@ -47,13 +47,8 @@ class RngState:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        for name, value in (("seed", seed), ("stream", stream)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-            if not 0 <= int(value) < _U64:
-                raise InvalidParameter(f"{name} must fit in 64 bits, got {value!r}")
-        self.seed = int(seed)
-        self.stream = int(stream)
+        self.seed = _integer(seed, "seed", low=0, high=_U64 - 1)
+        self.stream = _integer(stream, "stream", low=0, high=_U64 - 1)
         self._bits = np.random.Philox(
             key=np.array([self.seed, self.stream], dtype=np.uint64)
         )
@@ -75,29 +70,25 @@ class RngState:
         vals = (self._words(n) >> np.uint64(11)) * _INV_2_53
         return float(vals[0]) if size is None else vals
 
-    def exponential(self, rate: float = 1.0, size: int | None = None):
-        """Exponential variates via the inverse transform -log(1 - U)/rate."""
-        rate = _check_rate(rate)
+    def exponential(self, size: int | None = None):
+        """Unit-rate exponential variates via the inverse transform -log(1 - U)."""
         n = _check_size(size)
         u = self.uniform01(size=n)
         # log1p(-u) is -log(1-u) without cancellation for small u
-        vals = -np.log1p(-u) / rate
+        vals = -np.log1p(-u)
         return float(vals[0]) if size is None else vals
 
-    def erlang(self, shape: int, rate: float = 1.0, size: int | None = None):
-        """Erlang variates: the sum of ``shape`` exponential(rate) draws.
+    def erlang(self, shape: int, size: int | None = None):
+        """Erlang(shape, 1) variates: the sum of ``shape`` unit-rate
+        exponential draws.
 
         Each output lane consumes a contiguous block of ``shape`` words, so
         a scalar draw equals the sum of ``shape`` sequential exponentials.
         """
-        if not isinstance(shape, (int, np.integer)) or isinstance(shape, bool):
-            raise InvalidShape(f"shape must be an integer, got {shape!r}")
-        if shape < 1:
-            raise InvalidShape(f"shape must be >= 1, got {shape}")
-        rate = _check_rate(rate)
+        shape = _integer(shape, "shape", InvalidShape, low=1)
         n = _check_size(size)
-        u = self.uniform01(size=n * int(shape)).reshape(n, int(shape))
-        vals = np.add.reduce(-np.log1p(-u) / rate, axis=1)
+        u = self.uniform01(size=n * shape).reshape(n, shape)
+        vals = np.add.reduce(-np.log1p(-u), axis=1)
         return float(vals[0]) if size is None else vals
 
     def arrivals(self, start: float, stop: float):
@@ -142,12 +133,7 @@ class RngState:
         memory stays O(n) whatever the mean.  A batch of one equals the
         scalar draw; ``mean == 0`` and ``size=0`` use no words.
         """
-        try:
-            mean = float(mean)
-        except (TypeError, ValueError):
-            raise InvalidMean(f"mean must be a real number, got {mean!r}")
-        if not math.isfinite(mean) or mean < 0:
-            raise InvalidMean(f"mean must be finite and >= 0, got {mean!r}")
+        mean = _real(mean, "mean", InvalidMean, low=0.0)
         n = _check_size(size)
         counts = np.zeros(n, dtype=np.int64)
         if mean > 0 and n:
@@ -160,18 +146,4 @@ class RngState:
 
 def _check_size(size) -> int:
     # lanes to draw: one for a scalar draw (size None), else ``size``
-    if size is None:
-        return 1
-    if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 0:
-        raise InvalidParameter(f"size must be an integer >= 0, got {size!r}")
-    return int(size)
-
-
-def _check_rate(rate) -> float:
-    try:
-        rate = float(rate)
-    except (TypeError, ValueError):
-        raise InvalidRate(f"rate must be a real number, got {rate!r}")
-    if not math.isfinite(rate) or rate <= 0:
-        raise InvalidRate(f"rate must be finite and > 0, got {rate!r}")
-    return rate
+    return 1 if size is None else _integer(size, "size", low=0)

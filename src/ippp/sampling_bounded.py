@@ -39,6 +39,10 @@ from .errors import (
     NonTermination,
     ZeroMass,
     ZeroRate,
+    _integer,
+    _points,
+    _real,
+    _shaped,
 )
 from .quadrature import DEFAULT_TOL, cumulative_intensity, integrate
 from .rate_model import Interval, RateModel
@@ -109,12 +113,8 @@ class EventSet:
         )
 
 
-def _base_meta(model: RateModel, rng: RngState | None, method: str) -> dict:
-    meta = {"method": method, "model": model.describe()}
-    if rng is not None:
-        meta["seed"] = rng.seed
-        meta["stream"] = rng.stream
-    return meta
+def _base_meta(model: RateModel, rng: RngState, method: str) -> dict:
+    return {"method": method, "model": model.describe(), "seed": rng.seed, "stream": rng.stream}
 
 
 @lru_cache(maxsize=256)
@@ -125,7 +125,8 @@ def _expected_count_cached(model: RateModel, lo: float, hi: float, tol: float):
 def expected_count(model: RateModel, window: Interval, tol: float = DEFAULT_TOL):
     """The window's intensity mass: the mean number of points in it."""
     model.require_window(window)
-    return _expected_count_cached(model, window.lo, window.hi, float(tol))
+    tol = _real(tol, "tol", low=0.0, strict=True)
+    return _expected_count_cached(model, window.lo, window.hi, tol)
 
 
 def sample_count(
@@ -242,55 +243,40 @@ def simulate_conditional(
     Performs no integration: given the count, locations are plain
     rejection draws, so no normalizing mass is ever computed.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise InvalidParameter(f"m must be an integer, got {m!r}")
-    if m < 0:
-        raise InvalidParameter(f"m must be >= 0, got {m}")
+    m = _integer(m, "m", low=0)
     model.require_window(window)
-    pts = _rejection_sample(model, window, rng, int(m)) if m else np.empty(0)
+    pts = _rejection_sample(model, window, rng, m) if m else np.empty(0)
     meta = _base_meta(model, rng, "conditional")
-    meta["count"] = int(m)
+    meta["count"] = m
     return EventSet(window, pts, meta)
-
-
-def _finite_x(x):
-    """``x`` as an array, checked where it enters a density."""
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise InvalidParameter("x must be finite")
-    return arr
 
 
 def location_density(model: RateModel, window: Interval, x, tol: float = DEFAULT_TOL):
     """Density of a single point's location: r(x)/mass inside, 0 outside."""
     model.require_window(window)
-    arr = _finite_x(x)
+    arr = _points(x)
     mass = expected_count(model, window, tol)
     if mass <= tol:
         raise ZeroMass(mass, tol)
-    scalar = arr.ndim == 0
     flat = arr.reshape(-1)
     out = np.zeros(flat.shape)
     inside = (flat >= window.lo) & (flat <= window.hi)
     if np.any(inside):
         out[inside] = model._rate(flat[inside]) / mass
-    out = out.reshape(arr.shape)
-    return float(out) if scalar else out
+    return _shaped(out, arr)
 
 
 def location_cdf(model: RateModel, window: Interval, x, tol: float = DEFAULT_TOL):
     """CDF of a single point's location, clamped to [0, 1]."""
     model.require_window(window)
-    arr = _finite_x(x)
+    arr = _points(x)
     ci = cumulative_intensity(model, tol, span=window)
     r_lo = ci(window.lo)
     mass = ci(window.hi) - r_lo
     if mass <= tol:
         raise ZeroMass(mass, tol)
-    scalar = arr.ndim == 0
     clipped = np.clip(arr, window.lo, window.hi)
-    vals = np.clip((ci(clipped) - r_lo) / mass, 0.0, 1.0)
-    return float(vals) if scalar else vals
+    return _shaped(np.clip((ci(clipped) - r_lo) / mass, 0.0, 1.0), arr)
 
 
 # above this m the binomial factor is computed in log space
@@ -310,13 +296,8 @@ def order_statistic_density(
     k * C(m,k) * F(x)^(k-1) * (1-F(x))^(m-k) * f(x), with F and f the
     numeric location CDF/density above; zero outside the window.
     """
-    for name, value in (("k", k), ("m", m)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise InvalidIndex(f"{name} must be an integer, got {value!r}")
-    if k < 1 or k > m:
-        raise InvalidIndex(f"need 1 <= k <= m, got k={k}, m={m}")
-    k = int(k)
-    m = int(m)
+    m = _integer(m, "m", InvalidIndex)
+    k = _integer(k, "k", InvalidIndex, low=1, high=m)
     f = location_density(model, window, x, tol)
     cdf = location_cdf(model, window, x, tol)
     f_arr = np.asarray(f, dtype=float)
@@ -340,5 +321,4 @@ def order_statistic_density(
                 (m == k) & (cdf_arr == 1.0), 0.0, (m - k) * np.log1p(-cdf_arr)
             )
             out = np.exp(log_coeff + lo_part + hi_part) * f_arr
-    out = np.where(f_arr == 0.0, 0.0, out)
-    return float(out) if np.ndim(x) == 0 else out
+    return _shaped(np.where(f_arr == 0.0, 0.0, out), f_arr)

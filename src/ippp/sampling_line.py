@@ -22,11 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, _integer, _points, _real, _shaped
 from .quadrature import DEFAULT_TOL, cumulative_intensity
 from .rate_model import Interval, RateModel
 from .rng import RngState
-from .sampling_bounded import EventSet, _base_meta, _finite_x
+from .sampling_bounded import EventSet, _base_meta
 
 __all__ = [
     "Direction",
@@ -62,27 +62,14 @@ class NthPointQuery:
     direction: Direction
 
     def __post_init__(self):
-        if not isinstance(self.anchor, (int, float)) or isinstance(self.anchor, bool):
-            raise InvalidParameter(f"anchor must be a real number, got {self.anchor!r}")
-        if not math.isfinite(self.anchor):
-            raise InvalidParameter(f"anchor must be finite, got {self.anchor!r}")
-        object.__setattr__(self, "anchor", float(self.anchor))
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise InvalidParameter(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise InvalidParameter(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        if isinstance(self.direction, str):
-            try:
-                object.__setattr__(self, "direction", Direction(self.direction))
-            except ValueError:
-                raise InvalidParameter(
-                    f"direction must be 'above' or 'below', got {self.direction!r}"
-                ) from None
-        elif not isinstance(self.direction, Direction):
+        object.__setattr__(self, "anchor", _real(self.anchor, "anchor"))
+        object.__setattr__(self, "n", _integer(self.n, "n", low=1))
+        try:
+            object.__setattr__(self, "direction", Direction(self.direction))
+        except ValueError:
             raise InvalidParameter(
-                f"direction must be a Direction, got {self.direction!r}"
-            )
+                f"direction must be a Direction, 'above' or 'below', got {self.direction!r}"
+            ) from None
 
 
 def _require_anchor(model: RateModel, query: NthPointQuery) -> None:
@@ -188,8 +175,7 @@ def nth_point_density(
     """
     _require_anchor(model, query)
     ci = cumulative_intensity(model, tol)
-    arr = _finite_x(x)
-    scalar = arr.ndim == 0
+    arr = _points(x)
     flat = arr.reshape(-1)
     out = np.zeros(flat.shape)
     sign = query.direction.sign
@@ -203,8 +189,7 @@ def nth_point_density(
         # table round-off can leave a tiny negative mass on a plateau
         u = np.maximum(sign * (ci(xs) - ci(query.anchor)), 0.0)
         out[onside] = model._rate(xs) * np.exp(_erlang_log_pdf(u, query.n))
-    out = out.reshape(arr.shape)
-    return float(out) if scalar else out
+    return _shaped(out, arr)
 
 
 def _poisson_term(k: int, m: float) -> float:

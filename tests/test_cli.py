@@ -929,3 +929,34 @@ def test_bound_reaches_family_models(capsys):
     # the declared bound is below the rate: evaluation reports it
     assert code == 1
     assert "bound" in err
+
+
+_WIN = ["--rate", "1", "--window", "0", "1"]
+_ORDER = ["density", "order-stat", *_WIN, "--grid", "0", "1", "3"]
+_NEXT = ["next-point", "--rate", "1", "--direction", "up", "--seed", "1"]
+
+# one usage error per flag check: the flag, and a command line that fails it
+FLAG_CHECKS = [
+    ("--tol", ["intensity", *_WIN, "--tol", "0"]),
+    ("--tol", ["simulate-n", *_WIN, "--count", "1", "--seed", "1", "--tol", "1e-9"]),
+    ("--bound", ["intensity", *_WIN, "--bound", "-1"]),
+    ("--rate", ["intensity", "--rate", "x+", "--window", "0", "1"]),
+    ("--params", ["intensity", "--rate-family", "constant", "--params", "c=nan", "--window", "0", "1"]),
+    ("--window", ["intensity", "--rate", "1", "--window", "1", "0"]),
+    ("--reps", ["simulate", *_WIN, "--seed", "1", "--reps", "0"]),
+    ("--count", ["simulate-n", *_WIN, "--seed", "1", "--count", "-1"]),
+    ("--n", [*_NEXT, "--from", "0", "--n", "0"]),
+    ("--from", [*_NEXT, "--from", "nan", "--n", "1"]),
+    ("--k", [*_ORDER, "--k", "0", "--m", "2"]),
+    ("--m", [*_ORDER, "--k", "3", "--m", "2"]),
+    ("--grid", ["density", "order-stat", *_WIN, "--k", "1", "--m", "1", "--grid", "0", "1", "1"]),
+    ("--grid", ["density", "order-stat", *_WIN, "--k", "1", "--m", "1", "--grid", "1", "0", "3"]),
+]
+
+
+@pytest.mark.parametrize("flag, argv", FLAG_CHECKS)
+def test_each_flag_check_exits_2_naming_its_flag(capsys, flag, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err

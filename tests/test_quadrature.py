@@ -753,13 +753,21 @@ class TestDomainEdges:
                 ci = CumulativeIntensity(model, span=span)
                 got = ci(ts)
                 assert np.max(np.abs(got - big_r(ts))) <= 2 * DEFAULT_TOL
-                # targets up to R at the edge, where the mass runs out; R
-                # a few ulps inside may round above it
+                # targets up to R at the edge, where the mass runs out
                 lo, hi = sorted((ci(edge), ci(edge + inward)))
-                ys = np.sort(np.append(np.clip(got, lo, hi), np.linspace(lo, hi, 40)))
+                ys = np.sort(np.append(got, np.linspace(lo, hi, 40)))
                 roots = ci.inverse_many(ys)
                 assert np.all((roots >= model.domain.lo) & (roots <= model.domain.hi))
                 assert np.max(np.abs(big_r(roots) - ys)) <= 2 * DEFAULT_TOL
+
+    def test_inverse_of_r_an_ulp_inside_the_edge(self):
+        # one segment's mass from the last checkpoint but one used to round
+        # R there above R at the edge, a target the inverse then refused
+        model, big_r, edge, _ = self.CASES[1]
+        ci = CumulativeIntensity(model)
+        y = ci(edge - 2.0**-53)
+        assert y <= ci(edge)
+        assert abs(big_r(ci.inverse(y)) - y) <= 2 * DEFAULT_TOL
 
     def test_rejection_up_to_the_edge(self):
         for model, big_r, edge, inward in self.CASES:

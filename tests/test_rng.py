@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ippp.errors import InvalidMean, InvalidParameter, InvalidRate, InvalidShape
+from ippp.errors import InvalidMean, InvalidParameter, InvalidShape
 from ippp.rng import RngState
 
 from stat_checks import chi_square_stat, ks_distance, ks_threshold
@@ -23,7 +23,7 @@ GOLDEN_UNIFORMS = {
     (42, 1): [0.443746921343274],
     (7, 0): [0.8720734548204873],
 }
-GOLDEN_EXPONENTIAL_42_RATE2 = 0.8579499279451315
+GOLDEN_EXPONENTIAL_42 = 1.715899855890263
 GOLDEN_ERLANG_42_SHAPE3 = 3.9480770602412703
 GOLDEN_POISSON_42_MEAN5 = [5, 7]
 
@@ -36,10 +36,10 @@ class TestGolden:
             assert got == want
 
     def test_exponential_golden(self):
-        assert RngState(42).exponential(2.0) == GOLDEN_EXPONENTIAL_42_RATE2
+        assert RngState(42).exponential() == GOLDEN_EXPONENTIAL_42
 
     def test_erlang_golden(self):
-        assert RngState(42).erlang(3, 1.0) == GOLDEN_ERLANG_42_SHAPE3
+        assert RngState(42).erlang(3) == GOLDEN_ERLANG_42_SHAPE3
 
     def test_poisson_golden(self):
         rng = RngState(42)
@@ -50,8 +50,8 @@ class TestDeterminism:
     def test_equal_seed_equal_sequences(self):
         a = RngState(123, 9)
         b = RngState(123, 9)
-        seq_a = [a.uniform01(), a.exponential(1.5), a.erlang(4, 2.0), a.poisson(11.0)]
-        seq_b = [b.uniform01(), b.exponential(1.5), b.erlang(4, 2.0), b.poisson(11.0)]
+        seq_a = [a.uniform01(), a.exponential(), a.erlang(4), a.poisson(11.0)]
+        seq_b = [b.uniform01(), b.exponential(), b.erlang(4), b.poisson(11.0)]
         assert seq_a == seq_b
 
     def test_streams_differ(self):
@@ -73,21 +73,21 @@ class TestVectorScalarConsistency:
         assert np.array_equal(batch, singles)
 
     def test_exponential(self):
-        batch = RngState(11).exponential(0.7, size=6)
+        batch = RngState(11).exponential(size=6)
         rng = RngState(11)
-        singles = np.array([rng.exponential(0.7) for _ in range(6)])
+        singles = np.array([rng.exponential() for _ in range(6)])
         assert np.array_equal(batch, singles)
 
     def test_erlang_lane_major(self):
-        batch = RngState(11).erlang(3, 1.0, size=4)
+        batch = RngState(11).erlang(3, size=4)
         rng = RngState(11)
-        singles = np.array([rng.erlang(3, 1.0) for _ in range(4)])
+        singles = np.array([rng.erlang(3) for _ in range(4)])
         assert np.array_equal(batch, singles)
 
     def test_erlang_is_sum_of_exponentials(self):
-        want = RngState(42).erlang(3, 1.0)
+        want = RngState(42).erlang(3)
         rng = RngState(42)
-        parts = [rng.exponential(1.0) for _ in range(3)]
+        parts = [rng.exponential() for _ in range(3)]
         assert (parts[0] + parts[1]) + parts[2] == want
 
     def test_poisson_size_one_matches_scalar(self):
@@ -109,51 +109,41 @@ class TestUniform:
 
 
 class TestExponential:
-    def test_mean_at_rate_2(self):
-        x = RngState(4).exponential(2.0, size=100_000)
-        assert abs(float(x.mean()) - 0.5) < 0.005
-
     def test_u_zero_maps_to_zero(self, monkeypatch):
         rng = RngState(0)
         monkeypatch.setattr(rng, "uniform01", lambda size=None: np.zeros(size or 1))
-        assert rng.exponential(3.0, size=2).tolist() == [0.0, 0.0]
+        assert rng.exponential(size=2).tolist() == [0.0, 0.0]
 
     def test_ks_over_many_seeds(self):
         # spec-level property: >= 95 of 100 seeds pass at alpha ~ 0.01
         passes = 0
         for seed in range(100):
-            x = RngState(seed).exponential(1.0, size=10_000)
+            x = RngState(seed).exponential(size=10_000)
             d = ks_distance(x, lambda t: 1.0 - np.exp(-t))
             passes += d < ks_threshold(10_000)
         assert passes >= 95
 
-    def test_invalid_rate(self):
-        rng = RngState(0)
-        for bad in (0.0, -1.0, float("inf"), float("nan")):
-            with pytest.raises(InvalidRate):
-                rng.exponential(bad)
-
 
 class TestErlang:
     def test_shape_one_is_exponential(self):
-        a = RngState(8).erlang(1, 1.5, size=5)
-        b = RngState(8).exponential(1.5, size=5)
+        a = RngState(8).erlang(1, size=5)
+        b = RngState(8).exponential(size=5)
         assert np.array_equal(a, b)
 
     def test_mean_shape_4(self):
-        x = RngState(5).erlang(4, 1.0, size=100_000)
+        x = RngState(5).erlang(4, size=100_000)
         assert abs(float(x.mean()) - 4.0) < 0.06
 
     def test_ks_against_gamma(self):
-        x = RngState(6).erlang(3, 2.0, size=10_000)
-        cdf = scipy.stats.gamma(a=3, scale=0.5).cdf
+        x = RngState(6).erlang(3, size=10_000)
+        cdf = scipy.stats.gamma(a=3).cdf
         assert ks_distance(x, cdf) < ks_threshold(10_000)
 
     def test_invalid_shape(self):
         rng = RngState(0)
         for bad in (0, -1, 2.0, True):
             with pytest.raises(InvalidShape):
-                rng.erlang(bad, 1.0)
+                rng.erlang(bad)
 
 
 class TestPoisson:
@@ -257,8 +247,8 @@ class TestPoissonIsArrivalCount:
 class TestSize:
     DRAWS = {
         "uniform01": lambda rng, size: rng.uniform01(size=size),
-        "exponential": lambda rng, size: rng.exponential(1.0, size=size),
-        "erlang": lambda rng, size: rng.erlang(2, 1.0, size=size),
+        "exponential": lambda rng, size: rng.exponential(size=size),
+        "erlang": lambda rng, size: rng.erlang(2, size=size),
         "poisson": lambda rng, size: rng.poisson(5.0, size=size),
     }
 
