@@ -202,10 +202,15 @@ def _integer(value, name: str, error=InvalidParameter, *, low=None, high=None) -
 def _points(x, name: str = "x", error=InvalidParameter):
     """``x``, a real scalar or array of any shape, as a float array, with
     one pass over it to check that every point is finite.  Raises
-    ``error`` naming ``name``."""
+    ``error`` naming ``name``.  A Python list or tuple is also checked for
+    bools, which numpy would turn into numbers beside the floats."""
     arr = np.asarray(x)
     if arr.dtype.kind not in "iuf":
         raise error(f"{name} must be real numbers, got dtype {arr.dtype.name}")
+    if isinstance(x, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat
+    ):
+        raise error(f"{name} must be real numbers, got a bool in {x!r}")
     arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise error(f"{name} must be finite")

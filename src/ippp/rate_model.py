@@ -96,7 +96,11 @@ class Interval:
         return self.hi - self.lo
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
+        """Whether each point lies in the interval, ends included: a bool
+        for a scalar, else a bool array of its shape.  Points go through
+        the one check for points (InvalidParameter for NaN, ±inf, a bool
+        or a str)."""
+        x = _points(x)
         out = (x >= self.lo) & (x <= self.hi)
         return bool(out) if out.ndim == 0 else out
 
@@ -120,7 +124,8 @@ class Domain:
         object.__setattr__(self, "hi", hi)
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
+        """Whether each point lies in the domain, as :meth:`Interval.contains`."""
+        x = _points(x)
         out = (x >= self.lo) & (x <= self.hi)
         return bool(out) if out.ndim == 0 else out
 

@@ -98,7 +98,11 @@ class RngState:
         added left to right.  Bitwise the values, and exactly the count + 1
         words, of the scalar loop
         ``y = start + exponential(); while y <= stop: keep y; y += exponential()``.
+        Both bounds must be finite real numbers (InvalidParameter); a stop
+        below start gives no arrivals.
         """
+        start = _real(start, "start")
+        stop = _real(stop, "stop")
         return np.concatenate(list(self._arrival_blocks(start, stop)))
 
     def _arrival_blocks(self, start: float, stop: float):

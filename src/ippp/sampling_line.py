@@ -93,8 +93,7 @@ def sample_path_time_change(
     """
     model.require_window(window)
     ci = cumulative_intensity(model, tol, span=window)
-    r_lo = ci(window.lo)
-    r_hi = ci(window.hi)
+    r_lo, r_hi = ci(np.array([window.lo, window.hi])).tolist()
     ys = rng.arrivals(r_lo, r_hi)
     pts = ci.inverse_many(ys)
     # the inverse is accurate to ~tol; pull edge round-off back inside

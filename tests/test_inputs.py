@@ -77,6 +77,35 @@ def test_points_that_are_not_finite_reals_raise(site, bad):
         X_SITES[site](np.array([[bad, bad]]))
 
 
+@pytest.mark.parametrize("site", sorted(X_SITES))
+@pytest.mark.parametrize("bad", [[1.5, True], (0.5, np.True_), [[0.5, 1.0], [False, 2.0]]])
+def test_point_lists_holding_a_bool_raise(site, bad):
+    # numpy would turn the bool into 1.0 or 0.0 beside the floats
+    with pytest.raises(InvalidParameter):
+        X_SITES[site](bad)
+
+
+CONTAINS = {"Interval.contains": Interval(0.0, 1.0).contains, "Domain.contains": Domain(0.0, 1.0).contains}
+
+
+@pytest.mark.parametrize("site", sorted(CONTAINS))
+def test_contains_takes_points(site):
+    contains = CONTAINS[site]
+    assert contains(0.5) is True and contains(1.0) is True and contains(-0.5) is False
+    for scalar in (np.float32(0.5), np.int64(1), np.array(0.5)):
+        assert contains(scalar) is True
+    got = contains(np.array([[-1.0, 0.5], [1.0, 2.0]]))
+    assert got.tolist() == [[False, True], [True, False]]
+    assert contains([0.25, 3]).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("site", sorted(CONTAINS))
+@pytest.mark.parametrize("bad", ["0.5", math.nan, math.inf, True, None, [0.5, True]])
+def test_contains_rejects_what_is_not_a_point(site, bad):
+    with pytest.raises(InvalidParameter):
+        CONTAINS[site](bad)
+
+
 # parameter -> (a call taking it, a valid value, the class a bad value raises)
 REAL_SITES = {
     "Interval.lo": (lambda v: Interval(v, 5.0), 0.5, InvalidParameter),

@@ -6,7 +6,9 @@ cross-checked against scipy.integrate.quad as an independent oracle.
 """
 
 import math
+import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,15 +29,20 @@ from ippp.quadrature import (
     DEFAULT_TOL,
     CumulativeIntensity,
     _adaptive,
+    _dense,
     _panels,
     _WG,
     _WK,
+    _XK,
     cumulative_intensity,
     integrate,
 )
 from ippp.rate_model import Domain, Interval, RateModel
 from ippp.rng import RngState
 from ippp.sampling_bounded import sample_location, simulate_window
+from ippp.sampling_line import NthPointQuery, nth_point_density, sample_nth_point
+
+from expr_gen import random_expression
 
 SIN_MODEL = RateModel.sinusoidal(2.0, 1.0)
 UNIT_MODEL = RateModel.constant(1.0)
@@ -58,7 +65,7 @@ def _plateau_mass(a, b):
 
 
 def _panel(f, a, b):
-    vals, errs = _panels(f, [a], [b])
+    vals, errs, _ = _panels(f, [a], [b])
     return float(vals[0]), float(errs[0])
 
 
@@ -121,7 +128,7 @@ def _adaptive_one_piece(f, lows, highs, tol):
     live = [i for i, stack in enumerate(stacks) if stack]
     while live:
         pieces = [stacks[i].pop() for i in live]
-        vals, errs = _panels(f, [p[0] for p in pieces], [p[1] for p in pieces])
+        vals, errs, _ = _panels(f, [p[0] for p in pieces], [p[1] for p in pieces])
         results = zip(live, pieces, vals.tolist(), errs.tolist())
         for i, (a, b, depth), value, err in results:
             if err <= seg_tol * (b - a) / (highs[i] - lows[i]):
@@ -320,7 +327,7 @@ class TestAdaptive:
             f = RateModel.from_expression("2+sin(40*x)").evaluate
             lows = np.linspace(3.0, 6.0, 7)
             highs = lows + 0.75
-            _, errs = _panels(f, lows, highs)
+            _, errs, _ = _panels(f, lows, highs)
             assert np.all(errs > tol / _SEGMENTS)
             results = []
             for first in (None, errs):
@@ -449,6 +456,37 @@ class TestCumulativeIntensity:
             reference(t)  # one batch at a time
         reference(-0.5)
         assert ci.checkpoints == reference.checkpoints
+
+    def test_large_growth_is_split_into_rate_calls(self, monkeypatch):
+        # 4992 segments in calls of at most 1536, with R as if the table
+        # had grown one batch at a time
+        calls = []
+        masses = quadrature._masses
+        monkeypatch.setattr(
+            quadrature, "_masses", lambda *a: calls.append(len(a[1])) or masses(*a)
+        )
+        ci = CumulativeIntensity(SIN_MODEL)
+        ci(np.array([0.0, 300.0]))
+        assert max(calls) <= quadrature._GROWTH_SEGMENTS and len(calls) == 4
+        monkeypatch.undo()
+        reference = CumulativeIntensity(SIN_MODEL)
+        for t in np.arange(0.0, 300.01, 0.5):
+            reference(t)
+        assert ci.checkpoints == reference.checkpoints
+
+    def test_growth_temporaries_stay_small(self):
+        # a default table queried at 0 and 300 grows 4992 segments; in one
+        # rate call that took 2.2 MiB of temporaries
+        model = RateModel.from_expression("2+sin(x)")
+        CumulativeIntensity(model)(1.0)
+        ci = CumulativeIntensity(model)
+        tracemalloc.start()
+        try:
+            ci(np.array([0.0, 300.0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_concurrent_queries_agree_with_serial(self):
         reference = CumulativeIntensity(SIN_MODEL)
@@ -666,7 +704,7 @@ class TestInverse:
         ys = np.random.default_rng(13).uniform(lo, hi, size=10_000)
         src.points = 0
         ci.inverse_many(ys)
-        assert src.points / ys.size <= 32
+        assert src.points / ys.size <= 16
 
     def test_rate_points_per_target_far_out(self):
         # |y| up to 2.5e5, where one ulp of y exceeds 1e-4 tol: each lane
@@ -695,6 +733,103 @@ class TestInverse:
             ci.inverse(math.nan)
         with pytest.raises(InvalidParameter):
             ci.inverse_many(np.array([1.0, math.inf]))
+
+
+class TestDenseOutput:
+    """The pieces between checkpoints that R and its inverse read."""
+
+    def test_piece_antiderivative_is_the_kronrod_interpolant(self):
+        # through degree 14 the interpolant is the rate itself, so the
+        # piece's antiderivative is exact, and over the whole piece it is
+        # the K15 rule
+        rows = np.array([_XK**k for k in range(15)])[:, None, :]
+        coefs, tails = _dense(rows, np.ones(15), np.zeros(15))
+        s = np.linspace(-1.0, 1.0, 9)
+        for k, coef in enumerate(coefs):
+            want = (s ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            assert np.max(np.abs(np.polyval(coef[::-1], s) - want)) < 1e-13, k
+        assert np.max(np.abs(coefs.sum(axis=1) - rows[:, 0] @ _WK)) < 1e-13
+        assert np.all(tails[:13] < 1e-13) and np.all(tails[13:] > 1e-9)
+
+    def test_cut_coefficients_stay_within_budget(self):
+        # coefficients within budget/256 are cut: exact zeros above the
+        # piece's degree, and R moved by at most budget/16
+        rows = np.exp(-_XK)[None, None, :] * np.ones((3, 1, 1))
+        budgets = np.array([0.0, 1e-12, 1e-3])
+        coefs, _ = _dense(rows, np.full(3, 0.5), budgets)
+        s = np.linspace(-1.0, 1.0, 101)
+        full = np.polyval(coefs[0][::-1], s)
+        assert np.count_nonzero(coefs[1]) < np.count_nonzero(coefs[0])
+        assert np.count_nonzero(coefs[2]) < np.count_nonzero(coefs[1])
+        for coef, budget in zip(coefs[1:], budgets[1:]):
+            assert np.max(np.abs(np.polyval(coef[::-1], s) - full)) <= budget / 16 + 1e-15
+
+    def test_warm_table_makes_no_rate_calls(self):
+        src = _CountingSource(RateModel.from_expression("2+sin(x)").source)
+        model = RateModel(source=src)
+        query = NthPointQuery(3.0, 5, "above")
+        grid = np.linspace(3.0, 43.0, 4001)
+        sample_nth_point(model, query, RngState(1), size=10_000)
+        nth_point_density(model, query, grid)
+        src.calls = 0
+        sample_nth_point(model, query, RngState(1), size=10_000)
+        assert src.calls == 0
+        cumulative_intensity(model)(grid)
+        assert src.calls == 0
+        # the density's own r(x) is its one rate call
+        nth_point_density(model, query, grid)
+        assert src.calls == 1
+
+    def test_first_touch_is_one_rate_call(self):
+        src = _CountingSource(RateModel.from_expression("2+sin(x)").source)
+        ci = CumulativeIntensity(RateModel(source=src))
+        ci._cover(0.0, 20.0)
+        ts = np.random.default_rng(3).uniform(0.0, 20.0, size=500)
+        src.calls = src.points = 0
+        ci(ts)
+        touched = len(set(np.searchsorted(ci._t, ts).tolist()))
+        assert src.calls == 1 and src.points == 15 * touched
+
+    def test_segment_pieces_do_not_depend_on_their_batch(self):
+        for text in ("2+sin(x)", SPIKE, "max(0, sin(x))"):
+            model = RateModel.from_expression(text)
+            ts = np.random.default_rng(9).uniform(0.0, 10.0, size=200)
+            together = CumulativeIntensity(model)
+            together(ts)
+            alone = CumulativeIntensity(model)
+            for t in ts[::-1]:
+                alone(float(t))
+            for ci in (together, alone):
+                assert ci._used == int(ci._count.sum())
+            for i in np.flatnonzero(together._count):
+                first, n = together._first[i], together._count[i]
+                other = alone._first[i]
+                assert n == alone._count[i]
+                assert np.array_equal(
+                    together._pieces[first : first + n], alone._pieces[other : other + n]
+                ), text
+
+    def test_R_of_generated_expressions_matches_quad(self):
+        # smooth rates from the parser's generator: no kinks (abs, min,
+        # max), no singular points (sqrt, log, division)
+        rng = random.Random(2019)
+        checked = 0
+        while checked < 25:
+            text = random_expression(rng, depth=3)
+            if any(word in text for word in ("abs", "min", "max", "sqrt", "log", "/")):
+                continue
+            model = RateModel.from_expression(f"2 + sin({text})")
+            ci = CumulativeIntensity(model)
+            ts = np.linspace(-1.0, 2.0, 13)
+            got = ci(ts)
+            for t, r in zip(ts, got):
+                a, b = sorted((0.0, t))
+                want, err = scipy.integrate.quad(
+                    lambda x: float(model.evaluate(x)), a, b, epsabs=1e-13, epsrel=1e-13, limit=500
+                )
+                want = want if t >= 0 else -want
+                assert abs(r - want) <= 2 * DEFAULT_TOL + err, (text, t)
+            checked += 1
 
 
 class TestDomainEdges:

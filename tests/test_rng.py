@@ -244,6 +244,33 @@ class TestPoissonIsArrivalCount:
         assert peak < 16 * 2**20
 
 
+class TestArrivalBounds:
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0.0, np.inf), (0.0, np.nan), (-np.inf, 2.0), (np.nan, 2.0), ("0", 2.0), (0.0, "2")],
+    )
+    def test_bounds_that_are_not_finite_reals_raise(self, start, stop):
+        rng = RngState(34)
+        with pytest.raises(InvalidParameter):
+            rng.arrivals(start, stop)
+        assert _words_used(rng) == 0
+
+    @pytest.mark.parametrize("start, stop", [(True, 2.0), (0.0, True), (np.array(0.0), 2.0)])
+    def test_bools_and_arrays_raise(self, start, stop):
+        with pytest.raises(InvalidParameter):
+            RngState(34).arrivals(start, stop)
+
+    def test_numpy_and_int_bounds_match_floats(self):
+        want = RngState(35).arrivals(0.5, 4.0)
+        for start, stop in ((np.float32(0.5), np.int64(4)), (np.float64(0.5), 4)):
+            assert np.array_equal(RngState(35).arrivals(start, stop), want)
+
+    def test_stop_below_start_gives_no_arrivals(self):
+        rng = RngState(36)
+        assert rng.arrivals(3.0, 1.0).size == 0
+        assert _words_used(rng) == 1
+
+
 class TestSize:
     DRAWS = {
         "uniform01": lambda rng, size: rng.uniform01(size=size),

@@ -187,6 +187,29 @@ def test_time_change_locations_match_rejection_method():
     assert d <= thresh
 
 
+@pytest.mark.parametrize(
+    "text, window, reps",
+    [
+        # a spike 0.0007 wide: most segments of the span table miss it
+        ("1 + 1000*exp(-((x-5.0003)^2)/1e-6)", (0.0, 10.0), 2000),
+        # about 20000 points a path, so R reaches 2e4
+        ("20 + 5*sin(0.1*x)", (0.0, 1000.0), 30),
+    ],
+)
+def test_time_change_matches_rejection_on_adversarial_rates(text, window, reps):
+    # the two routes share no code past the rate: each is the other's oracle
+    model = RateModel.from_expression(text)
+    window = Interval(*window)
+    tc = [sample_path_time_change(model, window, RngState(s, stream=5)).points for s in range(reps)]
+    rj = [simulate_window(model, window, RngState(s, stream=6)).points for s in range(reps)]
+    tc_counts = np.array([len(p) for p in tc])
+    rj_counts = np.array([len(p) for p in rj])
+    sigma = math.sqrt(tc_counts.var(ddof=1) / reps + rj_counts.var(ddof=1) / reps)
+    assert abs(tc_counts.mean() - rj_counts.mean()) <= 3.0 * sigma
+    d, thresh = two_sample_ks(np.concatenate(tc), np.concatenate(rj))
+    assert d <= thresh, (d, thresh)
+
+
 # -------------------------------------------------------------- nth point
 
 
