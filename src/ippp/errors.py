@@ -6,11 +6,11 @@ location in an expression carry a ``position`` attribute (0-based offset
 into the source text).
 
 Arguments are checked here, one function per kind of input: a real
-number (:func:`_real`), an integer (:func:`_integer`) and points given as
-a scalar or an array (:func:`_points`, with :func:`_shaped` for a result
-in their shape).  Python and numpy ints and floats pass; a bool, a str
-and anything else raise the error class the caller names, which says
-which argument was wrong and why.
+number (:func:`_real`) or a list of them (:func:`_reals`), an integer
+(:func:`_integer`) and points given as a scalar or an array (:func:`_points`,
+with :func:`_shaped` for a result in their shape).  Python and numpy ints and
+floats pass; a bool, a str and anything else raise the error class the
+caller names, which says which argument was wrong and why.
 """
 
 from __future__ import annotations
@@ -184,6 +184,14 @@ def _real(value, name: str, error=InvalidParameter, *, low=None, strict=False, f
     if low is not None and (out < low or (strict and out == low)):
         raise error(f"{name} must be {'>' if strict else '>='} {low!r}, got {value!r}")
     return out
+
+
+def _reals(values, name: str, error=InvalidParameter, **limits) -> tuple:
+    """``values``, a list, tuple, range or 1-D array, as a tuple of floats,
+    each checked by :func:`_real` naming ``name``; else raises ``error``."""
+    if not (isinstance(values, (list, tuple, range)) or getattr(values, "ndim", 0) == 1):
+        raise error(f"{name}s must be a list, tuple or 1-D array, got {values!r}")
+    return tuple(_real(v, name, error, **limits) for v in values)
 
 
 def _integer(value, name: str, error=InvalidParameter, *, low=None, high=None) -> int:

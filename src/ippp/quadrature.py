@@ -386,6 +386,12 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
     return float(np.sum(_masses(model._rate, edges[:-1], edges[1:], tol)))
 
 
+def _span(span):
+    if span is None or isinstance(span, Interval):
+        return span
+    raise InvalidParameter(f"span must be an Interval or None, got {span!r}")
+
+
 class CumulativeIntensity:
     """The map t -> R(t), memoized on a deterministic checkpoint grid.
 
@@ -421,7 +427,7 @@ class CumulativeIntensity:
         # R(anchor) = 0; the anchor is 0 clamped into the domain, which
         # changes nothing (no mass lies between 0 and the nearer edge).
         self._anchor = model.domain.clamp(0.0)
-        if span is not None:
+        if _span(span) is not None:
             lo = min(span.lo, self._anchor)
             hi = max(span.hi, self._anchor)
             lo = model.domain.clamp(lo)
@@ -858,4 +864,4 @@ def cumulative_intensity(
     sizes the base checkpoint spacing to span/1024 instead of the default
     1/1024.
     """
-    return _cached_intensity(model, _real(tol, "tol", low=0.0, strict=True), span)
+    return _cached_intensity(model, _real(tol, "tol", low=0.0, strict=True), _span(span))

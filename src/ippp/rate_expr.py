@@ -12,6 +12,9 @@ Expressions are written in ordinary infix notation over the single variable
 so ``^`` is right-associative and binds tighter than unary minus:
 ``-2^2`` is ``-(2^2) = -4`` and ``2^3^2`` is ``2^(3^2) = 512``.
 
+The internal node :class:`Step`, a piecewise-constant rate, is outside
+the grammar: only code builds it, never the parser.
+
 The module exposes three layers: :func:`tokenize` (source text to tokens),
 :func:`parse` (tokens to an immutable AST), and :func:`evaluate` (AST plus a
 scalar or array ``x`` to values).  :func:`parse_text` is the obvious
@@ -25,7 +28,7 @@ it happened rather than surfacing as a ``nan`` downstream.
 :func:`enclose` is the interval counterpart of :func:`evaluate`: given
 arrays of segments, it returns for each one an interval that holds every
 value ``evaluate`` can return inside it, which gives rejection sampling a
-sound upper bound for any expression.
+sound upper bound for any expression (for a :class:`Step`, an exact one).
 """
 
 from __future__ import annotations
@@ -194,7 +197,16 @@ class Call:
     position: int
 
 
-RateExpr = Num | Var | Unary | Binary | Call
+@dataclass(frozen=True)
+class Step:
+    """``levels[i]`` on [breaks[i], breaks[i+1]), the last piece closed, 0
+    outside: a piecewise-constant rate."""
+
+    breaks: tuple
+    levels: tuple
+
+
+RateExpr = Num | Var | Unary | Binary | Call | Step
 
 
 def _op(token: Token) -> str:
@@ -390,6 +402,11 @@ def _eval(node: RateExpr, x):
         return out if node.func in _TOTAL_FNS else _require_finite(out, node, x)
     if kind is Unary:
         return np.negative(_eval(node.operand, x))
+    if kind is Step:
+        # the piece's index plus 1 into the levels padded with 0 at both
+        # ends, one less at the last break, which is closed
+        at = np.searchsorted(node.breaks, x, side="right") - (x == node.breaks[-1])
+        return np.array((0.0, *node.levels, 0.0))[at]
     raise TypeError(f"not a RateExpr node: {node!r}")
 
 
@@ -521,6 +538,14 @@ def _enclose(node: RateExpr, lo, hi):
         if node.func == "min":
             return np.minimum(al, bl), np.minimum(ah, bh)
         return np.maximum(al, bl), np.maximum(ah, bh)
+    if isinstance(node, Step):
+        # the least and largest level of the pieces that meet [lo, hi],
+        # the least 0 where the segment reaches past the pieces
+        breaks, levels = np.asarray(node.breaks), np.asarray(node.levels)
+        outside = (lo < breaks[0]) | (hi > breaks[-1])
+        meets = (breaks[:-1] <= hi[..., None]) & (breaks[1:] >= lo[..., None])
+        low = np.min(np.where(meets, levels, np.inf), axis=-1)
+        return np.where(outside, 0.0, low), np.max(np.where(meets, levels, 0.0), axis=-1)
     raise TypeError(f"not a RateExpr node: {node!r}")
 
 

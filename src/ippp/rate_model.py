@@ -11,18 +11,15 @@ All go through one rate call, where a negative value raises
 :class:`~ippp.errors.NegativeRate` and (in debug runs) a value above the
 declared bound raises :class:`~ippp.errors.BoundViolation`.
 
-A rate source is an expression in ``x`` (:class:`ExpressionRate`) or a
-piecewise-constant table (:class:`PiecewiseConstantRate`).  The constant,
-linear and sinusoidal families are shorthands for the expressions
-``level``, ``max(0, intercept + slope*x)`` and
-``offset + amplitude*sin(frequency*x + phase)``, built from their
-parameters without parsing and described by their family name.
-
-Every rate source has ``supremum(lo, hi)``, an upper bound for the rate on
-each segment [lo[i], hi[i]] of arrays of edges.  A piecewise-constant
-rate gives its exact supremum; an expression gives the upper end of its
-interval enclosure (:func:`ippp.rate_expr.enclose`), which holds every
-value the expression can take on the segment.
+Every rate is an expression in ``x`` (:class:`ExpressionRate`): the
+constant, linear and sinusoidal families build ``level``,
+``max(0, intercept + slope*x)`` and
+``offset + amplitude*sin(frequency*x + phase)`` without parsing, and a
+piecewise-constant rate a :class:`~ippp.rate_expr.Step` node, each
+described by its family name.  A source's ``supremum(lo, hi)`` bounds the
+rate on each segment [lo[i], hi[i]] of arrays of edges: the upper end of
+the expression's interval enclosure (:func:`ippp.rate_expr.enclose`),
+exact for a piecewise-constant rate.
 
 :meth:`RateModel.envelope` turns these into the rejection sampler's
 envelope over a window: one level per segment of the 1024-segment
@@ -52,13 +49,13 @@ from .errors import (
     NegativeRate,
     _points,
     _real,
+    _reals,
     _shaped,
 )
 
 __all__ = [
     "Interval",
     "Domain",
-    "PiecewiseConstantRate",
     "ExpressionRate",
     "Envelope",
     "RateModel",
@@ -136,56 +133,6 @@ class Domain:
         lo = "-inf" if math.isinf(self.lo) else f"{self.lo:g}"
         hi = "inf" if math.isinf(self.hi) else f"{self.hi:g}"
         return f"({lo}, {hi})"
-
-
-@dataclass(frozen=True)
-class PiecewiseConstantRate:
-    """r(x) = levels[i] on [breakpoints[i], breakpoints[i+1]), zero outside.
-
-    The final piece is closed on the right so the last breakpoint still
-    carries its level.
-    """
-
-    breakpoints: tuple
-    levels: tuple
-
-    def __post_init__(self):
-        bp = tuple(_real(b, "breakpoint") for b in self.breakpoints)
-        lv = tuple(_real(v, "level", low=0.0) for v in self.levels)
-        if len(bp) != len(lv) + 1:
-            raise InvalidParameter(
-                f"need len(breakpoints) == len(levels) + 1, "
-                f"got {len(bp)} and {len(lv)}"
-            )
-        if len(lv) == 0:
-            raise InvalidParameter("need at least one piece")
-        if any(b1 >= b2 for b1, b2 in zip(bp, bp[1:])):
-            raise InvalidParameter("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "levels", lv)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        bp = np.asarray(self.breakpoints)
-        lv = np.asarray(self.levels)
-        idx = np.searchsorted(bp, x, side="right") - 1
-        out = np.zeros(x.shape)
-        inside = (idx >= 0) & (idx < len(lv))
-        out[inside] = lv[idx[inside]]
-        # keep the last breakpoint on the final piece
-        out[x == bp[-1]] = lv[-1]
-        return out
-
-    def supremum(self, lo, hi):
-        # the largest level of a piece meeting [lo, hi]; 0 outside the pieces
-        lo = np.asarray(lo, dtype=float)[..., None]
-        hi = np.asarray(hi, dtype=float)[..., None]
-        bp = np.asarray(self.breakpoints)
-        meets = (bp[:-1] <= hi) & (bp[1:] >= lo)
-        return np.max(np.where(meets, np.asarray(self.levels), 0.0), axis=-1)
-
-    def describe(self) -> str:
-        return f"piecewise constant rate with {len(self.levels)} pieces"
 
 
 @dataclass(frozen=True)
@@ -385,7 +332,20 @@ class RateModel:
 
     @classmethod
     def piecewise_constant(cls, breakpoints, levels, domain=None, declared_bound=None):
-        src = PiecewiseConstantRate(tuple(breakpoints), tuple(levels))
+        """r(x) = levels[i] on [breakpoints[i], breakpoints[i+1]), the last
+        piece closed, 0 outside; increasing breakpoints, levels >= 0."""
+        bp = _reals(breakpoints, "breakpoint")
+        lv = _reals(levels, "level", low=0.0)
+        if len(bp) != len(lv) + 1 or not lv:
+            raise InvalidParameter(
+                f"need one or more levels and len(breakpoints) == len(levels) + 1, "
+                f"got {len(bp)} and {len(lv)}"
+            )
+        if any(b1 >= b2 for b1, b2 in zip(bp, bp[1:])):
+            raise InvalidParameter("breakpoints must be strictly increasing")
+        src = ExpressionRate(
+            rate_expr.Step(bp, lv), f"piecewise constant rate with {len(lv)} pieces"
+        )
         return cls(src, domain or Domain(), declared_bound)
 
     @classmethod
@@ -465,12 +425,12 @@ class RateModel:
         One level per segment of the window's 1024-segment partition (the
         partition :func:`ippp.quadrature.integrate` uses): the declared
         bound if one was given, else the source's ``supremum`` of each
-        segment, exact for a piecewise-constant rate and an interval
-        enclosure for expressions, so no rate value on the window exceeds
-        its segment's level.  Raises :class:`~ippp.errors.InvalidRate`
-        where a segment has no finite bound (pass ``declared_bound``), and
-        :class:`~ippp.errors.NegativeRate` (from the rate call) where
-        the rate is negative all over a segment.
+        segment (the upper end of the expression's interval enclosure),
+        so no rate value on the window exceeds its segment's level.
+        Raises :class:`~ippp.errors.InvalidRate` where a segment has no
+        finite bound (pass ``declared_bound``), and
+        :class:`~ippp.errors.NegativeRate` (from the rate call) where the
+        rate is negative all over a segment.
         """
         self.require_window(window)
         return _envelope(self, window.lo, window.hi)

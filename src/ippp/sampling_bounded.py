@@ -5,18 +5,18 @@ count with mean equal to the window's intensity mass and, given the
 count, i.i.d. locations with density r(x) / mass.  Locations come from
 thinning under a piecewise-constant envelope (Lewis & Shedler, *Naval
 Res. Logistics Q.* 26, 1979): :meth:`RateModel.envelope` bounds the rate
-on each of the window's 1024 segments, soundly (interval enclosures of
-expressions, the constant, linear and sinusoidal families included, the
-exact supremum of a piecewise-constant rate, or the declared bound).  A candidate
-takes two words: one uniform picks a segment in proportion to its
-envelope mass and a position inside it, through an alias table, and the
-other accepts it with probability r(x) / level.  No integration is
+on each of the window's 1024 segments, soundly (the upper end of the
+rate expression's interval enclosure, or the declared bound).  A
+candidate takes two words: one uniform picks a segment in proportion to
+its envelope mass and a position inside it, through an alias table, and
+the other accepts it with probability r(x) / level.  No integration is
 needed, which is what makes :func:`simulate_conditional` (fixed count)
 integration-free.
 
 The envelope is a contract, not an estimate: a candidate whose rate is
 above its segment's level raises :class:`~ippp.errors.BoundViolation`
-(the rate or its ``supremum`` is wrong) rather than being absorbed.
+(the rate source or its ``supremum`` is wrong) rather than being
+absorbed.
 
 Scalar draws follow the per-candidate accept/reject loop literally.
 ``size=`` batches draw candidates in blocks; they consume the stream in a

@@ -174,6 +174,21 @@ REAL_SITES = {
     "NthPointQuery.anchor": (lambda v: NthPointQuery(v, 1, "above"), 0.5, InvalidParameter),
 }
 
+# parameter -> (a call taking a sequence of real numbers, a valid one, the
+# class anything but a list, tuple or 1-D array raises)
+REALS_SITES = {
+    "RateModel.piecewise_constant.breakpoints": (
+        lambda v: RateModel.piecewise_constant(v, [1.0, 2.0]),
+        [0.0, 1.0, 3.0],
+        InvalidParameter,
+    ),
+    "RateModel.piecewise_constant.levels": (
+        lambda v: RateModel.piecewise_constant([0.0, 1.0, 3.0], v),
+        [1.0, 2.0],
+        InvalidParameter,
+    ),
+}
+
 INTEGER_SITES = {
     "RngState.seed": (lambda v: RngState(v).uniform01(), 3, InvalidParameter),
     "RngState.stream": (lambda v: RngState(1, v).uniform01(), 3, InvalidParameter),
@@ -235,6 +250,31 @@ def test_real_parameters(site):
     for bad in (True, False, str(good), np.array(good)):
         with pytest.raises(error):
             call(bad)
+
+
+@pytest.mark.parametrize("site", sorted(REALS_SITES))
+def test_real_sequences(site):
+    call, good, error = REALS_SITES[site]
+    want = call(good)
+    for same in (tuple(good), np.array(good), np.array(good, dtype=np.float32)):
+        assert call(same) == want
+    first = good[0]
+    for bad in (first, int(first), np.float64(first), np.array(first), np.array([good]), str(good), None):
+        with pytest.raises(error):
+            call(bad)
+    # an element that is not a real number keeps its own message
+    with pytest.raises(error, match="must be a real number"):
+        call([[v] for v in good])
+
+
+@pytest.mark.parametrize("make", [CumulativeIntensity, cumulative_intensity])
+def test_span_is_an_interval_or_none(make):
+    assert make(MODEL, span=None)(1.0) == make(MODEL)(1.0)
+    assert make(MODEL, span=WINDOW)(1.0) == pytest.approx(make(MODEL)(1.0), abs=2e-9)
+    # a list must be refused before it reaches a cache, which cannot hash it
+    for bad in ((0.0, 4.0), [0.0, 4.0], 4.0, "0:4"):
+        with pytest.raises(InvalidParameter, match="span must be an Interval"):
+            make(MODEL, span=bad)
 
 
 @pytest.mark.parametrize("site", sorted(INTEGER_SITES))

@@ -110,6 +110,9 @@ class TestParserErrors:
             rate_expr.parse_text("foo(2)")
         assert err.value.name == "foo"
         assert err.value.position == 0
+        # the Step node is outside the grammar
+        with pytest.raises(UnknownFunction):
+            rate_expr.parse_text("step(x)")
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable) as err:
@@ -340,6 +343,35 @@ class TestEnclose:
         for i in (1, 2):
             one = enc("1/x", lo[i], hi[i])
             assert (low[i], high[i]) == (float(one[0]), float(one[1]))
+
+    def test_step_ends_are_its_levels(self):
+        # the high end is the largest level of the pieces that meet the
+        # segment, else 0, bit for bit as the piecewise-constant rate's
+        # supremum was; the low end is their smallest level, 0 where the
+        # segment reaches past either end; each holds the values inside
+        gen = np.random.default_rng(13)
+        for _ in range(40):
+            n = int(gen.integers(1, 8))
+            breaks = np.cumsum(gen.uniform(0.05, 2.0, n + 1)) - 3.0
+            levels = np.where(gen.random(n) < 0.3, 0.0, gen.uniform(0.0, 5.0, n))
+            step = rate_expr.Step(tuple(breaks.tolist()), tuple(levels.tolist()))
+            lo = gen.uniform(breaks[0] - 1.0, breaks[-1] + 1.0, 200)
+            # segments starting or ending exactly on a break
+            lo[:10] = gen.choice(breaks, 10)
+            hi = lo + 10.0 ** gen.uniform(-6.0, 0.5, 200)
+            hi[10:20] = np.maximum(gen.choice(breaks, 10), lo[10:20])
+            low, high = rate_expr.enclose(step, lo, hi)
+            meets = (breaks[:-1] <= hi[:, None]) & (breaks[1:] >= lo[:, None])
+            old_sup = np.max(np.where(meets, levels, 0.0), axis=-1)
+            assert high.view(np.int64).tolist() == old_sup.view(np.int64).tolist()
+            for i in range(lo.size):
+                met = levels[meets[i]]
+                past = lo[i] < breaks[0] or hi[i] > breaks[-1]
+                assert low[i] == (0.0 if past else met.min())
+                vals = rate_expr.evaluate(step, np.linspace(lo[i], hi[i], 33))
+                assert np.all((vals >= low[i]) & (vals <= high[i]))
+                one = rate_expr.enclose(step, np.float64(lo[i]), np.float64(hi[i]))
+                assert one[0].shape == () and (one[0], one[1]) == (low[i], high[i])
 
     def test_fuzz_values_lie_in_enclosure(self):
         # wherever evaluate succeeds at 64 points of a segment, every value

@@ -16,10 +16,11 @@ from ippp.errors import (
     InvalidParameter,
     InvalidRate,
     NegativeRate,
+    _real,
 )
 from ippp.quadrature import cumulative_intensity, integrate
 from ippp.rate_expr import Binary, Call, Num, Var
-from ippp.rate_model import Domain, Interval, PiecewiseConstantRate, RateModel
+from ippp.rate_model import Domain, Interval, RateModel
 from ippp.rng import RngState
 from ippp.sampling_bounded import sample_location, simulate_conditional, simulate_window
 from ippp.sampling_line import (
@@ -250,8 +251,9 @@ class TestBoundOn:
             m.bound_on(Interval(4.0, 6.0))
 
 
-# The constant, linear and sinusoidal families as rate sources of their
-# own, before they became expressions: the reference for the expressions.
+# The constant, linear, sinusoidal and piecewise-constant families as rate
+# sources of their own, before they became expressions: the reference for
+# the expressions.
 
 
 @dataclass(frozen=True)
@@ -330,6 +332,59 @@ class _OldSinusoidal:
         return RateModel.sinusoidal(self.offset, self.amplitude, self.frequency, self.phase)
 
 
+@dataclass(frozen=True)
+class _OldPiecewiseConstant:
+    """r(x) = levels[i] on [breakpoints[i], breakpoints[i+1]), zero outside.
+
+    The final piece is closed on the right so the last breakpoint still
+    carries its level.
+    """
+
+    breakpoints: tuple
+    levels: tuple
+
+    def __post_init__(self):
+        bp = tuple(_real(b, "breakpoint") for b in self.breakpoints)
+        lv = tuple(_real(v, "level", low=0.0) for v in self.levels)
+        if len(bp) != len(lv) + 1:
+            raise InvalidParameter(
+                f"need len(breakpoints) == len(levels) + 1, "
+                f"got {len(bp)} and {len(lv)}"
+            )
+        if len(lv) == 0:
+            raise InvalidParameter("need at least one piece")
+        if any(b1 >= b2 for b1, b2 in zip(bp, bp[1:])):
+            raise InvalidParameter("breakpoints must be strictly increasing")
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "levels", lv)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        bp = np.asarray(self.breakpoints)
+        lv = np.asarray(self.levels)
+        idx = np.searchsorted(bp, x, side="right") - 1
+        out = np.zeros(x.shape)
+        inside = (idx >= 0) & (idx < len(lv))
+        out[inside] = lv[idx[inside]]
+        # keep the last breakpoint on the final piece
+        out[x == bp[-1]] = lv[-1]
+        return out
+
+    def supremum(self, lo, hi):
+        # the largest level of a piece meeting [lo, hi]; 0 outside the pieces
+        lo = np.asarray(lo, dtype=float)[..., None]
+        hi = np.asarray(hi, dtype=float)[..., None]
+        bp = np.asarray(self.breakpoints)
+        meets = (bp[:-1] <= hi) & (bp[1:] >= lo)
+        return np.max(np.where(meets, np.asarray(self.levels), 0.0), axis=-1)
+
+    def describe(self) -> str:
+        return f"piecewise constant rate with {len(self.levels)} pieces"
+
+    def family(self):
+        return RateModel.piecewise_constant(self.breakpoints, self.levels)
+
+
 OLD_FAMILIES = [
     _OldConstant(2.0),
     _OldConstant(0.0),
@@ -342,6 +397,10 @@ OLD_FAMILIES = [
     _OldSinusoidal(20.0, -5.0, 0.1, 0.3),
     _OldSinusoidal(3.0, 1.0, -2.0),
     _OldSinusoidal(1.0, 1.0, 3.0, -1.0),
+    # breaks off the dyadic points of the [-1, 9] window, a level 0 among them
+    _OldPiecewiseConstant((-0.5, 1.3, 2.1, 5.3, 7.7), (2.0, 0.0, 3.0, 1.0)),
+    _OldPiecewiseConstant((0.1, 0.7, 3.9), (1.5, 6.0)),
+    _OldPiecewiseConstant((-0.3, 2.7), (2.0,)),
 ]
 
 
@@ -398,7 +457,7 @@ class TestVectorSuprema:
             (RateModel(_OldConstant(2.5)), lambda src, lo, hi: src.level),
             (RateModel(_OldLinear(1.0, 2.0)), _old_linear),
             (RateModel(_OldLinear(3.0, -0.7)), _old_linear),
-            (RateModel.piecewise_constant([0.0, 1.0, 2.5, 3.0], [1.0, 4.0, 2.0]), _old_pwconst),
+            (RateModel(_OldPiecewiseConstant((0.0, 1.0, 2.5, 3.0), (1.0, 4.0, 2.0))), _old_pwconst),
             (RateModel(_OldSinusoidal(2.0, 1.0)), _old_sinusoidal),
             (RateModel(_OldSinusoidal(20.0, -5.0, 0.1, 0.3)), _old_sinusoidal),
             (RateModel(_OldSinusoidal(3.0, 1.0, -2.0)), _old_sinusoidal),
@@ -413,8 +472,7 @@ class TestVectorSuprema:
         lo, hi = self._windows(7, -2.0, 5.0)
         want = [old(src, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
         assert src.supremum(lo, hi).tolist() == want
-        got = src if isinstance(src, PiecewiseConstantRate) else src.family().source
-        got = got.supremum(lo, hi)
+        got = src.family().source.supremum(lo, hi)
         assert got.shape == (1000,)
         if isinstance(src, _OldSinusoidal):
             _sinusoid_level_ok(src, got, want)
@@ -453,7 +511,10 @@ class TestFamiliesAsExpressions:
                 yield from walk(node.left)
                 yield from walk(node.right)
 
+        # a piecewise-constant rate's Step node has no source text
         for old in OLD_FAMILIES:
+            if isinstance(old, _OldPiecewiseConstant):
+                continue
             src = old.family().source
             text = src.describe().split(" rate ", 1)[1]
             for node in walk(src.expr):
@@ -480,10 +541,13 @@ class TestFamiliesAsExpressions:
     @pytest.mark.parametrize("old", OLD_FAMILIES, ids=repr)
     def test_values_bitwise(self, old):
         xs = np.random.default_rng(3).uniform(-50.0, 50.0, 20_000)
-        xs = np.concatenate([xs, [0.0, -0.0, 1e-300, -4.0, 2.0]])
+        breaks = getattr(old, "breakpoints", ())
+        xs = np.concatenate([xs, [0.0, -0.0, 1e-300, -4.0, 2.0], breaks])
         new = old.family()
         assert _bits(new.evaluate(xs)) == _bits(old(xs))
         assert _bits([new.evaluate(float(x)) for x in xs[:50]]) == _bits(old(xs[:50]))
+        ends = xs[-len(breaks) - 5 :]
+        assert _bits([new.evaluate(x) for x in ends]) == _bits(old(ends))
 
     @pytest.mark.parametrize("old", OLD_FAMILIES, ids=repr)
     def test_envelope_levels(self, old):
