@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import (
     EvalError,
+    InvalidParameter,
     LexError,
     ParseError,
     UnknownFunction,
@@ -204,6 +205,10 @@ class Step:
 
     breaks: tuple
     levels: tuple
+
+    def __post_init__(self):
+        # the levels with a 0 at both ends; not a field, so not in eq or hash
+        object.__setattr__(self, "padded", np.array((0.0, *self.levels, 0.0)))
 
 
 RateExpr = Num | Var | Unary | Binary | Call | Step
@@ -374,8 +379,13 @@ _CALL_FNS = {
 }
 
 
+def _finite(values) -> bool:
+    # a finite sum means all are finite; one that overflows is tested in full
+    return math.isfinite(np.add.reduce(values, axis=None)) or bool(np.isfinite(values).all())
+
+
 def _require_finite(values, node: RateExpr, x):
-    if np.isfinite(values).all():
+    if _finite(values):
         return values
     what = f"operator {node.op!r}" if type(node) is Binary else f"function {node.func!r}"
     if np.ndim(values) == 0:
@@ -406,7 +416,7 @@ def _eval(node: RateExpr, x):
         # the piece's index plus 1 into the levels padded with 0 at both
         # ends, one less at the last break, which is closed
         at = np.searchsorted(node.breaks, x, side="right") - (x == node.breaks[-1])
-        return np.array((0.0, *node.levels, 0.0))[at]
+        return node.padded[at]
     raise TypeError(f"not a RateExpr node: {node!r}")
 
 
@@ -420,12 +430,17 @@ def evaluate(expr: RateExpr, x):
     numbers raises :class:`~ippp.errors.InvalidParameter`.
     """
     arr = _points(x)
+    return _shaped(_values(expr, arr), arr)
+
+
+def _values(expr: RateExpr, x):
+    """The library's rate call: values at a float array ``x``, checked finite."""
     with np.errstate(all="ignore"):
-        out = _eval(expr, arr)
-    if isinstance(out, float):
-        # Constant sub-expressions collapse to scalars; broadcast back out.
-        out = np.full(arr.shape, float(out))
-    return _shaped(out, arr)
+        if not _finite(x):
+            raise InvalidParameter("x must be finite")
+        out = _eval(expr, x)
+    # constant sub-expressions collapse to scalars; broadcast back out
+    return np.full(x.shape, out) if isinstance(out, float) else out
 
 
 # -- interval enclosures -------------------------------------------------------

@@ -122,9 +122,7 @@ class Domain:
 
     def contains(self, x):
         """Whether each point lies in the domain, as :meth:`Interval.contains`."""
-        x = _points(x)
-        out = (x >= self.lo) & (x <= self.hi)
-        return bool(out) if out.ndim == 0 else out
+        return Interval.contains(self, x)
 
     def clamp(self, t: float) -> float:
         return min(max(float(t), self.lo), self.hi)
@@ -144,7 +142,7 @@ class ExpressionRate:
     description: str
 
     def __call__(self, x):
-        return rate_expr.evaluate(self.expr, np.asarray(x, dtype=float))
+        return rate_expr._values(self.expr, x)
 
     def supremum(self, lo, hi):
         return rate_expr.enclose(self.expr, lo, hi)[1]
@@ -241,16 +239,15 @@ class Envelope:
     def locate(self, u):
         """Draws from the envelope's density for uniforms ``u`` in [0, 1).
 
-        u * n splits exactly into a column k and a fraction f (n is a
-        power of two), the fraction picks the branch of column k and its
-        position inside that branch's segment, so a position keeps the
-        bits of u below the column's.  Returns each draw's segment level
-        and location, the location inside its segment.
+        u * n >= 0 splits exactly, by truncation, into a column k and a
+        fraction f (n is a power of two), the fraction picks the branch of
+        column k and its position inside that branch's segment, so a
+        position keeps the bits of u below the column's.  Returns each
+        draw's segment level and location, the location inside its segment.
         """
         t = u * self._prob.size
-        column = np.floor(t)
-        f = t - column
-        k = column.astype(np.intp)
+        k = t.astype(np.intp)
+        f = t - k
         j = 2 * k + (f >= self._prob[k])
         x = self._lo[j] + (f - self._start[j]) * self._slope[j]
         np.minimum(x, self._hi[j], out=x)

@@ -15,14 +15,16 @@ produces bitwise-equal values.  The same holds for ``exponential`` and
 ``erlang`` (lane major: each lane takes a contiguous block of words),
 and ``arrivals`` consumes exactly the words of its scalar loop.
 A Poisson count is an arrival count: a scalar ``poisson(mean)`` is
-``arrivals(0.0, mean).size`` and uses count + 1 words.  A batch of n
-cuts one arrival path on (0, n*mean] into n consecutive windows of
-length ``mean``, so it is deterministic for (seed, stream, size) but is
-not word-for-word the same as a sequence of scalar calls.
+``arrivals(0.0, mean).size`` and uses count + 1 words (``advance`` moves
+the stream past them, with no redraw).  A batch of n cuts one arrival path
+on (0, n*mean] into n consecutive windows of length ``mean``, so it is
+deterministic for (seed, stream, size) but is not word-for-word the same
+as a sequence of scalar calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -49,17 +51,12 @@ class RngState:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = _integer(seed, "seed", low=0, high=_U64 - 1)
         self.stream = _integer(stream, "stream", low=0, high=_U64 - 1)
-        self._bits = np.random.Philox(
-            key=np.array([self.seed, self.stream], dtype=np.uint64)
-        )
+        self._bits = np.random.Philox(_key_type()(self.seed, self.stream))
 
     def __repr__(self):
         return f"RngState(seed={self.seed}, stream={self.stream})"
 
     # -- core draws ----------------------------------------------------------
-
-    def _words(self, n: int):
-        return self._bits.random_raw(n)
 
     def uniform01(self, size: int | None = None):
         """Uniform variates on [0, 1) with 53-bit precision.
@@ -67,7 +64,7 @@ class RngState:
         Scalar when ``size`` is None, else a 1-d array of length ``size``.
         """
         n = _check_size(size)
-        vals = (self._words(n) >> np.uint64(11)) * _INV_2_53
+        vals = (self._bits.random_raw(n) >> np.uint64(11)) * _INV_2_53
         return float(vals[0]) if size is None else vals
 
     def exponential(self, size: int | None = None):
@@ -107,20 +104,23 @@ class RngState:
 
     def _arrival_blocks(self, start: float, stop: float):
         # Yield the arrivals in blocks of gaps.  For the block that crosses
-        # ``stop`` the state is restored and only its words up to the first
-        # gap past ``stop`` are drawn again, so the stream is left exactly
-        # where the scalar loop leaves it.
+        # ``stop`` the state is restored and moved past its words up to the
+        # first gap past ``stop`` with ``advance`` and at most four words,
+        # so the stream is left exactly where the scalar loop leaves it.
         y = float(start)
         while True:
             state = self._bits.state
             room = max(float(stop) - y, 0.0)
             n = min(int(room + 4.0 * math.sqrt(room)) + 16, _ARRIVAL_BLOCK)
             ys = np.cumsum(np.concatenate(([y], self.exponential(size=n))))[1:]
-            past = np.nonzero(ys > stop)[0]
-            if past.size:
-                k = int(past[0])
+            k = int(np.searchsorted(ys, stop, side="right"))  # ys never decrease
+            if k < n:
                 self._bits.state = state
-                self._words(k + 1)
+                used, left = k + 1, 4 - int(state["buffer_pos"])
+                if used > left:  # skip the buffer, then steps of 4 words
+                    self._bits.advance((used - left - 1) // 4)
+                    used = (used - left - 1) % 4 + 1
+                self._bits.random_raw(used)
                 yield ys[:k]
                 return
             yield ys
@@ -139,13 +139,33 @@ class RngState:
         """
         mean = _real(mean, "mean", InvalidMean, low=0.0)
         n = _check_size(size)
+        if size is None:
+            return sum(ys.size for ys in self._arrival_blocks(0.0, mean)) if mean > 0 else 0
         counts = np.zeros(n, dtype=np.int64)
         if mean > 0 and n:
             for ys in self._arrival_blocks(0.0, n * mean):
                 # lane i holds (i*mean, (i+1)*mean]; y/mean can round past an end
                 lanes = np.ceil(ys / mean).astype(np.int64) - 1
                 counts += np.bincount(np.clip(lanes, 0, n - 1), minlength=n)
-        return int(counts[0]) if size is None else counts
+        return counts
+
+
+class _Key:
+    """A Philox key as a seed sequence: ``Philox(_Key(seed, stream))`` is
+    ``Philox(key=[seed, stream])`` built without reading OS entropy."""
+
+    def __init__(self, seed: int, stream: int):
+        self.key = np.array([seed, stream], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+@functools.cache
+def _key_type():
+    # registered on first use, as numpy.random takes ~17 ms to import
+    np.random.bit_generator.ISeedSequence.register(_Key)
+    return _Key
 
 
 def _check_size(size) -> int:

@@ -9,9 +9,9 @@ on each of the window's 1024 segments, soundly (the upper end of the
 rate expression's interval enclosure, or the declared bound).  A
 candidate takes two words: one uniform picks a segment in proportion to
 its envelope mass and a position inside it, through an alias table, and
-the other accepts it with probability r(x) / level.  No integration is
-needed, which is what makes :func:`simulate_conditional` (fixed count)
-integration-free.
+the other accepts it with probability r(x) / level; a round draws all its
+words in one call, location words first.  No integration is needed, which
+is what makes :func:`simulate_conditional` (fixed count) integration-free.
 
 The envelope is a contract, not an estimate: a candidate whose rate is
 above its segment's level raises :class:`~ippp.errors.BoundViolation`
@@ -175,8 +175,9 @@ def _rejection_sample(model, window, rng, count):
         else:
             block = 1
         drawn += block
-        levels, xs = env.locate(rng.uniform01(size=block))
-        us = rng.uniform01(size=block)
+        u = rng.uniform01(size=2 * block)
+        levels, xs = env.locate(u[:block])
+        us = u[block:]
         rates = model._rate(xs)
         over = np.nonzero(rates > levels)[0]
         if over.size:

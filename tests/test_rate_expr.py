@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from ippp import rate_expr
+from ippp import RateModel, rate_expr
 from ippp.errors import (
     EvalError,
     InvalidParameter,
@@ -208,6 +208,61 @@ class TestEvaluate:
     def test_min_max(self):
         assert ev("min(2, x)", 5.0) == 2.0
         assert ev("max(2, x)", 5.0) == 5.0
+
+
+class TestFiniteness:
+    """The finiteness test sums a node's values and looks at each one
+    only when the sum is not finite; the library's rate call tests x the
+    same way."""
+
+    # finite values near the largest float, whose sum overflows
+    BIG = np.array([1.0e307, 5.0e307, 7.0e307, 2.0e307])
+
+    def test_finite_values_with_an_overflowing_sum_pass(self):
+        want = np.add(self.BIG, 1e308)
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(want)) and np.sum(want) == math.inf
+        model = RateModel.from_expression("x + 1e308")
+        assert np.array_equal(rate_expr.evaluate(model.source.expr, self.BIG), want)
+        assert np.array_equal(model.evaluate(self.BIG), want)
+        assert np.array_equal(model._rate(self.BIG), want)
+
+    def test_library_points_with_an_overflowing_sum_pass(self):
+        x = np.add(self.BIG, 1e308)
+        assert np.array_equal(RateModel.from_expression("x")._rate(x), x)
+
+    @pytest.mark.parametrize("x", [np.array(1e-200), np.array([1.0, 1e-200, 2.0])])
+    def test_underflow_to_a_pole_raises_at_the_division(self, x):
+        model = RateModel.from_expression("exp(-1/x^2)")
+        for call in (model._rate, model.evaluate, lambda x: rate_expr.evaluate(model.source.expr, x)):
+            with pytest.raises(EvalError) as err:
+                call(x)
+            assert err.value.position == 6
+            assert "x=1e-200" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_library_points_raise(self, bad):
+        for text in ("x", "2", "1 + 50*exp(-((x-3)^2)/0.5)"):
+            model = RateModel.from_expression(text)
+            for x in (np.array(bad), np.array([1.0, bad, 2.0])):
+                with pytest.raises(InvalidParameter):
+                    model._rate(x)
+        step = RateModel.piecewise_constant([0.0, 1.0], [2.0])
+        with pytest.raises(InvalidParameter):
+            step._rate(np.array([0.5, bad]))
+
+
+class TestStep:
+    def test_padded_levels_are_built_once_outside_the_value(self):
+        a = rate_expr.Step((0.0, 1.0, 3.0), (2.0, 5.0))
+        b = rate_expr.Step((0.0, 1.0, 3.0), (2.0, 5.0))
+        assert a == b and hash(a) == hash(b) and "padded" not in repr(a)
+        assert a.padded.tolist() == [0.0, 2.0, 5.0, 0.0]
+        padded = a.padded
+        xs = np.array([-1.0, 0.0, 0.5, 1.0, 3.0, 4.0])
+        assert rate_expr.evaluate(a, xs).tolist() == [0.0, 2.0, 2.0, 5.0, 5.0, 0.0]
+        assert rate_expr.evaluate(a, 3.0) == 5.0
+        assert a.padded is padded
 
 
 class TestAgainstReference:

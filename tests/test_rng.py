@@ -6,6 +6,9 @@ refactors cannot silently change sampled output.  Distribution shape is
 checked separately against scipy oracles.
 """
 
+import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 import scipy.stats
 
 from ippp.errors import InvalidMean, InvalidParameter, InvalidShape
-from ippp.rng import RngState
+from ippp.rng import _ARRIVAL_BLOCK, RngState
 
 from stat_checks import chi_square_stat, ks_distance, ks_threshold
 
@@ -242,6 +245,70 @@ class TestPoissonIsArrivalCount:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def _philox(seed, stream, words=0):
+    # a Philox built from its key, after ``words`` words drawn in turn
+    bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bits.random_raw(words)
+    return bits
+
+
+def _same_state(got, want):
+    a, b = got.state, want.state
+    assert np.array_equal(a["state"]["counter"], b["state"]["counter"])
+    assert np.array_equal(a["state"]["key"], b["state"]["key"])
+    assert np.array_equal(a["buffer"], b["buffer"])
+    assert (a["buffer_pos"], a["has_uint32"], a["uinteger"]) == (
+        b["buffer_pos"],
+        b["has_uint32"],
+        b["uinteger"],
+    )
+
+
+class TestStreamState:
+    EDGES = (0, 1, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", EDGES)
+    @pytest.mark.parametrize("stream", EDGES)
+    def test_built_from_its_key(self, seed, stream):
+        rng, want = RngState(seed, stream), _philox(seed, stream)
+        _same_state(rng._bits, want)
+        assert np.array_equal(rng._bits.random_raw(9), want.random_raw(9))
+
+    def test_pickle_round_trip(self):
+        rng = RngState(3, 4)
+        rng.uniform01()
+        twin = pickle.loads(pickle.dumps(rng))
+        assert np.array_equal(twin.uniform01(size=5), rng.uniform01(size=5))
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random takes tens of ms to import; a CLI run that draws
+        # nothing should not pay for it
+        code = "import sys, ippp.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    # (mean, size): counts of each size up to past one block of gaps
+    DRAWS = [(0.4, None), (3.0, None), (50.0, None), (2e4, None), (1e5, None)]
+    DRAWS += [(0.5, 7), (3.0, 1000), (40.0, 2000), (2e4, 5)]
+
+    def test_poisson_leaves_the_state_of_its_words_drawn_in_turn(self):
+        # the block of gaps that crosses the end is drawn whole, then the
+        # stream moved back past its used words: the state must be that of
+        # a stream that drew exactly those words, whatever the buffer held
+        # before (0-3 words drawn first) and after (count + 1 mod 4)
+        ends = set()
+        for mean, size in self.DRAWS:
+            for before in range(4):
+                for seed in range(4):
+                    rng = RngState(seed, 5)
+                    rng.uniform01(size=before)
+                    used = before + int(np.sum(rng.poisson(mean, size=size))) + 1
+                    _same_state(rng._bits, _philox(seed, 5, used))
+                    ends.add(used % 4)
+        assert ends == {0, 1, 2, 3}
+        assert max(m * (s or 1) for m, s in self.DRAWS) > _ARRIVAL_BLOCK
 
 
 class TestArrivalBounds:
