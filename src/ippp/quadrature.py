@@ -19,13 +19,20 @@ most the sum of the segment budgets, tol.  A single panel over the whole
 window could step over a narrow spike with all 15 nodes.
 
 :class:`CumulativeIntensity` is the signed antiderivative of the rate
-anchored at 0: R(t) is the mass on (0, t] for t >= 0 and minus the mass
-on (t, 0] for t < 0.  It memoizes integrals on a deterministic grid of
-checkpoints, so repeated path simulation costs O(path length), and values
-never depend on query order.  A query plans every batch of checkpoints it
-needs first and integrates their segments in rate calls of at most 1536
-segments (a little over the 1152 of a fresh span table's first growth),
-so the temporaries of a large growth stay small.
+from the table's origin o: R(t) is the mass on (o, t] for t >= o and
+minus the mass on (t, o] for t < o.  The public tables have origin 0.
+The time-change sampler and the location CDF use a private window table
+instead, whose origin is the window's lower end and whose first 1024
+segments are the window's own partition, the one :func:`integrate` sums:
+R at both window edges is a stored checkpoint, R at the upper edge adds
+up :func:`integrate`'s segment masses, and the table's cost does not
+grow with the window's distance from 0.  A table memoizes integrals
+on a deterministic grid of checkpoints, so repeated path simulation costs
+O(path length), and values never depend on query order.  A query plans
+every batch of checkpoints it needs first and integrates their segments
+in rate calls of at most 1536 segments (a little over the 1152 of a fresh
+span table's first growth), so the temporaries of a large growth stay
+small.
 
 Between its checkpoints the table keeps dense output, built lazily, as in
 the PINV method of Derflinger, Hörmann & Leydold (ACM TOMACS 20(4), 2010).
@@ -368,10 +375,10 @@ def _masses(f, lows, highs, tol: float):
 def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     """Integral of the rate over [a, b] with estimated absolute error <= tol.
 
-    [a, b] is split as a checkpoint table sized to it splits it, into 1024
-    equal segments with error budgets tol / 1024 that sum to tol.  Both
-    endpoints must lie in the model's domain (DomainViolation), so every
-    panel node does.  Negative rates and expression evaluation failures
+    [a, b] is split into 1024 equal segments, the first checkpoints of
+    the window table on [a, b], with error budgets tol / 1024 that sum to
+    tol.  Both endpoints must lie in the model's domain (DomainViolation),
+    so every panel node does.  Negative rates and expression evaluation failures
     propagate from the rate call.
     """
     a = _real(a, "a")
@@ -393,10 +400,11 @@ def _span(span):
 
 
 class CumulativeIntensity:
-    """The map t -> R(t), memoized on a deterministic checkpoint grid.
+    """The map t -> R(t), the signed mass from the table's origin (0 for
+    every public table), memoized on a deterministic checkpoint grid.
 
     Checkpoints sit at fixed positions (uniform steps of a base width near
-    the anchor, geometrically widening further out, clipped at domain
+    the origin, geometrically widening further out, clipped at domain
     edges), so the table's values are independent of the order in which
     queries arrive.  All public methods take a lock; concurrent callers
     see identical values for identical inputs.
@@ -421,22 +429,36 @@ class CumulativeIntensity:
         tol: float = DEFAULT_TOL,
         span: Interval | None = None,
     ):
-        self.model = model
-        self.tol = _real(tol, "tol", low=0.0, strict=True)
-        self._lock = threading.RLock()
-        # R(anchor) = 0; the anchor is 0 clamped into the domain, which
-        # changes nothing (no mass lies between 0 and the nearer edge).
-        self._anchor = model.domain.clamp(0.0)
+        tol = _real(tol, "tol", low=0.0, strict=True)
+        # the origin is 0 clamped into the domain, which changes nothing
+        # (no mass lies between 0 and the nearer edge)
+        origin = model.domain.clamp(0.0)
+        h0 = 1.0 / _SEGMENTS
         if _span(span) is not None:
-            lo = min(span.lo, self._anchor)
-            hi = max(span.hi, self._anchor)
-            lo = model.domain.clamp(lo)
-            hi = model.domain.clamp(hi)
-            width = hi - lo
-            self._h0 = width / _SEGMENTS if width > 0 else 1.0 / _SEGMENTS
-        else:
-            self._h0 = 1.0 / _SEGMENTS
-        self._t = np.array([self._anchor])
+            lo = model.domain.clamp(min(span.lo, origin))
+            hi = model.domain.clamp(max(span.hi, origin))
+            if hi > lo:
+                h0 = (hi - lo) / _SEGMENTS
+        self._start(model, tol, origin, h0)
+
+    @classmethod
+    def _windowed(cls, model: RateModel, tol: float, window: Interval):
+        """The window table: origin ``window.lo``, base width
+        window.width / 1024, and first 1024 segments the window's
+        partition, grown in one call.  The window must lie in the domain
+        and ``tol`` be checked."""
+        self = cls.__new__(cls)
+        self._start(model, tol, window.lo, window.width / _SEGMENTS)
+        self._extend([(1, window.lo, _partition(window.lo, window.hi)[1:])])
+        return self
+
+    def _start(self, model: RateModel, tol: float, origin: float, h0: float):
+        """An empty table: R(origin) = 0, and checkpoints h0 apart near it."""
+        self.model = model
+        self.tol = tol
+        self._lock = threading.RLock()
+        self._h0 = h0
+        self._t = np.array([origin])
         self._r = np.array([0.0])
         # the dense pieces of the segment right of each checkpoint: the
         # store row of the first one and their count (0 until a query
@@ -849,19 +871,37 @@ class CumulativeIntensity:
 
 
 @lru_cache(maxsize=64)
-def _cached_intensity(model, tol, span):
+def _cached_intensity(model, tol, span, windowed):
+    # one bounded cache holds the public tables and the window tables
+    if windowed:
+        return CumulativeIntensity._windowed(model, tol, span)
     return CumulativeIntensity(model, tol=tol, span=span)
 
 
 def cumulative_intensity(
     model: RateModel, tol: float = DEFAULT_TOL, *, span: Interval | None = None
 ) -> CumulativeIntensity:
-    """A (cached) CumulativeIntensity for the model.
+    """A (cached) CumulativeIntensity for the model, with R(0) = 0.
 
     Repeated calls with equal arguments return the same object, so its
     checkpoint table is shared; that is safe because the table only grows
     and its values do not depend on query order.  ``span``, when given,
     sizes the base checkpoint spacing to span/1024 instead of the default
-    1/1024.
+    1/1024.  R stays anchored at 0, so its cost grows with distance from
+    0: a query far out first grows the table from 0 out to it, and there
+    the segments are wide (a span table stretches its span to cover 0
+    before cutting it in 1024; the default table's segments widen
+    geometrically past |t| = 4), each integrated to the same budget of
+    tol / 1024.
     """
-    return _cached_intensity(model, _real(tol, "tol", low=0.0, strict=True), _span(span))
+    return _cached_intensity(model, _real(tol, "tol", low=0.0, strict=True), _span(span), False)
+
+
+def _window_intensity(model: RateModel, tol, window: Interval) -> CumulativeIntensity:
+    """The cached window table of a window that lies in the model's domain:
+    R(window.lo) = 0, and R at both window edges is a stored checkpoint.
+
+    ``tol`` is checked before the cache lookup, so a bad one raises
+    InvalidParameter even where it cannot be hashed.
+    """
+    return _cached_intensity(model, _real(tol, "tol", low=0.0, strict=True), window, True)

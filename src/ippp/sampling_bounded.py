@@ -44,7 +44,7 @@ from .errors import (
     _real,
     _shaped,
 )
-from .quadrature import DEFAULT_TOL, cumulative_intensity, integrate
+from .quadrature import DEFAULT_TOL, _window_intensity, integrate
 from .rate_model import Interval, RateModel
 from .rng import RngState, _check_size
 
@@ -268,16 +268,20 @@ def location_density(model: RateModel, window: Interval, x, tol: float = DEFAULT
 
 
 def location_cdf(model: RateModel, window: Interval, x, tol: float = DEFAULT_TOL):
-    """CDF of a single point's location, clamped to [0, 1]."""
+    """CDF of a single point's location, clamped to [0, 1].
+
+    R(x) / R(hi), R being the mass from the window's lower end on the
+    cached window table that :func:`~ippp.sampling_line.sample_path_time_change`
+    uses; R(hi) is a stored checkpoint.
+    """
     model.require_window(window)
     arr = _points(x)
-    ci = cumulative_intensity(model, tol, span=window)
-    r_lo = ci(window.lo)
-    mass = ci(window.hi) - r_lo
+    ci = _window_intensity(model, tol, window)
+    mass = ci(window.hi)
     if mass <= tol:
         raise ZeroMass(mass, tol)
     clipped = np.clip(arr, window.lo, window.hi)
-    return _shaped(np.clip((ci(clipped) - r_lo) / mass, 0.0, 1.0), arr)
+    return _shaped(np.clip(ci(clipped) / mass, 0.0, 1.0), arr)
 
 
 # above this m the binomial factor is computed in log space

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameter, _integer, _points, _real, _shaped
-from .quadrature import DEFAULT_TOL, cumulative_intensity
+from .quadrature import DEFAULT_TOL, _window_intensity, cumulative_intensity
 from .rate_model import Interval, RateModel
 from .rng import RngState
 from .sampling_bounded import EventSet, _base_meta
@@ -87,19 +87,24 @@ def sample_path_time_change(
 ) -> EventSet:
     """One realization on the window via the time change.
 
-    A unit-rate path on (R(lo), R(hi)] is laid down with Exp(1) gaps and
-    mapped back through the inverse; the result is sorted by
-    construction and distributed exactly like simulate_window's output.
+    R here is the mass from the window's lower end, on a cached table
+    whose first segments are the window's partition.  A unit-rate path on
+    (0, R(hi)] is laid down with Exp(1) gaps and mapped back through the
+    inverse; the result is sorted by construction and distributed exactly
+    like simulate_window's output.  R(hi), the ``mass`` in the result's
+    meta, is a stored checkpoint that adds up the segment masses
+    :func:`~ippp.sampling_bounded.expected_count` sums, so the two agree
+    to a few ulps, and a path costs the same at any distance from 0.
     """
     model.require_window(window)
-    ci = cumulative_intensity(model, tol, span=window)
-    r_lo, r_hi = ci(np.array([window.lo, window.hi])).tolist()
-    ys = rng.arrivals(r_lo, r_hi)
-    pts = ci.inverse_many(ys)
-    # the inverse is accurate to ~tol; pull edge round-off back inside
+    ci = _window_intensity(model, tol, window)
+    mass = ci(window.hi)
+    pts = ci.inverse_many(rng.arrivals(0.0, mass))
+    # a target of exactly 0 would resolve to the left end of a plateau
+    # that ends at lo
     pts = np.clip(pts, window.lo, window.hi)
     meta = _base_meta(model, rng, "time-change")
-    meta["mass"] = r_hi - r_lo
+    meta["mass"] = mass
     return EventSet(window, pts, meta)
 
 

@@ -4,9 +4,9 @@ Points x come as a scalar or an array of any shape: a scalar (or a 0-d
 array) gives a float, an array gives an array of its shape, and NaN,
 ±inf, bools, strs or None raise InvalidParameter.  A numeric parameter
 is a Python or numpy int or float (an integer parameter: an int only);
-a bool, a str or a 0-d array raise the class that the site raises for
-any bad value, and a numpy scalar gives what the equal Python number
-gives.
+a bool, a str, a 0-d array or a list (of a real parameter) raise the
+class that the site raises for any bad value, and a numpy scalar gives
+what the equal Python number gives.
 """
 
 import math
@@ -31,6 +31,7 @@ from ippp import (
     rate_expr,
     sample_location,
     sample_nth_point,
+    sample_path_time_change,
     simulate_conditional,
 )
 from ippp.errors import InvalidIndex, InvalidMean, InvalidParameter, InvalidShape
@@ -170,6 +171,13 @@ REAL_SITES = {
         InvalidParameter,
     ),
     "expected_count.tol": (lambda v: expected_count(MODEL, WINDOW, v), 2.0**-20, InvalidParameter),
+    # checked before the table cache, which cannot hash a list
+    "sample_path_time_change.tol": (
+        lambda v: sample_path_time_change(MODEL, WINDOW, RngState(1), v),
+        2.0**-20,
+        InvalidParameter,
+    ),
+    "location_cdf.tol": (lambda v: location_cdf(MODEL, WINDOW, 1.5, v), 2.0**-20, InvalidParameter),
     "RngState.poisson.mean": (lambda v: RngState(1).poisson(v), 2.0, InvalidMean),
     "NthPointQuery.anchor": (lambda v: NthPointQuery(v, 1, "above"), 0.5, InvalidParameter),
 }
@@ -247,7 +255,7 @@ def test_real_parameters(site):
     if good == int(good):
         assert call(int(good)) == want
         assert call(np.int64(good)) == want
-    for bad in (True, False, str(good), np.array(good)):
+    for bad in (True, False, str(good), np.array(good), [good]):
         with pytest.raises(error):
             call(bad)
 

@@ -34,13 +34,25 @@ from ippp.quadrature import (
     _WG,
     _WK,
     _XK,
+    _cached_intensity,
+    _window_intensity,
     cumulative_intensity,
     integrate,
 )
-from ippp.rate_model import Domain, Interval, RateModel
+from ippp.rate_model import Domain, Interval, RateModel, _partition
 from ippp.rng import RngState
-from ippp.sampling_bounded import sample_location, simulate_window
-from ippp.sampling_line import NthPointQuery, nth_point_density, sample_nth_point
+from ippp.sampling_bounded import (
+    expected_count,
+    location_cdf,
+    sample_location,
+    simulate_window,
+)
+from ippp.sampling_line import (
+    NthPointQuery,
+    nth_point_density,
+    sample_nth_point,
+    sample_path_time_change,
+)
 
 from expr_gen import random_expression
 
@@ -507,6 +519,100 @@ class TestCumulativeIntensity:
             th.join()
         for i in range(4):
             assert np.array_equal(results[i], want[i::4])
+
+
+def _sin_mass(a, b):
+    """Closed-form mass of 2 + sin(x) over [a, b]."""
+    return 2.0 * (b - a) - np.cos(b) + np.cos(a)
+
+
+class TestWindowTable:
+    """The private table of the time-change sampler and the location CDF:
+    origin at the window's lower end, the window's partition as its first
+    checkpoints."""
+
+    WINDOWS = ((0.0, 20.0), (-3.7, 11.2), (300.0, 350.0), (1e4, 1e4 + 50.0), (1e6, 1e6 + 50.0))
+
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    def test_checkpoints_are_the_window_partition(self, lo, hi):
+        ci = CumulativeIntensity._windowed(SIN_MODEL, DEFAULT_TOL, Interval(lo, hi))
+        ts, rs = map(np.array, zip(*ci.checkpoints))
+        assert ts.tobytes() == _partition(lo, hi).tobytes()
+        assert rs[0] == 0.0 and np.all(np.diff(rs) > 0)
+
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    def test_edges_make_no_rate_call(self, lo, hi):
+        src = _CountingSource(SIN_MODEL.source)
+        ci = _window_intensity(RateModel(source=src), DEFAULT_TOL, Interval(lo, hi))
+        assert src.calls == 1  # the window's 1024 segments in one call
+        edges = ci(np.array([lo, hi]))
+        assert ci(lo) == 0.0 and edges[0] == 0.0 and ci(hi) == edges[1]
+        assert src.calls == 1
+
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    def test_R_matches_closed_form(self, lo, hi):
+        # inside the window, and past both ends, where the table grows by
+        # batches as every table does
+        ci = _window_intensity(SIN_MODEL, DEFAULT_TOL, Interval(lo, hi))
+        width = hi - lo
+        ab = np.random.default_rng(3).uniform(lo - 0.4 * width, hi + 0.4 * width, (40, 2))
+        a, b = ab.min(axis=1), ab.max(axis=1)
+        err = np.abs(ci(b) - ci(a) - _sin_mass(a, b))
+        assert np.max(err) <= 2 * DEFAULT_TOL
+        assert abs(ci(hi) - _sin_mass(lo, hi)) <= 2 * DEFAULT_TOL
+
+    @pytest.mark.parametrize(
+        "text, lo, hi",
+        [
+            ("2+sin(x)", 300.0, 350.0),
+            ("1+0.5*x", 7.5, 47.5),
+            ("1 + 50*exp(-((x-3)^2)/0.5)", -1.0, 9.0),
+            (SPIKE, -0.3, 10.2),
+            ("max(0, sin(x))", 62.57996794623284, 112.57996794623284),
+        ],
+    )
+    def test_path_mass_is_expected_count(self, text, lo, hi):
+        # the same segment masses, summed in order rather than pairwise
+        model = RateModel.from_expression(text)
+        window = Interval(lo, hi)
+        mass = sample_path_time_change(model, window, RngState(4)).meta["mass"]
+        want = expected_count(model, window)
+        assert abs(mass - want) <= 4 * math.ulp(want)
+        assert location_cdf(model, window, hi) == 1.0
+        assert location_cdf(model, window, lo) == 0.0
+
+    def test_far_paths_cost_what_a_path_at_zero_costs(self):
+        # rate points per point, a count: it does not depend on machine
+        # load.  An origin-0 table took 1520 per point at lo = 1e4.
+        def cost(lo):
+            src = _CountingSource(SIN_MODEL.source)
+            es = sample_path_time_change(
+                RateModel(source=src), Interval(lo, lo + 50.0), RngState(9)
+            )
+            assert src.calls == 2  # the table, then the pieces the path lands in
+            return src.points / len(es)
+
+        near = cost(0.0)
+        for lo in (1e4, 1e5, 1e6):
+            assert cost(lo) <= 1.5 * near, lo
+
+    def test_round_trip_far_out(self):
+        # each point's closed-form mass from lo is its target within 2 tol
+        lo = 1e6
+        window = Interval(lo, lo + 50.0)
+        rng, replay = RngState(11), RngState(11)
+        es = sample_path_time_change(SIN_MODEL, window, rng)
+        ys = np.cumsum(replay.exponential(size=len(es)))
+        assert np.max(np.abs(_sin_mass(lo, es.points) - ys)) <= 2 * DEFAULT_TOL
+
+    def test_one_bounded_cache(self):
+        window = Interval(300.0, 350.0)
+        table = _window_intensity(SIN_MODEL, DEFAULT_TOL, window)
+        assert table is _window_intensity(SIN_MODEL, DEFAULT_TOL, window)
+        assert table is not cumulative_intensity(SIN_MODEL, span=window)
+        # the public table keeps origin 0
+        assert cumulative_intensity(SIN_MODEL, span=window)(0.0) == 0.0
+        assert _cached_intensity.cache_info().maxsize == 64
 
 
 class TestInverse:

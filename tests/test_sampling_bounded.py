@@ -418,7 +418,7 @@ def test_simulate_conditional_never_integrates(monkeypatch):
         raise AssertionError("integration is not allowed here")
 
     monkeypatch.setattr(sb, "integrate", boom)
-    monkeypatch.setattr(sb, "cumulative_intensity", boom)
+    monkeypatch.setattr(sb, "_window_intensity", boom)
     model = RateModel.sinusoidal(2.0, 1.0)
     es = simulate_conditional(model, Interval(0.0, 8.0), 25, RngState(41))
     assert len(es) == 25
