@@ -44,7 +44,18 @@ from .sampling_line import (
 
 __all__ = ["main"]
 
-_FAMILIES = ("constant", "linear", "pwconst", "sin")
+# how a --params value is read, and what it must be
+_NUMBER = (float, "a number")
+_NUMBERS = (lambda raw: [float(v) for v in raw.split(":")], "colon-separated numbers")
+
+# --rate-family name -> (builder, how its values are read, its --params
+# keys in argument order, each with its default, or None when required)
+_FAMILIES = {
+    "constant": (RateModel.constant, _NUMBER, {"c": None}),
+    "linear": (RateModel.linear, _NUMBER, {"a": None, "b": None}),
+    "pwconst": (RateModel.piecewise_constant, _NUMBERS, {"breaks": None, "levels": None}),
+    "sin": (RateModel.sinusoidal, _NUMBER, {"a": None, "b": None, "omega": 1.0, "phi": 0.0}),
+}
 _DIRECTIONS = {"up": Direction.ABOVE, "down": Direction.BELOW}
 
 
@@ -218,56 +229,19 @@ def _parse_params(parser, text):
     return out
 
 
-def _param_float(parser, params, key):
-    try:
-        return float(params.pop(key))
-    except KeyError:
-        parser.error(f"--params: missing required parameter {key!r}")
-    except ValueError:
-        parser.error(f"--params: parameter {key!r} must be a number")
-
-
-def _param_float_opt(parser, params, key, default):
-    if key not in params:
-        return default
-    return _param_float(parser, params, key)
-
-
-def _param_list(parser, params, key):
-    try:
-        raw = params.pop(key)
-    except KeyError:
-        parser.error(f"--params: missing required parameter {key!r}")
-    try:
-        return [float(v) for v in raw.split(":")]
-    except ValueError:
-        parser.error(f"--params: parameter {key!r} must be colon-separated numbers")
-
-
 def _family_model(parser, name, params, bound):
-    if name == "constant":
-        model_args = (_param_float(parser, params, "c"),)
-        build = RateModel.constant
-    elif name == "linear":
-        model_args = (
-            _param_float(parser, params, "a"),
-            _param_float(parser, params, "b"),
-        )
-        build = RateModel.linear
-    elif name == "sin":
-        model_args = (
-            _param_float(parser, params, "a"),
-            _param_float(parser, params, "b"),
-            _param_float_opt(parser, params, "omega", 1.0),
-            _param_float_opt(parser, params, "phi", 0.0),
-        )
-        build = RateModel.sinusoidal
-    else:
-        model_args = (
-            _param_list(parser, params, "breaks"),
-            _param_list(parser, params, "levels"),
-        )
-        build = RateModel.piecewise_constant
+    build, (read, what), keys = _FAMILIES[name]
+    model_args = []
+    for key, default in keys.items():
+        if key not in params:
+            if default is None:
+                parser.error(f"--params: missing required parameter {key!r}")
+            model_args.append(default)
+            continue
+        try:
+            model_args.append(read(params.pop(key)))
+        except ValueError:
+            parser.error(f"--params: parameter {key!r} must be {what}")
     if params:
         stray = ", ".join(sorted(params))
         parser.error(f"--params: unknown parameter(s) for {name}: {stray}")
@@ -445,12 +419,15 @@ def _run_density_nth_point(parser, args, argv):
     return _render_table(args, argv, xs, values, mass=mass)
 
 
-def _emit(text, out_path):
+def _emit(parser, text, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        parser.error(f"--out: {exc}")
 
 
 def main(argv=None) -> int:
@@ -461,7 +438,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_shared_flags(parser, args)
-        text = args.run(parser, args, argv)
+        _emit(parser, args.run(parser, args, argv), args.out)
     except SystemExit as exc:
         return int(exc.code or 0)
     except InvalidRate as exc:
@@ -471,5 +448,4 @@ def main(argv=None) -> int:
     except IpppError as exc:
         print(exc, file=sys.stderr)
         return 1
-    _emit(text, args.out)
     return 0

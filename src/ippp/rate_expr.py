@@ -11,6 +11,17 @@ Expressions are written in ordinary infix notation over the single variable
 
 so ``^`` is right-associative and binds tighter than unary minus:
 ``-2^2`` is ``-(2^2) = -4`` and ``2^3^2`` is ``2^(3^2) = 512``.
+The tokens are
+
+    NUMBER := (DIGIT+ ("." DIGIT*)? | "." DIGIT+) (("e" | "E") ("+" | "-")? DIGIT+)?
+    IDENT  := LETTER (LETTER | DIGIT)*
+
+with DIGIT the ASCII ``0-9`` and LETTER ``A-Z``, ``a-z`` or ``_``.  An
+``e`` without digits after it is no exponent, so ``2e`` is ``2`` then
+``e``.  The operators are ``+ - * / ^`` and the unicode minus U+2212,
+which parses as ``-``; parentheses and commas are tokens of their own.
+Whitespace is space, tab, CR and LF, and any other character is a
+:class:`~ippp.errors.LexError` at its position.
 
 The internal node :class:`Step`, a piecewise-constant rate, is outside
 the grammar: only code builds it, never the parser.
@@ -35,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,71 +109,36 @@ class Token:
     position: int
 
 
-def _isdigit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _isident(ch: str) -> bool:
-    return ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_"
+# one group per token kind, tried in order, with ``other`` taking any
+# character the rest do not; spelled out in ASCII, since \d, \s and \w
+# would take in other scripts' digits, letters and spaces
+_TOKEN = re.compile(
+    r"""
+    (?P<space>[ \t\r\n]+)
+    | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<identifier>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<operator>[-+*/^\u2212])
+    | (?P<paren>[()])
+    | (?P<comma>,)
+    | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Split ``source`` into tokens.
+    """Split ``source`` into tokens, by the rules in the module docstring.
 
-    Numbers accept an optional fractional part and scientific notation
-    (``1e-3``, ``2.5E+10``); a trailing ``e`` not followed by digits is left
-    for the identifier rules, so ``2e`` lexes as ``2`` then ``e``.  The
-    unicode minus sign U+2212 is accepted as an operator.  Any other
-    unrecognized character raises :class:`LexError` with its position.
+    Any character those rules do not take raises :class:`LexError` with
+    its position.
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if _isdigit(ch) or (ch == "." and i + 1 < n and _isdigit(source[i + 1])):
-            j = i
-            while j < n and _isdigit(source[j]):
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and _isdigit(source[j]):
-                    j += 1
-            if j < n and source[j] in "eE":
-                # Only take the exponent if digits actually follow it.
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and _isdigit(source[k]):
-                    j = k + 1
-                    while j < n and _isdigit(source[j]):
-                        j += 1
-            tokens.append(Token("number", source[i:j], i))
-            i = j
-            continue
-        if _isident(ch):
-            j = i
-            while j < n and (_isident(source[j]) or _isdigit(source[j])):
-                j += 1
-            tokens.append(Token("identifier", source[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^" or ch == "−":
-            tokens.append(Token("operator", ch, i))
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(Token("paren", ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token("comma", ch, i))
-            i += 1
-            continue
-        raise LexError(i, f"unexpected character {ch!r}")
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "other":
+            raise LexError(match.start(), f"unexpected character {match.group()!r}")
+        if kind != "space":
+            tokens.append(Token(kind, match.group(), match.start()))
     return tokens
 
 
@@ -235,10 +212,13 @@ class _Parser:
             return self.tokens[self.pos]
         return None
 
-    def advance(self) -> Token:
+    def take(self, kind: str, symbols: str | None = None) -> Token | None:
+        """Consume and return the next token if it is of ``kind`` and,
+        when ``symbols`` is given, one of them (the unicode minus as
+        ``-``); else consume nothing and return None."""
         tok = self.peek()
-        if tok is None:
-            raise ParseError(self._end_position(), "more input")
+        if tok is None or tok.kind != kind or (symbols is not None and _op(tok) not in symbols):
+            return None
         self.pos += 1
         return tok
 
@@ -249,67 +229,46 @@ class _Parser:
 
     def expr(self) -> RateExpr:
         node = self.term()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "operator" and _op(tok) in "+-":
-                self.advance()
-                node = Binary(_op(tok), node, self.term(), tok.position)
-            else:
-                return node
+        while tok := self.take("operator", "+-"):
+            node = Binary(_op(tok), node, self.term(), tok.position)
+        return node
 
     def term(self) -> RateExpr:
         node = self.unary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "operator" and tok.lexeme in "*/":
-                self.advance()
-                node = Binary(tok.lexeme, node, self.unary(), tok.position)
-            else:
-                return node
+        while tok := self.take("operator", "*/"):
+            node = Binary(tok.lexeme, node, self.unary(), tok.position)
+        return node
 
     def unary(self) -> RateExpr:
-        tok = self.peek()
-        if tok is not None and tok.kind == "operator" and _op(tok) == "-":
-            self.advance()
+        if tok := self.take("operator", "-"):
             return Unary("-", self.unary(), tok.position)
         return self.power()
 
     def power(self) -> RateExpr:
         base = self.atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "operator" and tok.lexeme == "^":
-            self.advance()
+        if tok := self.take("operator", "^"):
             # Right-associative; the exponent may carry its own unary minus.
             return Binary("^", base, self.unary(), tok.position)
         return base
 
     def atom(self) -> RateExpr:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("a number, name or '('")
-        if tok.kind == "number":
-            self.advance()
+        if tok := self.take("number"):
             value = float(tok.lexeme)
             if not math.isfinite(value):
                 raise ParseError(tok.position, f"a finite number, got {tok.lexeme!r}")
             return Num(value, tok.position)
-        if tok.kind == "identifier":
-            self.advance()
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "paren" and nxt.lexeme == "(":
+        if tok := self.take("identifier"):
+            if self.take("paren", "("):
                 return self.call(tok)
             if tok.lexeme == _VARIABLE:
                 return Var(tok.position)
             if tok.lexeme in CONSTANTS:
                 return Num(CONSTANTS[tok.lexeme], tok.position)
             raise UnknownVariable(tok.position, tok.lexeme)
-        if tok.kind == "paren" and tok.lexeme == "(":
-            self.advance()
+        if self.take("paren", "("):
             node = self.expr()
-            closing = self.peek()
-            if closing is None or closing.lexeme != ")":
+            if not self.take("paren", ")"):
                 raise self.error("')'")
-            self.advance()
             return node
         raise self.error("a number, name or '('")
 
@@ -317,19 +276,11 @@ class _Parser:
         if name.lexeme not in FUNCTIONS:
             raise UnknownFunction(name.position, name.lexeme)
         arity = FUNCTIONS[name.lexeme]
-        self.advance()  # consume "("
         args = [self.expr()]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "comma":
-                self.advance()
-                args.append(self.expr())
-                continue
-            break
-        closing = self.peek()
-        if closing is None or closing.lexeme != ")":
+        while self.take("comma"):
+            args.append(self.expr())
+        if not self.take("paren", ")"):
             raise self.error("')' or ','")
-        self.advance()
         if len(args) != arity:
             raise ParseError(
                 name.position,

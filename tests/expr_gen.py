@@ -3,7 +3,8 @@
 Produces syntactically valid source strings over the expression grammar.
 Numeric failures (division by zero, log of a negative, overflow) are left
 in on purpose: both evaluators must then fail, which is part of what the
-cross-check asserts.
+cross-check asserts.  :func:`mutate` makes near-miss input from them, most
+of it malformed.
 """
 
 from __future__ import annotations
@@ -44,3 +45,20 @@ def random_expression(rng: random.Random, depth: int = 4) -> str:
     if kind == "call2":
         return f"{rng.choice(_BINARY_FUNCS)}({a}, {random_expression(rng, depth - 1)})"
     return f"({a})"
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """``text`` with one character dropped, duplicated, or swapped with
+    another (``text`` itself when empty)."""
+    if not text:
+        return text
+    i = rng.randrange(len(text))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:i] + text[i + 1 :]
+    if kind == 1:
+        return text[:i] + text[i] + text[i:]
+    j = rng.randrange(len(text))
+    chars = list(text)
+    chars[i], chars[j] = chars[j], chars[i]
+    return "".join(chars)

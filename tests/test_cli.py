@@ -751,6 +751,19 @@ def test_out_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert text.splitlines()[1:] == rerun_out.splitlines()[1:]
 
 
+def test_out_unwritable_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(
+        capsys, "intensity", "--rate", "2", "--window", "0", "1", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    message = f"--out: [Errno 2] No such file or directory: {str(target)!r}"
+    assert err.splitlines()[-1] == f"ippp: error: {message}"
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_cmd_field_quotes_expression(capsys):
     _, out, _ = run(
         capsys, "simulate", "--rate", "2+sin(x)", "--window", "0", "1", "--seed", "1"

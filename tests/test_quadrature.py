@@ -915,6 +915,15 @@ class TestDenseOutput:
                     together._pieces[first : first + n], alone._pieces[other : other + n]
                 ), text
 
+    def test_tail_catches_content_odd_about_a_piece(self):
+        # the window's first segment [-5, 5] is centred on 0, where sin is
+        # odd: K15 and G7 both give it no mass, so |K15 - G7| cannot see it
+        # and only the interpolant's tail refines the piece
+        ci = _window_intensity(SIN_MODEL, DEFAULT_TOL, Interval(-5.0, 10235.0))
+        assert ci.checkpoints[1][0] == 5.0
+        xs = np.linspace(-4.9, 4.9, 99)
+        assert np.max(np.abs(ci(xs) - _sin_mass(-5.0, xs))) <= 2 * DEFAULT_TOL
+
     def test_R_of_generated_expressions_matches_quad(self):
         # smooth rates from the parser's generator: no kinks (abs, min,
         # max), no singular points (sqrt, log, division)
