@@ -51,9 +51,10 @@ of the piece's local coordinate s in [-1, 1], which Horner's rule
 evaluates up to the highest degree left in the table.  One rate call
 takes the first panel of every new segment of a query: the first query
 into a segment costs one panel (15 rate points, more where it is
-refined), and later queries into it cost no rate call.  A piece holds 19
-doubles (16 coefficients, its edges and R at its left edge), 152 bytes,
-and every checkpoint 8 bytes more for the index of its segment's pieces.
+refined), and later queries into it cost no rate call.  A piece holds 20
+doubles (16 coefficients, its edges, R at its left edge and its mass),
+160 bytes, in one column of a store with one row per field, and every
+checkpoint 8 bytes more for the index of its segment's pieces.
 R at a point is R at the left edge of its piece plus the piece's
 antiderivative there; the panels never evaluate at a checkpoint, so R
 does not need the rate there.
@@ -212,8 +213,9 @@ def _dense_matrices():
     return np.concatenate([anti @ interp, interp[13:]]).T, powers
 
 
-# a piece's row in the store: 16 coefficients, then its edges and R there
-_LOW, _HIGH, _R = 16, 17, 18
+# the store's rows, one column per piece: 16 coefficients, then its edges,
+# R at its left edge and its mass (its polynomial at s = 1)
+_LOW, _HIGH, _R, _MASS = 16, 17, 18, 19
 
 
 def _panels(f, lows, highs):
@@ -465,9 +467,9 @@ class CumulativeIntensity:
         # lands in the segment)
         self._first = np.zeros(1, dtype=np.int32)
         self._count = np.zeros(1, dtype=np.int32)
-        # one row per piece: the coefficients of its mass from its left
-        # edge in powers of s, its edges and R at its left edge
-        self._pieces = np.empty((0, 19))
+        # one column per piece: the coefficients of its mass from its left
+        # edge in powers of s, its edges, R at its left edge and its mass
+        self._pieces = np.empty((20, 0))
         self._used = 0
         # the highest power of s with a coefficient that is not 0
         self._degree = 0
@@ -568,7 +570,8 @@ class CumulativeIntensity:
         by :func:`_adaptive`.  A piece's R at its left edge sums the K15
         masses of the segment's pieces left of it, from the segment's left
         checkpoint, so a segment's pieces do not depend on the segments
-        built with it.
+        built with it.  A piece's mass, its polynomial at s = 1 over all 16
+        rows, has the bits of any degree's: leading zeros add exact zeros.
         """
         new = np.sort(segs[self._count[segs] == 0])
         if new.size == 0:
@@ -579,7 +582,7 @@ class CumulativeIntensity:
         _, errs, rows = _panels(self.model._rate, lows, highs)
         coefs, tails = _dense(rows, 0.5 * (highs - lows), budget)
         errs = np.maximum(errs, tails)
-        block = np.column_stack([coefs, lows, highs, self._r[new]])
+        block = np.vstack([coefs.T, lows, highs, self._r[new]])
         bad = np.flatnonzero(errs > budget)
         counts = np.ones(len(new), dtype=np.int32)
         if bad.size:
@@ -588,35 +591,36 @@ class CumulativeIntensity:
             )
             parts, done = [], 0
             for j, pieces in zip(bad.tolist(), refined):
-                parts.append(block[done:j])
+                parts.append(block[:, done:j])
                 r = float(self._r[new[j]])
-                rows = []
+                cols = []
                 for a, b, value, coef in pieces:
-                    rows.append([*coef, a, b, r])
+                    cols.append([*coef, a, b, r])
                     r += value
-                parts.append(np.array(rows))
+                parts.append(np.array(cols).T)
                 counts[j] = len(pieces)
                 done = j + 1
-            parts.append(block[done:])
-            block = np.concatenate(parts)
-        used = self._used
-        self._reserve(used + len(block))
-        self._pieces[used : used + len(block)] = block
+            parts.append(block[:, done:])
+            block = np.concatenate(parts, axis=1)
+        used, n = self._used, block.shape[1]
+        self._reserve(used + n)
+        self._pieces[:_MASS, used : used + n] = block
+        self._pieces[_MASS, used : used + n] = _horner(block[:16], np.ones(n))
         self._first[new] = used + np.cumsum(counts) - counts
         self._count[new] = counts
-        self._used = used + len(block)
-        if block[:, self._degree + 1 : 16].any():
-            self._degree = int(np.flatnonzero(np.any(block[:, :16], axis=0))[-1])
+        self._used = used + n
+        if block[self._degree + 1 : 16].any():
+            self._degree = int(np.flatnonzero(np.any(block[:16], axis=1))[-1])
 
     def _reserve(self, size: int):
         """Room for ``size`` pieces, growing the store by half at a time."""
-        if size > len(self._pieces):
-            grown = np.empty((max(size, len(self._pieces) * 3 // 2), 19))
-            grown[: self._used] = self._pieces[: self._used]
+        if size > self._pieces.shape[1]:
+            grown = np.empty((20, max(size, self._pieces.shape[1] * 3 // 2)))
+            grown[:, : self._used] = self._pieces[:, : self._used]
             self._pieces = grown
 
     def _locate(self, segs, field: int, key):
-        """The pieces, as rows of the store, whose ``field`` (_LOW or _R)
+        """The pieces, as columns of the store, whose ``field`` (_LOW or _R)
         is the last in their segment below the key, or else the segment's
         first: a binary search over each segment's own pieces, which lie
         in position order."""
@@ -624,7 +628,7 @@ class CumulativeIntensity:
         n = self._count[segs].astype(np.intp)
         half = n >> 1
         while np.any(half):
-            right = self._pieces[row + half, field] < key
+            right = self._pieces[field, row + half] < key
             row = np.where(right, row + half, row)
             n = np.where(right, n - half, half)
             half = n >> 1
@@ -703,19 +707,19 @@ class CumulativeIntensity:
             out[has_right] = np.minimum(out[has_right], self._r[right[has_right]])
         return out
 
-    def _coefficients(self, pieces):
-        """The coefficients of pieces (rows of the store) as one row per
-        power of s up to the table's degree, one column per piece.  A piece
-        of lower degree gets leading zeros, which :func:`_horner` turns
-        into exact zeros, so its bits do not depend on the other pieces."""
-        return np.ascontiguousarray(pieces[:, : max(self._degree, 1) + 1].T)
+    def _coefficients(self, cols):
+        """The coefficients of the pieces in columns ``cols`` of the store,
+        one row per power of s up to the table's degree, gathered from the
+        store's coefficient rows in one take.  A piece of lower degree gets
+        leading zeros, which :func:`_horner` turns into exact zeros, so its
+        bits do not depend on the other pieces."""
+        return np.take(self._pieces[: max(self._degree, 1) + 1], cols, axis=1)
 
-    def _values(self, rows, xs):
-        """R at points inside the pieces in ``rows``."""
-        piece = np.take(self._pieces, rows, axis=0)
-        a, b = piece[:, _LOW], piece[:, _HIGH]
+    def _values(self, cols, xs):
+        """R at points inside the pieces in columns ``cols`` of the store."""
+        a, b, r = np.take(self._pieces[_LOW:_MASS], cols, axis=1)
         s = (xs - 0.5 * (a + b)) / (0.5 * (b - a))
-        return piece[:, _R] + _horner(self._coefficients(piece), s)
+        return r + _horner(self._coefficients(cols), s)
 
     def inverse(self, y: float) -> float:
         """Generalized inverse inf{t : R(t) >= y}; see :meth:`inverse_many`.
@@ -745,29 +749,24 @@ class CumulativeIntensity:
         return _shaped(out, arr)
 
     def _invert(self, ys, allow_nan: bool = False):
-        self._probe(float(ys.max()), 1)
-        self._probe(float(ys.min()), -1)
+        top, bottom = float(ys.max()), float(ys.min())
+        self._probe(top, 1)
+        self._probe(bottom, -1)
+        idx = np.searchsorted(self._r, ys, side="left")
+        if bottom > self._r[0] and top <= self._r[-1]:  # 0 < idx < len(_r)
+            return self._solve(ys, idx)
         below = ys < self._r[0]
         above = ys > self._r[-1]
         if np.any(below) and not allow_nan:
-            bad = float(ys[below][0])
-            raise OutOfRange(bad, float(self._r[0]))
+            raise OutOfRange(float(ys[below][0]), float(self._r[0]))
         if np.any(above) and not allow_nan:
-            bad = float(ys[above][0])
-            raise OutOfRange(bad, float(self._r[-1]))
-        ok = ~(below | above)
-        out = np.full(ys.shape, np.nan)
-        if np.any(ok):
-            y_ok = ys[ok]
-            idx = np.searchsorted(self._r, y_ok, side="left")
-            # y == bottom-of-range hits index 0: the infimum is the lowest
-            # explored point (the domain edge, unless the probe gave up)
-            at_bottom = idx == 0
-            roots = np.full(y_ok.shape, self._t[0])
-            need = ~at_bottom
-            if np.any(need):
-                roots[need] = self._solve(y_ok[need], idx[need])
-            out[ok] = roots
+            raise OutOfRange(float(ys[above][0]), float(self._r[-1]))
+        # y == bottom-of-range hits index 0: the infimum is the lowest
+        # explored point (the domain edge, unless the probe gave up)
+        out = np.where(below | above, np.nan, self._t[0])
+        inner = (idx > 0) & ~above
+        if inner.any():
+            out[inner] = self._solve(ys[inner], idx[inner])
         return out
 
     def _solve(self, ys, idx):
@@ -777,13 +776,15 @@ class CumulativeIntensity:
         idx - 1 and idx.  Each lane takes the segment's piece whose R at
         its left edge is the last below y (:meth:`_build` makes the pieces
         if need be) and brackets the root by the piece's edges.  It starts
-        on the piece's chord, moved by _START_STEPS Newton steps on the
-        piece's polynomial, each clipped to the piece (a lane whose step is
-        not finite keeps its last point).  Every round reads R(t) and R'(t)
-        off the polynomial, with no rate call, and shrinks the bracket to
-        the side of t that keeps the root.  The Newton step is taken only when it
-        lands strictly inside the bracket and is at most half the previous
-        step, as in Numerical Recipes' rtsafe; otherwise the lane bisects.
+        on the piece's chord, through its stored mass, moved by
+        _START_STEPS Newton steps on the piece's polynomial, each clipped
+        to the piece (a lane whose step is not finite keeps its last
+        point).  Every round reads R(t) and R'(t) off the polynomial, with
+        no rate call, and tests convergence first, returning once every
+        lane has converged; it then shrinks the bracket to the side of t
+        that keeps the root.  The Newton step is taken only when it lands
+        strictly inside the bracket and is at most half the previous step,
+        as in Numerical Recipes' rtsafe; otherwise the lane bisects.
         Where R'(t) <= 0 (a plateau) the lane always bisects, which walks
         it to the plateau's left edge.
 
@@ -803,9 +804,9 @@ class CumulativeIntensity:
         """
         segs = idx - 1
         self._build(segs)
-        piece = np.take(self._pieces, self._locate(segs, _R, ys), axis=0)
-        coef = self._coefficients(piece)
-        lo, hi, r = piece[:, _LOW], piece[:, _HIGH], piece[:, _R]
+        cols = self._locate(segs, _R, ys)
+        coef = self._coefficients(cols)
+        lo, hi, r, mass = np.take(self._pieces[_LOW:], cols, axis=1)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         out = hi.copy()
         floor = np.maximum(
@@ -813,9 +814,8 @@ class CumulativeIntensity:
         )
         y, lane = ys, np.arange(len(ys))
         with np.errstate(divide="ignore", invalid="ignore"):
-            # the start, in the piece's coordinate s: the piece's mass is
-            # its polynomial at s = 1
-            s = 2.0 * (y - r) / _horner(coef, np.ones_like(y)) - 1.0
+            # the start on the chord, in the piece's coordinate s
+            s = 2.0 * (y - r) / mass - 1.0
             s = np.where(np.isfinite(s), np.minimum(np.maximum(s, -1.0), 1.0), 0.0)
             for _ in range(_START_STEPS):
                 value, slope = _horner(coef, s, slope=True)
@@ -827,15 +827,18 @@ class CumulativeIntensity:
                 value, slope = _horner(coef, (t - mid) / half, slope=True)
                 gap = r + value - y
                 rate = slope / half
+                positive = rate > 0.0
+                newton = t - gap / rate
+                converged = positive & ((np.abs(gap) <= floor) | (newton == t))
+                if converged.all():
+                    out[lane] = t
+                    return out
                 above = gap >= 0.0
                 lo = np.where(above, lo, t)
                 hi = np.where(above, t, hi)
-                positive = rate > 0.0
-                newton = t - gap / rate
                 use_newton = positive & (newton > lo) & (newton < hi)
                 use_newton &= np.abs(newton - t) <= 0.5 * step
                 middle = lo + 0.5 * (hi - lo)
-                converged = positive & ((np.abs(gap) <= floor) | (newton == t))
                 collapsed = ~converged & ~use_newton & ((middle <= lo) | (middle >= hi))
                 out[lane[converged]] = t[converged]
                 out[lane[collapsed]] = hi[collapsed]

@@ -314,7 +314,7 @@ class RateModel:
     @classmethod
     def constant(cls, level, domain=None, declared_bound=None):
         """r(x) = level."""
-        level = _real(level, "level")
+        level = _real(level, "level", low=0.0)
         src = ExpressionRate(rate_expr.Num(level, 0), f"constant rate {level:g}")
         return cls(src, domain or Domain(), declared_bound)
 

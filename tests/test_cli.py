@@ -955,6 +955,7 @@ FLAG_CHECKS = [
     ("--bound", ["intensity", *_WIN, "--bound", "-1"]),
     ("--rate", ["intensity", "--rate", "x+", "--window", "0", "1"]),
     ("--params", ["intensity", "--rate-family", "constant", "--params", "c=nan", "--window", "0", "1"]),
+    ("--params", ["intensity", "--rate-family", "constant", "--params", "c=-1", "--window", "0", "1"]),
     ("--window", ["intensity", "--rate", "1", "--window", "1", "0"]),
     ("--reps", ["simulate", *_WIN, "--seed", "1", "--reps", "0"]),
     ("--count", ["simulate-n", *_WIN, "--seed", "1", "--count", "-1"]),

@@ -208,7 +208,7 @@ GOLDEN = {
     "parse/mutated": "cfd35a4d9c8ebec9055d452f341f80e171465f54f8114f5fca1750a1d308769f",
     "lex/random": "8b16e0b40c6319221b71a8ae4b5b5d2ca1d7df50eb0b8cec41da273c3a763063",
     "parse/random": "eb62fbeddaf2e80ec6dccdc0e0ae240cc160568c55e917a78cd9b86b7c27083e",
-    "cli/constant": "1c1c5e31b9e377f11232dde09bf453d359d08777f5daa2ea7cde0047c12217f6",
+    "cli/constant": "2729f45eb92422aafdae76304e4986864d721e00cf44c48f5c5bd59ed5dbe9ca",
     "cli/linear": "149911943463dd7ff23ab388f12f94492093e39aea99f7ae0f6a29d21a979cd4",
     "cli/sin": "1b5590e7b230b6cfe4b7db05f292d3c58d71a1de47e6e621764e9e02598dc8b8",
     "cli/pwconst": "77fbc073e6759ac61fb6248aa20474c7e5ee68caa4f818e81fc556538b4bfa8f",

@@ -59,6 +59,9 @@ from expr_gen import random_expression
 SIN_MODEL = RateModel.sinusoidal(2.0, 1.0)
 UNIT_MODEL = RateModel.constant(1.0)
 SPIKE = "1 + 1000*exp(-((x-5.0003)^2)/1e-6)"
+BUMP = "1 + 50*exp(-((x-3)^2)/0.5)"
+# a spike narrow enough that its segment's pieces are refined
+SPIKE2 = "1 + 200*exp(-((x-0.50049)^2)/1e-8)"
 # the spike's mass over [0, 10]: 10 + 1000 sqrt(pi 1e-6); its tails past
 # the window are below exp(-2.5e7)
 SPIKE_MASS = 10.0 + math.sqrt(math.pi)
@@ -912,8 +915,54 @@ class TestDenseOutput:
                 other = alone._first[i]
                 assert n == alone._count[i]
                 assert np.array_equal(
-                    together._pieces[first : first + n], alone._pieces[other : other + n]
+                    together._pieces[:, first : first + n], alone._pieces[:, other : other + n]
                 ), text
+
+    @pytest.mark.parametrize(
+        "make, window, refines",
+        [
+            (lambda: RateModel.from_expression("2+sin(x)"), (0.0, 20.0), False),
+            (lambda: RateModel.from_expression(BUMP), (0.0, 10.0), False),
+            (lambda: RateModel.from_expression(SPIKE2), (0.0, 1.0), True),
+            (lambda: RateModel.piecewise_constant([0, 2, 5, 8], [3, 1, 4]), (0.0, 8.0), False),
+        ],
+    )
+    def test_stored_mass_is_the_polynomial_at_one(self, make, window, refines):
+        # the mass the inverse starts from has the bits of Horner's rule at
+        # s = 1 over the table's current degree, on every kind of table
+        model, span = make(), Interval(*window)
+        for ci in (
+            CumulativeIntensity(model),
+            CumulativeIntensity(model, span=span),
+            CumulativeIntensity._windowed(model, DEFAULT_TOL, span),
+        ):
+            rs = ci(np.linspace(span.lo, span.hi, 257))
+            ci.inverse_many(np.random.default_rng(4).uniform(rs[0], rs[-1], 257))
+            used = ci._used
+            assert used == int(ci._count.sum()) > 0
+            coef = ci._pieces[: max(ci._degree, 1) + 1, :used]
+            want = quadrature._horner(coef, np.ones(used))
+            assert ci._pieces[quadrature._MASS, :used].tobytes() == want.tobytes()
+            if refines:
+                assert np.max(ci._count) > 1
+
+    def test_warm_batch_takes_four_horner_calls(self, monkeypatch):
+        # R at the anchor (off the checkpoints), two start steps and one
+        # round of the root solve, in which every lane converges; the
+        # chord's mass is stored, not evaluated
+        src = _CountingSource(RateModel.from_expression("2+sin(x)").source)
+        model = RateModel(source=src)
+        query = NthPointQuery(3.1, 5, "above")
+        sample_nth_point(model, query, RngState(1), size=10_000)
+        calls = []
+        horner = quadrature._horner
+        monkeypatch.setattr(
+            quadrature, "_horner", lambda *a, **k: calls.append(1) or horner(*a, **k)
+        )
+        src.calls = 0
+        sample_nth_point(model, query, RngState(1), size=10_000)
+        assert src.calls == 0
+        assert len(calls) <= 4
 
     def test_tail_catches_content_odd_about_a_piece(self):
         # the window's first segment [-5, 5] is centred on 0, where sin is

@@ -97,6 +97,12 @@ class TestFamilies:
         with pytest.raises(InvalidParameter):
             RateModel.piecewise_constant([0.0, 1.0], [-1.0])
 
+    def test_constant_rejects_negative_level(self):
+        # as piecewise_constant does: at construction, not at the first rate call
+        with pytest.raises(InvalidParameter, match="level"):
+            RateModel.constant(-1.0)
+        assert RateModel.constant(0.0).evaluate(1.0) == 0.0
+
     def test_sinusoidal_values(self):
         m = RateModel.sinusoidal(2.0, 1.0)
         assert m.evaluate(0.0) == pytest.approx(2.0)
