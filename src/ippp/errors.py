@@ -132,14 +132,18 @@ class ToleranceNotMet(IpppError):
 
 
 class OutOfRange(IpppError):
-    """Raised when inverting the cumulative intensity beyond its reachable range."""
+    """Raised when inverting the cumulative intensity beyond its reachable
+    range.  ``sup`` is the end of the explored range that ``y`` lies past:
+    the highest mass explored for a target above the range, the lowest for
+    one below it."""
 
     def __init__(self, y: float, sup: float):
         self.y = y
         self.sup = sup
+        side, end = ("below", "lowest") if y < sup else ("above", "highest")
         super().__init__(
-            f"target mass {y!r} is outside the reachable range "
-            f"(supremum explored: {sup!r})"
+            f"target mass {y!r} is {side} the reachable range "
+            f"({end} mass explored: {sup!r})"
         )
 
 

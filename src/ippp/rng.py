@@ -5,9 +5,11 @@ The bit source is Philox 4x64 (counter based, 256-bit counter plus a
 (seed, stream) pairs reproduce identical sequences on every platform and
 distinct stream ids give independent streams.  All distribution
 transforms are implemented here on top of the raw word stream rather
-than delegated to numpy's Generator methods: the numeric path from words
-to variates is then fixed by this file alone, which keeps golden values
-stable across numpy versions.
+than delegated to numpy's Generator methods, which keeps golden values
+stable across numpy versions.  The numeric path from words to variates is
+fixed by this file, with one exception: an Erlang draw of shape 1-7 adds
+its exponentials left to right, but one of shape 8 or more is
+``np.add.reduce`` over them, whose pairwise summation order is numpy's.
 
 Uniform draws consume one 64-bit word each, so a vectorized
 ``uniform01(size=n)`` consumes exactly the words of n scalar draws and
@@ -40,6 +42,9 @@ _INV_2_53 = 2.0**-53
 # largest block of gaps drawn at once by RngState._arrival_blocks
 _ARRIVAL_BLOCK = 1 << 16
 
+# the shortest sum that np.add.reduce adds pairwise rather than left to right
+_PAIRWISE = 8
+
 
 class RngState:
     """A deterministic random source identified by (seed, stream).
@@ -64,7 +69,9 @@ class RngState:
         Scalar when ``size`` is None, else a 1-d array of length ``size``.
         """
         n = _check_size(size)
-        vals = (self._bits.random_raw(n) >> np.uint64(11)) * _INV_2_53
+        words = self._bits.random_raw(n)
+        words >>= np.uint64(11)
+        vals = words * _INV_2_53
         return float(vals[0]) if size is None else vals
 
     def exponential(self, size: int | None = None):
@@ -81,11 +88,26 @@ class RngState:
 
         Each output lane consumes a contiguous block of ``shape`` words, so
         a scalar draw equals the sum of ``shape`` sequential exponentials.
+        Below shape 8 a lane's exponentials are added left to right, a
+        column at a time, which is the order ``np.add.reduce`` takes there,
+        so the bits are the same at a fraction of its cost.  From shape 8
+        on, the sum is ``np.add.reduce`` and follows its pairwise order.
         """
         shape = _integer(shape, "shape", InvalidShape, low=1)
         n = _check_size(size)
-        u = self.uniform01(size=n * shape).reshape(n, shape)
-        vals = np.add.reduce(-np.log1p(-u), axis=1)
+        # -log1p(-u), as in exponential, in place: a batch holds one
+        # double per word
+        steps = self.uniform01(size=n * shape)
+        np.negative(steps, out=steps)
+        np.log1p(steps, out=steps)
+        np.negative(steps, out=steps)
+        steps = steps.reshape(n, shape)
+        if shape < _PAIRWISE:
+            vals = steps[:, 0].copy()
+            for j in range(1, shape):
+                vals += steps[:, j]
+        else:
+            vals = np.add.reduce(steps, axis=1)
         return float(vals[0]) if size is None else vals
 
     def arrivals(self, start: float, stop: float):

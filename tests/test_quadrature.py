@@ -678,12 +678,19 @@ class TestInverse:
             ci.inverse(2.5)
         assert err.value.y == 2.5
         assert err.value.sup == pytest.approx(2.0, abs=1e-6)
+        want = f"2.5 is above the reachable range (highest mass explored: {err.value.sup!r})"
+        assert want in str(err.value)
 
     def test_out_of_range_below(self):
+        # the bound reported is R's bottom, the lowest mass explored
         m = RateModel.constant(1.0, domain=Domain(0.0, 3.0))
         ci = CumulativeIntensity(m)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange) as err:
             ci.inverse(-0.5)
+        assert err.value.y == -0.5
+        assert err.value.sup == 0.0
+        assert "-0.5 is below the reachable range (lowest mass explored: 0.0)" in str(err.value)
+        assert "supremum" not in str(err.value)
 
     def test_out_of_range_with_unbounded_domain(self):
         # support ends at 1 but the domain is the whole line: the probe
@@ -842,6 +849,88 @@ class TestInverse:
             ci.inverse(math.nan)
         with pytest.raises(InvalidParameter):
             ci.inverse_many(np.array([1.0, math.inf]))
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLaneOrder:
+    """inverse_many solves its lanes in ascending target order and returns
+    them in input order: a batch's result must not depend on the order
+    its targets come in."""
+
+    # a bounded domain gives R a bottom and a top, with lanes past both
+    DOMAIN = Domain(-3.0, 12.0)
+    RATES = ("2+sin(x)", SPIKE2, "max(0, sin(x))")
+
+    def _tables(self, text):
+        m = RateModel.from_expression(text, domain=self.DOMAIN)
+        return {
+            "default": CumulativeIntensity(m),
+            "span": CumulativeIntensity(m, span=Interval(0.0, 1.0)),
+            "window": _window_intensity(m, DEFAULT_TOL, Interval(0.0, 1.0)),
+        }
+
+    def _range(self, ci):
+        # grown over the whole domain, so R's bottom and top are final
+        ci(np.array([self.DOMAIN.lo, self.DOMAIN.hi]))
+        return np.array([r for _, r in ci.checkpoints])
+
+    @pytest.mark.parametrize("text", RATES)
+    def test_permuted_batch_gives_permuted_result(self, text):
+        rng = np.random.default_rng(18)
+        for kind, ci in self._tables(text).items():
+            r = self._range(ci)
+            lo, hi = r[0], r[-1]
+            ys = np.concatenate(
+                [
+                    rng.uniform(lo, hi, 600),
+                    rng.choice(r, 60),  # on checkpoints
+                    [lo, lo, hi],
+                    rng.uniform(lo - 5.0, lo, 20),
+                    hi + rng.uniform(0.5, 5.0, 20),
+                ]
+            )
+            ys = np.concatenate([ys, ys[::7]])  # duplicates
+            want = ci.inverse_many(ys, missing="nan")
+            assert np.isnan(want).sum() >= 40, kind
+            assert np.all(want[ys == lo] == self.DOMAIN.lo), kind
+            for seed in range(3):
+                perm = np.random.default_rng(seed).permutation(ys.size)
+                got = ci.inverse_many(ys[perm], missing="nan")
+                assert _same_bits(got, want[perm]), (kind, seed)
+            m = ys.size // 4 * 4
+            got = ci.inverse_many(ys[perm][:m].reshape(4, -1), missing="nan")
+            assert _same_bits(got, want[perm][:m].reshape(4, -1)), kind
+
+    # batches as (kind, offset) lanes: "in" at the fraction ``offset`` of
+    # R's range, "below" that far under its bottom, "above" that far over
+    # its top; with the index of the target OutOfRange names, the first
+    # below the range in input order or, failing that, the first above it
+    RAISES = [
+        ([("above", 1.0), ("in", 0.5), ("below", 2.0), ("below", 0.5), ("above", 3.0)], 2),
+        ([("below", 0.5), ("in", 0.2), ("below", 2.0)], 0),
+        ([("in", 0.9), ("below", 2.0), ("below", 0.5)], 1),
+        ([("above", 1.0), ("in", 0.5), ("above", 3.0)], 0),
+        ([("in", 0.1), ("above", 3.0), ("above", 1.0), ("above", 3.0)], 1),
+    ]
+
+    @pytest.mark.parametrize("lanes, named", RAISES)
+    def test_raise_names_the_same_target(self, lanes, named):
+        for kind, ci in self._tables("2+sin(x)").items():
+            r = self._range(ci)
+            lo, hi = r[0], r[-1]
+            where = {
+                "in": lambda f: lo + f * (hi - lo),
+                "below": lambda d: lo - d,
+                "above": lambda d: hi + d,
+            }
+            ys = np.array([where[side](offset) for side, offset in lanes])
+            with pytest.raises(OutOfRange) as err:
+                ci.inverse_many(ys)
+            assert err.value.y == ys[named], kind
+            assert err.value.sup == (lo if lanes[named][0] == "below" else hi), kind
 
 
 class TestDenseOutput:

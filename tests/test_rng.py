@@ -148,6 +148,23 @@ class TestErlang:
             with pytest.raises(InvalidShape):
                 rng.erlang(bad)
 
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    @pytest.mark.parametrize("size", [None, 0, 10_000])
+    def test_sums_are_numpy_reduce(self, shape, size):
+        # below shape 8 the lanes are summed a column at a time, left to
+        # right: the bits must be those of np.add.reduce over the same
+        # exponentials, which sums them pairwise from shape 8 on
+        rng = RngState(21, shape)
+        got = rng.erlang(shape, size=size)
+        n = 1 if size is None else size
+        u = (_philox(21, shape).random_raw(n * shape) >> np.uint64(11)) * 2.0**-53
+        want = np.add.reduce(-np.log1p(-u.reshape(n, shape)), axis=1)
+        if size is None:
+            assert isinstance(got, float) and np.float64(got).tobytes() == want.tobytes()
+        else:
+            assert got.shape == (n,) and got.tobytes() == want.tobytes()
+        _same_state(rng._bits, _philox(21, shape, n * shape))
+
 
 class TestPoisson:
     def test_zero_mean_is_zero_and_consumes_nothing(self):
