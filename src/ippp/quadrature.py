@@ -764,22 +764,19 @@ class CumulativeIntensity:
         bottom, top = float(keys[0]), float(keys[-1])
         self._probe(top, 1)
         self._probe(bottom, -1)
-        if bottom > self._r[0] and top <= self._r[-1]:
-            solved = self._solve(keys, self._r.searchsorted(keys))
-        else:
-            # keys[:low] lie below R's bottom, keys[low:tie] on it (their
-            # infimum is the lowest explored point: the domain edge, unless
-            # the probe gave up), and keys[high:] above its top
-            low = keys.searchsorted(self._r[0])
-            tie, high = keys.searchsorted(self._r[[0, -1]], side="right")
-            if not allow_nan and (low or high < len(keys)):
-                lanes, bound = (order[:low], self._r[0]) if low else (order[high:], self._r[-1])
-                raise OutOfRange(float(ys[lanes.min()]), float(bound))
-            solved = np.full(len(keys), np.nan)
-            solved[low:tie] = self._t[0]
-            if tie < high:
-                inner = keys[tie:high]
-                solved[tie:high] = self._solve(inner, self._r.searchsorted(inner))
+        # keys[:low] lie below R's bottom, keys[low:tie] on it (their
+        # infimum is the lowest explored point: the domain edge, unless the
+        # probe gave up), and keys[high:] above its top
+        low = keys.searchsorted(self._r[0])
+        tie, high = keys.searchsorted(self._r[[0, -1]], side="right")
+        if not allow_nan and (low or high < len(keys)):
+            lanes, bound = (order[:low], self._r[0]) if low else (order[high:], self._r[-1])
+            raise OutOfRange(float(ys[lanes.min()]), float(bound))
+        solved = np.full(len(keys), np.nan)
+        solved[low:tie] = self._t[0]
+        if tie < high:
+            inner = keys[tie:high]
+            solved[tie:high] = self._solve(inner, self._r.searchsorted(inner))
         out = np.empty_like(solved)
         out[order] = solved
         return out

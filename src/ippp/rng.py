@@ -69,9 +69,7 @@ class RngState:
         Scalar when ``size`` is None, else a 1-d array of length ``size``.
         """
         n = _check_size(size)
-        words = self._bits.random_raw(n)
-        words >>= np.uint64(11)
-        vals = words * _INV_2_53
+        vals = (self._bits.random_raw(n) >> np.uint64(11)) * _INV_2_53
         return float(vals[0]) if size is None else vals
 
     def exponential(self, size: int | None = None):
