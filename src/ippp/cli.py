@@ -28,7 +28,7 @@ from . import __version__
 from .errors import InvalidRate, IpppError, _integer, _real
 from .quadrature import DEFAULT_TOL, integrate
 from .rate_model import Interval, RateModel
-from .rng import RngState
+from .rng import _U64, RngState
 from .sampling_bounded import (
     order_statistic_density,
     simulate_conditional,
@@ -292,6 +292,12 @@ def _check_shared_flags(parser, args):
         _checked(parser, "--tol", _real, args.tol, "tol", low=0.0, strict=True)
     if "reps" in args:
         _checked(parser, "--reps", _integer, args.reps, "reps", low=1)
+    if "seed" in args:
+        _checked(parser, "--seed", _integer, args.seed, "seed", low=0, high=_U64 - 1)
+        _checked(parser, "--stream", _integer, args.stream, "stream", low=0, high=_U64 - 1)
+        # rep i draws from stream + i, which must be a stream id too
+        last = args.stream + args.reps - 1
+        _checked(parser, "--stream", _integer, last, "stream + reps - 1", high=_U64 - 1)
 
 
 def _comment_line(args, argv):

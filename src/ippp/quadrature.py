@@ -21,18 +21,18 @@ window could step over a narrow spike with all 15 nodes.
 :class:`CumulativeIntensity` is the signed antiderivative of the rate
 from the table's origin o: R(t) is the mass on (o, t] for t >= o and
 minus the mass on (t, o] for t < o.  The public tables have origin 0.
-The time-change sampler and the location CDF use a private window table
-instead, whose origin is the window's lower end and whose first 1024
-segments are the window's own partition, the one :func:`integrate` sums:
-R at both window edges is a stored checkpoint, R at the upper edge adds
-up :func:`integrate`'s segment masses, and the table's cost does not
-grow with the window's distance from 0.  A table memoizes integrals
-on a deterministic grid of checkpoints, so repeated path simulation costs
-O(path length), and values never depend on query order.  A query plans
-every batch of checkpoints it needs first and integrates their segments
-in rate calls of at most 1536 segments (a little over the 1152 of a fresh
-span table's first growth), so the temporaries of a large growth stay
-small.
+The time-change sampler, the location CDF and the expected count read a
+private window table instead, whose origin is the window's lower end and
+whose first 1024 segments are the window's own partition, the one
+:func:`integrate` sums: R at both window edges is a stored checkpoint,
+the table keeps the sum of those segment masses (:func:`integrate`'s
+bits), and its cost does not grow with the window's distance from 0.
+A table memoizes integrals on a deterministic grid of checkpoints, so
+repeated path simulation costs O(path length), and values never depend
+on query order.  A query grows each side of the origin on its own,
+planning every batch of checkpoints it needs there first and
+integrating their segments in rate calls of at most 1536 segments, so
+the temporaries of a large growth stay small.
 
 Between its checkpoints the table keeps dense output, built lazily, as in
 the PINV method of Derflinger, Hörmann & Leydold (ACM TOMACS 20(4), 2010).
@@ -167,7 +167,8 @@ _WG = np.array(
 _DEPTH_CAP = 50
 # pieces that each interval's stack gives up to one round of _adaptive
 _ROUND_PIECES = 16
-# segments per rate call when a table grows, which bounds its temporaries
+# segments per rate call when a table grows, which bounds the temporaries
+# of a default table's growth; no fewer than a window table's first 1024
 _GROWTH_SEGMENTS = 1536
 
 # Newton steps on a piece's polynomial that start each inverse lane
@@ -285,12 +286,12 @@ def _horner(coef, s, slope=False):
     return (value, deriv) if slope else value
 
 
-def _adaptive(f, lows, highs, tol: float, errs=None, dense=False):
+def _adaptive(f, lows, highs, tol: float, errs, dense=False):
     """Adaptive bisection over parallel intervals, one rate call per round.
 
-    With ``errs``, the estimates of depth-0 panels already taken and over
-    budget, each interval starts at its two halves, and ToleranceNotMet
-    counts those estimates.
+    ``errs`` are the estimates of the intervals' depth-0 panels, already
+    taken and over budget: each interval starts at its two halves, and
+    ToleranceNotMet counts those estimates.
 
     Each interval keeps its own stack of pieces, in position order with
     the rightmost on top, with error budgets proportional to width that
@@ -316,15 +317,11 @@ def _adaptive(f, lows, highs, tol: float, errs=None, dense=False):
     lows = np.asarray(lows, dtype=float).tolist()
     highs = np.asarray(highs, dtype=float).tolist()
     seg_tol = tol / _SEGMENTS
-    if errs is None:
-        worst = [0.0] * len(lows)
-        stacks = [[(a, b, 0)] if a != b else [] for a, b in zip(lows, highs)]
-    else:
-        worst = np.asarray(errs, dtype=float).tolist()
-        mids = [0.5 * (a + b) for a, b in zip(lows, highs)]
-        stacks = [[(a, m, 1), (m, b, 1)] for a, m, b in zip(lows, mids, highs)]
+    worst = np.asarray(errs, dtype=float).tolist()
+    mids = [0.5 * (a + b) for a, b in zip(lows, highs)]
+    stacks = [[(a, m, 1), (m, b, 1)] for a, m, b in zip(lows, mids, highs)]
     accepted = [[] for _ in lows]
-    live = [i for i, stack in enumerate(stacks) if stack]
+    live = list(range(len(lows)))
     while live:
         groups = []
         for i in live:
@@ -366,8 +363,8 @@ def _adaptive(f, lows, highs, tol: float, errs=None, dense=False):
 def _masses(f, lows, highs, tol: float):
     """Signed mass over each [low, high]: one panel per lane, refined
     adaptively where its error estimate exceeds tol / _SEGMENTS."""
-    # points past the probe limit sit beyond the last checkpoint, in lanes
-    # with low > high, whose signed mass is minus that of [high, low]
+    # lanes with low > high, from growth below a table's origin and points
+    # below its lowest checkpoint, have minus the mass of [high, low]
     sign = np.where(np.less_equal(lows, highs), 1.0, -1.0)
     lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
     vals, errs, _ = _panels(f, lows, highs)
@@ -451,11 +448,12 @@ class CumulativeIntensity:
     def _windowed(cls, model: RateModel, tol: float, window: Interval):
         """The window table: origin ``window.lo``, base width
         window.width / 1024, and first 1024 segments the window's
-        partition, grown in one call.  The window must lie in the domain
-        and ``tol`` be checked."""
+        partition, grown in one call; ``mass`` is their masses' sum,
+        :func:`integrate` over the window bit for bit.  The window must
+        lie in the domain and ``tol`` be checked."""
         self = cls.__new__(cls)
         self._start(model, tol, window.lo, window.width / _SEGMENTS)
-        self._extend([(1, window.lo, _partition(window.lo, window.hi)[1:])])
+        self.mass = float(np.sum(self._extend(1, [_partition(window.lo, window.hi)[1:]])))
         return self
 
     def _start(self, model: RateModel, tol: float, origin: float, h0: float):
@@ -504,66 +502,56 @@ class CumulativeIntensity:
         return edges
 
     def _plan(self, sign: int, target: float):
-        """The batches that extend one side of the grid (sign > 0: above)
-        past ``target`` or to its limit, lazily, as (sign, start, edges)."""
+        """The batches of checkpoints that extend one side of the grid
+        (sign > 0: above) past ``target`` or to its limit, lazily."""
         start = self._t[-1 if sign > 0 else 0]
         added = self._added[sign]
         limit = self._limit(sign)
         while sign * start < sign * target and sign * start < sign * limit:
             edges = self._batch(sign, start, added)
-            yield sign, start, edges
+            yield edges
             start = edges[-1]
             added += len(edges)
 
-    def _extend(self, batches):
-        """Add planned batches of checkpoints, integrating their segments
-        in rate calls of at most _GROWTH_SEGMENTS segments.
+    def _extend(self, sign: int, batches):
+        """Add planned batches of checkpoints to one side of the grid
+        (sign > 0: above), integrating their segments in rate calls of at
+        most _GROWTH_SEGMENTS segments, and return the segments' signed
+        masses (below the origin, minus the mass of each segment).
 
         R accumulates batch by batch from the checkpoint each batch starts
         at, so the values are those of adding the batches one at a time,
         and a segment's mass does not depend on the call it sits in.
         """
         if not batches:
-            return
-        lows, highs = [], []
-        for sign, start, edges in batches:
-            inner = np.concatenate([[start], edges[:-1]])
-            # _masses is signed, so each segment goes in as (low, high)
-            lows.append(inner if sign > 0 else edges)
-            highs.append(edges if sign > 0 else inner)
-        lows, highs = np.concatenate(lows), np.concatenate(highs)
+            return None
+        end = -1 if sign > 0 else 0
+        edges = np.concatenate(batches)
+        inner = np.concatenate([[self._t[end]], edges[:-1]])
         step = _GROWTH_SEGMENTS
         vals = np.concatenate(
             [
-                _masses(self.model._rate, lows[k : k + step], highs[k : k + step], self.tol)
-                for k in range(0, len(lows), step)
+                _masses(self.model._rate, inner[k : k + step], edges[k : k + step], self.tol)
+                for k in range(0, len(edges), step)
             ]
         )
-        last = {1: self._r[-1], -1: self._r[0]}
-        parts = {1: [], -1: []}
-        k = 0
-        for sign, _, edges in batches:
-            n = len(edges)
-            r = last[sign] + sign * np.cumsum(vals[k : k + n])
-            last[sign] = r[-1]
-            parts[sign].append((edges, r))
-            self._added[sign] += n
-            k += n
-        below, above = parts[-1][::-1], parts[1]
+        r, last, k = [], self._r[end], 0
+        for batch in batches:
+            r.append(last + np.cumsum(vals[k : k + len(batch)]))
+            last, k = r[-1][-1], k + len(batch)
+        r = np.concatenate(r)
+        pad = np.zeros(len(edges), dtype=np.int32)
+        self._added[sign] += len(edges)
 
-        def joined(col, old):
+        def joined(old, new):
             # the checkpoints below the grid go in farthest first
-            return np.concatenate(
-                [p[col][::-1] for p in below] + [old] + [p[col] for p in above]
-            )
+            return np.concatenate([old, new] if sign > 0 else [new[::-1], old])
 
-        self._t = joined(0, self._t)
-        self._r = joined(1, self._r)
-        n_below = sum(len(p[0]) for p in below)
-        n_above = sum(len(p[0]) for p in above)
-        pad = np.zeros(n_below, dtype=np.int32), np.zeros(n_above, dtype=np.int32)
-        self._first = np.concatenate([pad[0], self._first, pad[1]])
-        self._count = np.concatenate([pad[0], self._count, pad[1]])
+        self._t = joined(self._t, edges)
+        self._r = joined(self._r, r)
+        self._first = joined(self._first, pad)
+        self._count = joined(self._count, pad)
+        return vals
 
     def _build(self, segs):
         """Dense pieces for the segments right of the checkpoints ``segs``
@@ -642,7 +630,8 @@ class CumulativeIntensity:
         """Extend the grid until it covers [lo, hi] (clamped to the domain)."""
         lo = self.model.domain.clamp(lo)
         hi = self.model.domain.clamp(hi)
-        self._extend([*self._plan(1, hi), *self._plan(-1, lo)])
+        self._extend(1, list(self._plan(1, hi)))
+        self._extend(-1, list(self._plan(-1, lo)))
 
     def _probe(self, y: float, sign: int):
         # downward, >= rather than >: a target tying the lowest explored
@@ -652,7 +641,7 @@ class CumulativeIntensity:
             self._r[-1] < y if sign > 0 else self._r[0] >= y
         ):
             start = self._t[-1 if sign > 0 else 0]
-            self._extend([(sign, start, self._batch(sign, start, self._added[sign]))])
+            self._extend(sign, [self._batch(sign, start, self._added[sign])])
 
     # -- public surface ----------------------------------------------------
 

@@ -130,8 +130,10 @@ def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens, by the rules in the module docstring.
 
     Any character those rules do not take raises :class:`LexError` with
-    its position.
+    its position; a ``source`` that is not a str raises InvalidParameter.
     """
+    if not isinstance(source, str):
+        raise InvalidParameter(f"rate expression must be a str, got {source!r}")
     tokens: list[Token] = []
     for match in _TOKEN.finditer(source):
         kind = match.lastgroup

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,10 +40,9 @@ from .errors import (
     ZeroRate,
     _integer,
     _points,
-    _real,
     _shaped,
 )
-from .quadrature import DEFAULT_TOL, _window_intensity, integrate
+from .quadrature import DEFAULT_TOL, _window_intensity
 from .rate_model import Interval, RateModel
 from .rng import RngState, _check_size
 
@@ -117,16 +115,15 @@ def _base_meta(model: RateModel, rng: RngState, method: str) -> dict:
     return {"method": method, "model": model.describe(), "seed": rng.seed, "stream": rng.stream}
 
 
-@lru_cache(maxsize=256)
-def _expected_count_cached(model: RateModel, lo: float, hi: float, tol: float):
-    return integrate(model, lo, hi, tol)
-
-
 def expected_count(model: RateModel, window: Interval, tol: float = DEFAULT_TOL):
-    """The window's intensity mass: the mean number of points in it."""
+    """The window's intensity mass: the mean number of points in it.
+
+    :func:`~ippp.quadrature.integrate` over the window, bit for bit, kept
+    by the cached window table that :func:`location_cdf` and the time
+    change read, so a window is integrated once for all of them.
+    """
     model.require_window(window)
-    tol = _real(tol, "tol", low=0.0, strict=True)
-    return _expected_count_cached(model, window.lo, window.hi, tol)
+    return _window_intensity(model, tol, window).mass
 
 
 def sample_count(
@@ -271,8 +268,9 @@ def location_cdf(model: RateModel, window: Interval, x, tol: float = DEFAULT_TOL
     """CDF of a single point's location, clamped to [0, 1].
 
     R(x) / R(hi), R being the mass from the window's lower end on the
-    cached window table that :func:`~ippp.sampling_line.sample_path_time_change`
-    uses; R(hi) is a stored checkpoint.
+    cached window table that :func:`expected_count` and
+    :func:`~ippp.sampling_line.sample_path_time_change` read; R(hi) is a
+    stored checkpoint.
     """
     model.require_window(window)
     arr = _points(x)

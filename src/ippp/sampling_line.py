@@ -92,9 +92,10 @@ def sample_path_time_change(
     (0, R(hi)] is laid down with Exp(1) gaps and mapped back through the
     inverse; the result is sorted by construction and distributed exactly
     like simulate_window's output.  R(hi), the ``mass`` in the result's
-    meta, is a stored checkpoint that adds up the segment masses
-    :func:`~ippp.sampling_bounded.expected_count` sums, so the two agree
-    to a few ulps, and a path costs the same at any distance from 0.
+    meta, is a stored checkpoint that adds up in order the segment masses
+    whose sum :func:`~ippp.sampling_bounded.expected_count` reads off the
+    same table, so the two agree to a few ulps, and a path costs the same
+    at any distance from 0.
     """
     model.require_window(window)
     ci = _window_intensity(model, tol, window)

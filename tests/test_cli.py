@@ -965,6 +965,12 @@ FLAG_CHECKS = [
     ("--m", [*_ORDER, "--k", "3", "--m", "2"]),
     ("--grid", ["density", "order-stat", *_WIN, "--k", "1", "--m", "1", "--grid", "0", "1", "1"]),
     ("--grid", ["density", "order-stat", *_WIN, "--k", "1", "--m", "1", "--grid", "1", "0", "3"]),
+    ("--seed", ["simulate", *_WIN, "--seed", "-1"]),
+    ("--seed", ["simulate-n", *_WIN, "--count", "1", "--seed", str(2**64)]),
+    ("--stream", ["simulate", *_WIN, "--seed", "1", "--stream", "-1"]),
+    ("--stream", [*_NEXT, "--from", "0", "--n", "1", "--stream", str(2**64)]),
+    # the last rep's stream, stream + reps - 1, is past 2^64 - 1
+    ("--stream", ["simulate", *_WIN, "--seed", "1", "--stream", str(2**64 - 1), "--reps", "2"]),
 ]
 
 

@@ -275,6 +275,21 @@ def test_real_sequences(site):
         call([[v] for v in good])
 
 
+# entry point -> a call on the text of a rate expression
+TEXT_SITES = {
+    "RateModel.from_expression": RateModel.from_expression,
+    "rate_expr.parse_text": rate_expr.parse_text,
+    "rate_expr.tokenize": rate_expr.tokenize,
+}
+
+
+@pytest.mark.parametrize("site", sorted(TEXT_SITES))
+@pytest.mark.parametrize("bad", [5, 2.5, None, b"x", ["x"], True])
+def test_rate_text_that_is_not_a_str_raises(site, bad):
+    with pytest.raises(InvalidParameter, match="rate expression must be a str"):
+        TEXT_SITES[site](bad)
+
+
 @pytest.mark.parametrize("make", [CumulativeIntensity, cumulative_intensity])
 def test_span_is_an_interval_or_none(make):
     assert make(MODEL, span=None)(1.0) == make(MODEL)(1.0)

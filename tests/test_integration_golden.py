@@ -17,6 +17,9 @@ piece store moved from one row per piece to one column per piece.  The
 sinusoid's window sits far from 0, where the default table's pieces are
 wide and inverse lanes take more than one round of the root solve.  Run
 this file as a script to print the table afresh.
+
+``expected_count`` reads the window table's mass, which must be
+``integrate`` over the window bit for bit, on each rate here and far out.
 """
 
 import hashlib
@@ -31,6 +34,7 @@ from ippp import (
     RateModel,
     RngState,
     cumulative_intensity,
+    expected_count,
     integrate,
     location_cdf,
     nth_point_density,
@@ -40,6 +44,7 @@ from ippp import (
     sample_nth_points,
     sample_path_time_change,
 )
+from ippp.quadrature import DEFAULT_TOL, _window_intensity
 
 # name -> (model, window)
 RATES = {
@@ -472,6 +477,19 @@ def test_golden_digests(seed, name):
     got = {f"{seed}/{name}/{what}": digest for what, digest in _outputs(name, seed)}
     want = {k: v for k, v in GOLDEN.items() if k.startswith(f"{seed}/{name}/")}
     assert got == want
+
+
+@pytest.mark.parametrize("name", RATES)
+def test_expected_count_is_integrate_bit_for_bit(name):
+    # the window table's mass sums the segment masses integrate sums, in
+    # the same order, so the mean count and the integral are one number
+    make, (lo, hi) = RATES[name]
+    model, width = make(), hi - lo
+    for a in (lo, lo - 0.5 * width, 1e5):
+        window = Interval(a, a + width)
+        mass = expected_count(model, window)
+        assert mass == integrate(model, window.lo, window.hi)
+        assert mass == _window_intensity(model, DEFAULT_TOL, window).mass
 
 
 if __name__ == "__main__":

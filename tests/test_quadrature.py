@@ -28,8 +28,8 @@ from ippp.quadrature import (
     _SEGMENTS,
     DEFAULT_TOL,
     CumulativeIntensity,
-    _adaptive,
     _dense,
+    _masses,
     _panels,
     _WG,
     _WK,
@@ -44,6 +44,7 @@ from ippp.rng import RngState
 from ippp.sampling_bounded import (
     expected_count,
     location_cdf,
+    order_statistic_density,
     sample_location,
     simulate_window,
 )
@@ -104,6 +105,24 @@ class _CountingSource:
         return self.inner.describe()
 
 
+class _Budget(Exception):
+    """A rate source ran past its call budget."""
+
+
+class _BudgetSource(_CountingSource):
+    """A counting source that raises _Budget once it has made ``budget``
+    calls, so that refinement that never ends fails instead of hanging."""
+
+    def __init__(self, inner, budget):
+        super().__init__(inner)
+        self.budget = budget
+
+    def __call__(self, x):
+        if self.calls >= self.budget:
+            raise _Budget(f"past {self.budget} rate calls")
+        return super().__call__(x)
+
+
 class _PatchedSource:
     """A rate source equal to ``inner`` except at one point, where it
     returns ``value`` (the limit of a removable singularity there)."""
@@ -129,7 +148,7 @@ class _PatchedSource:
 
 
 def _adaptive_one_piece(f, lows, highs, tol):
-    """_adaptive as one piece per interval per round: the reference.
+    """_masses refined one piece per interval per round: the reference.
 
     Each interval's stack holds its pieces in position order; a round pops
     the top (rightmost) piece, accepts it within budget or pushes its two
@@ -320,48 +339,24 @@ class TestAdaptive:
             highs = lows + rng.uniform(0.0, 3.0, size=40)
             ok = []
             for a, b in zip(lows, highs):
+                a, b = np.array([a]), np.array([b])
                 try:
-                    want = _adaptive_one_piece(model.evaluate, [a], [b], DEFAULT_TOL)
+                    want = _adaptive_one_piece(model.evaluate, a, b, DEFAULT_TOL)
                 except ToleranceNotMet:
                     # a jump inside a piece: the known defect, in both
                     with pytest.raises(ToleranceNotMet):
-                        _adaptive(model.evaluate, [a], [b], DEFAULT_TOL)
+                        _masses(model.evaluate, a, b, DEFAULT_TOL)
                     continue
-                got = _adaptive(model.evaluate, [a], [b], DEFAULT_TOL)
+                got = _masses(model.evaluate, a, b, DEFAULT_TOL)
                 assert np.array_equal(got, want)
-                ok.append((a, b, float(want[0])))
+                ok.append((a[0], b[0], float(want[0])))
             assert len(ok) >= 20, model.describe()
             a, b, want = map(np.array, zip(*ok))
-            assert np.array_equal(_adaptive(model.evaluate, a, b, DEFAULT_TOL), want)
-
-    def test_first_panel_reused(self, monkeypatch):
-        # intervals whose depth-0 panel is over budget start at their two
-        # halves: the same bits and the same reported error, one panel
-        # call fewer
-        for tol in (DEFAULT_TOL, 1e-18):
-            f = RateModel.from_expression("2+sin(40*x)").evaluate
-            lows = np.linspace(3.0, 6.0, 7)
-            highs = lows + 0.75
-            _, errs, _ = _panels(f, lows, highs)
-            assert np.all(errs > tol / _SEGMENTS)
-            results = []
-            for first in (None, errs):
-                calls = []
-                monkeypatch.setattr(
-                    quadrature, "_panels", lambda *a: calls.append(a) or _panels(*a)
-                )
-                try:
-                    got = _adaptive(f, lows, highs, tol, first)
-                except ToleranceNotMet as err:
-                    got = err.achieved
-                results.append((got, len(calls)))
-            (want, n_want), (got, n_got) = results
-            assert np.array_equal(got, want), tol
-            assert n_got == n_want - 1, tol
+            assert np.array_equal(_masses(model.evaluate, a, b, DEFAULT_TOL), want)
 
     def test_depth_cap_still_raises(self):
         with pytest.raises(ToleranceNotMet) as err:
-            _adaptive(SIN_MODEL.evaluate, [0.0], [1.0], 1e-18)
+            _masses(SIN_MODEL.evaluate, np.array([0.0]), np.array([1.0]), 1e-18)
         assert err.value.requested == 1e-18
 
     def test_spike_table_panel_calls(self, monkeypatch):
@@ -456,7 +451,7 @@ class TestCumulativeIntensity:
             cumulative_intensity(SIN_MODEL)(10.0), abs=2 * DEFAULT_TOL
         )
 
-    def test_fresh_table_grows_in_one_rate_call(self, monkeypatch):
+    def test_fresh_table_grows_in_one_rate_call_per_side(self, monkeypatch):
         calls = []
         masses = quadrature._masses
         monkeypatch.setattr(
@@ -464,8 +459,8 @@ class TestCumulativeIntensity:
         )
         ci = CumulativeIntensity(SIN_MODEL, span=Interval(-0.5, 10.0))
         ci._cover(-0.5, 10.0)
-        # 1024 segments of the span above the anchor and one batch below
-        assert calls == [1024 + 128]
+        # 1024 segments of the span above the anchor, then one batch below
+        assert calls == [1024, 128]
         reference = CumulativeIntensity(SIN_MODEL, span=Interval(-0.5, 10.0))
         for t in np.arange(0.0, 10.01, 1.25):
             reference(t)  # one batch at a time
@@ -502,6 +497,30 @@ class TestCumulativeIntensity:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            3e3,
+            pytest.param(
+                1e4,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=_Budget,
+                    reason='ROADMAP "Refinement that always ends": past about '
+                    "|t| = 3e3 the rounding floor of the error estimates passes "
+                    "the budget, and the pieces split until the depth cap",
+                ),
+            ),
+        ],
+    )
+    def test_far_default_table_ends(self, t):
+        # a count, not a time: refinement that does not end runs past the
+        # budget of rate calls (R at 3e3 takes 430)
+        src = _BudgetSource(RateModel.from_expression("2+sin(x)").source, 1000)
+        ci = CumulativeIntensity(RateModel(source=src))
+        err = abs(ci(t) - (2.0 * t - math.cos(t) + 1.0))
+        assert err <= 2 * DEFAULT_TOL + (2.0 + math.sin(t)) * math.ulp(t)
 
     def test_concurrent_queries_agree_with_serial(self):
         reference = CumulativeIntensity(SIN_MODEL)
@@ -583,6 +602,26 @@ class TestWindowTable:
         assert abs(mass - want) <= 4 * math.ulp(want)
         assert location_cdf(model, window, hi) == 1.0
         assert location_cdf(model, window, lo) == 0.0
+
+    def test_cold_order_statistic_density_integrates_once(self, monkeypatch):
+        # its density and its CDF read the one window table
+        calls = []
+        masses = quadrature._masses
+        monkeypatch.setattr(
+            quadrature, "_masses", lambda *a: calls.append(len(a[1])) or masses(*a)
+        )
+        # a source of its own, so that no cached table holds the window
+        model = RateModel(source=_CountingSource(RateModel.from_expression(BUMP).source))
+        order_statistic_density(model, Interval(0.0, 10.0), 2, 5, np.linspace(0.0, 10.0, 11))
+        assert calls == [_SEGMENTS]
+
+    def test_expected_count_after_a_path_makes_no_rate_call(self):
+        src = _CountingSource(SIN_MODEL.source)
+        model, window = RateModel(source=src), Interval(300.0, 350.0)
+        sample_path_time_change(model, window, RngState(5))
+        calls = src.calls
+        assert expected_count(model, window) == integrate(SIN_MODEL, 300.0, 350.0)
+        assert src.calls == calls
 
     def test_far_paths_cost_what_a_path_at_zero_costs(self):
         # rate points per point, a count: it does not depend on machine

@@ -8,6 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+import ippp.quadrature as quadrature
 import ippp.sampling_bounded as sb
 from ippp.errors import (
     BoundViolation,
@@ -86,12 +87,16 @@ def test_expected_count_linear():
 
 
 def test_expected_count_is_cached():
-    model = RateModel.constant(3.0)
+    # the second call reads the cached window table, with no rate call
+    calls = []
+    inner = RateModel.constant(3.0).source
+    model = RateModel(lambda x: calls.append(1) or inner(x))
     window = Interval(0.0, 7.0)
-    expected_count(model, window)
-    before = sb._expected_count_cached.cache_info().hits
-    expected_count(model, window)
-    assert sb._expected_count_cached.cache_info().hits == before + 1
+    want = expected_count(model, window)
+    hits, made = quadrature._cached_intensity.cache_info().hits, len(calls)
+    assert expected_count(model, window) == want
+    assert quadrature._cached_intensity.cache_info().hits == hits + 1
+    assert len(calls) == made
 
 
 def test_expected_count_window_must_fit_domain():
@@ -417,7 +422,7 @@ def test_simulate_conditional_never_integrates(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("integration is not allowed here")
 
-    monkeypatch.setattr(sb, "integrate", boom)
+    monkeypatch.setattr(quadrature, "_masses", boom)
     monkeypatch.setattr(sb, "_window_intensity", boom)
     model = RateModel.sinusoidal(2.0, 1.0)
     es = simulate_conditional(model, Interval(0.0, 8.0), 25, RngState(41))
