@@ -152,14 +152,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("intensity", help="integral of the rate over a window")
-    p.set_defaults(run=_run_intensity)
+    p.set_defaults(run=_run_intensity, parser=p)
     _add_rate_flags(p)
     _add_tol_flag(p)
     _add_window_flag(p)
     p.add_argument("--out", metavar="PATH", help="write output to a file")
 
     p = sub.add_parser("simulate", help="simulate realizations on a window")
-    p.set_defaults(run=_run_simulate)
+    p.set_defaults(run=_run_simulate, parser=p)
     _add_rate_flags(p)
     _add_tol_flag(p)
     _add_window_flag(p)
@@ -168,7 +168,7 @@ def _build_parser():
 
     # no --tol: conditional simulation integrates nothing
     p = sub.add_parser("simulate-n", help="simulate with an exact point count")
-    p.set_defaults(run=_run_simulate_n)
+    p.set_defaults(run=_run_simulate_n, parser=p)
     _add_rate_flags(p)
     _add_window_flag(p)
     p.add_argument("--count", type=int, required=True, help="exact number of points")
@@ -176,7 +176,7 @@ def _build_parser():
     _add_output_flags(p)
 
     p = sub.add_parser("next-point", help="sample the n-th point beside an anchor")
-    p.set_defaults(run=_run_next_point)
+    p.set_defaults(run=_run_next_point, parser=p)
     _add_rate_flags(p)
     _add_tol_flag(p)
     _add_anchor_flags(p)
@@ -187,7 +187,7 @@ def _build_parser():
     dsub = p.add_subparsers(dest="density_kind", required=True)
 
     q = dsub.add_parser("order-stat", help="k-th of m points on a window")
-    q.set_defaults(run=_run_density_order_stat)
+    q.set_defaults(run=_run_density_order_stat, parser=q)
     _add_rate_flags(q)
     _add_tol_flag(q)
     _add_window_flag(q)
@@ -197,7 +197,7 @@ def _build_parser():
     _add_output_flags(q)
 
     q = dsub.add_parser("nth-point", help="n-th point beside an anchor")
-    q.set_defaults(run=_run_density_nth_point)
+    q.set_defaults(run=_run_density_nth_point, parser=q)
     _add_rate_flags(q)
     _add_tol_flag(q)
     _add_anchor_flags(q)
@@ -443,6 +443,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # usage errors past parsing print the subcommand's usage line, as
+        # argparse's own errors on it do
+        parser = args.parser
         _check_shared_flags(parser, args)
         _emit(parser, args.run(parser, args, argv), args.out)
     except SystemExit as exc:

@@ -47,14 +47,17 @@ the segment budget, so a segment holding a kink is refined as the
 integrator refines it.  The antiderivative is formed as a Legendre series,
 whose coefficients within 1/256 of the piece's budget are set to 0 (R
 moves by at most 1/16 of the budget), and kept as coefficients of powers
-of the piece's local coordinate s in [-1, 1], which Horner's rule
-evaluates up to the highest degree left in the table.  One rate call
-takes the first panel of every new segment of a query: the first query
-into a segment costs one panel (15 rate points, more where it is
-refined), and later queries into it cost no rate call.  A piece holds 20
-doubles (16 coefficients, its edges, R at its left edge and its mass),
-160 bytes, in one column of a store with one row per field, and every
-checkpoint 8 bytes more for the index of its segment's pieces.
+of the piece's local coordinate s in [-1, 1].  A piece's degree is its
+highest power of s with a coefficient that is not 0 (at least 1), and
+Horner's rule runs up to the highest degree among the pieces a call
+reads, so a batch near the origin does not pay for the wide pieces far
+out or a kinked piece elsewhere.  One rate call takes the first panel
+of every new segment of a query: the first query into a segment costs
+one panel (15 rate points, more where it is refined), and later queries
+into it cost no rate call.  A piece holds 21 doubles (16 coefficients,
+its edges, R at its left edge, its mass and its degree), 168 bytes, in
+one column of a store with one row per field, and every checkpoint 8
+bytes more for the index of its segment's pieces.
 R at a point is R at the left edge of its piece plus the piece's
 antiderivative there; the panels never evaluate at a checkpoint, so R
 does not need the rate there.
@@ -219,8 +222,8 @@ def _dense_matrices():
 
 
 # the store's rows, one column per piece: 16 coefficients, then its edges,
-# R at its left edge and its mass (its polynomial at s = 1)
-_LOW, _HIGH, _R, _MASS = 16, 17, 18, 19
+# R at its left edge, its mass (its polynomial at s = 1) and its degree
+_LOW, _HIGH, _R, _MASS, _DEGREE = 16, 17, 18, 19, 20
 
 
 def _panels(f, lows, highs):
@@ -470,11 +473,10 @@ class CumulativeIntensity:
         self._first = np.zeros(1, dtype=np.int32)
         self._count = np.zeros(1, dtype=np.int32)
         # one column per piece: the coefficients of its mass from its left
-        # edge in powers of s, its edges, R at its left edge and its mass
-        self._pieces = np.empty((20, 0))
+        # edge in powers of s, its edges, R at its left edge, its mass and
+        # its degree
+        self._pieces = np.empty((21, 0))
         self._used = 0
-        # the highest power of s with a coefficient that is not 0
-        self._degree = 0
         self._added = {1: 0, -1: 0}  # segments added above (1) and below (-1)
 
     # -- grid bookkeeping ------------------------------------------------
@@ -564,6 +566,8 @@ class CumulativeIntensity:
         checkpoint, so a segment's pieces do not depend on the segments
         built with it.  A piece's mass, its polynomial at s = 1 over all 16
         rows, has the bits of any degree's: leading zeros add exact zeros.
+        Every piece, refined ones included, gets its degree: its highest
+        power of s with a coefficient that is not 0, at least 1.
         """
         new = np.sort(segs[self._count[segs] == 0])
         if new.size == 0:
@@ -598,16 +602,16 @@ class CumulativeIntensity:
         self._reserve(used + n)
         self._pieces[:_MASS, used : used + n] = block
         self._pieces[_MASS, used : used + n] = _horner(block[:16], np.ones(n))
+        powers = np.where(block[:16] != 0, np.arange(16)[:, None], 1)
+        self._pieces[_DEGREE, used : used + n] = np.max(powers, axis=0)
         self._first[new] = used + np.cumsum(counts) - counts
         self._count[new] = counts
         self._used = used + n
-        if block[self._degree + 1 : 16].any():
-            self._degree = int(np.flatnonzero(np.any(block[:16], axis=1))[-1])
 
     def _reserve(self, size: int):
         """Room for ``size`` pieces, growing the store by half at a time."""
         if size > self._pieces.shape[1]:
-            grown = np.empty((20, max(size, self._pieces.shape[1] * 3 // 2)))
+            grown = np.empty((21, max(size, self._pieces.shape[1] * 3 // 2)))
             grown[:, : self._used] = self._pieces[:, : self._used]
             self._pieces = grown
 
@@ -702,11 +706,12 @@ class CumulativeIntensity:
 
     def _coefficients(self, cols):
         """The coefficients of the pieces in columns ``cols`` of the store,
-        one row per power of s up to the table's degree, gathered from the
-        store's coefficient rows in one take.  A piece of lower degree gets
-        leading zeros, which :func:`_horner` turns into exact zeros, so its
-        bits do not depend on the other pieces."""
-        return np.take(self._pieces[: max(self._degree, 1) + 1], cols, axis=1)
+        one row per power of s up to the highest degree among them,
+        gathered from just those rows of the store in one take.  A piece of
+        lower degree gets leading zeros, which :func:`_horner` turns into
+        exact zeros, so its bits do not depend on the other pieces."""
+        degree = int(np.take(self._pieces[_DEGREE], cols).max())
+        return np.take(self._pieces[: degree + 1], cols, axis=1)
 
     def _values(self, cols, xs):
         """R at points inside the pieces in columns ``cols`` of the store."""
@@ -807,7 +812,7 @@ class CumulativeIntensity:
         self._build(segs)
         cols = self._locate(segs, _R, ys)
         coef = self._coefficients(cols)
-        lo, hi, r, mass = np.take(self._pieces[_LOW:], cols, axis=1)
+        lo, hi, r, mass = np.take(self._pieces[_LOW:_DEGREE], cols, axis=1)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         out = hi.copy()
         floor = np.maximum(

@@ -759,7 +759,7 @@ def test_out_unwritable_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     message = f"--out: [Errno 2] No such file or directory: {str(target)!r}"
-    assert err.splitlines()[-1] == f"ippp: error: {message}"
+    assert err.splitlines()[-1] == f"ippp intensity: error: {message}"
     assert "Traceback" not in err
     assert not target.parent.exists()
 
@@ -980,3 +980,39 @@ def test_each_flag_check_exits_2_naming_its_flag(capsys, flag, argv):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+# per subcommand: a command line that fails a library check, and one that
+# argparse itself refuses
+SAME_USAGE = [
+    (["intensity", *_WIN, "--tol", "0"], ["intensity", *_WIN, "--tol", "x"]),
+    (["simulate", *_WIN, "--seed", "1", "--stream", "-1"], ["simulate", *_WIN, "--seed", "x"]),
+    (["simulate-n", *_WIN, "--seed", "1", "--count", "-1"], ["simulate-n", *_WIN, "--count", "x"]),
+    ([*_NEXT, "--from", "0", "--n", "0"], [*_NEXT, "--from", "0", "--n", "x"]),
+    ([*_ORDER, "--k", "0", "--m", "2"], [*_ORDER, "--k", "x", "--m", "2"]),
+    (
+        ["density", "nth-point", "--rate", "1", "--from", "0", "--n", "1", "--direction", "up",
+         "--grid", "0", "1", "1"],
+        ["density", "nth-point", "--rate", "1", "--from", "0", "--n", "x", "--direction", "up",
+         "--grid", "0", "1", "3"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "library, parsing",
+    SAME_USAGE,
+    ids=["intensity", "simulate", "simulate-n", "next-point", "order-stat", "nth-point"],
+)
+def test_library_check_prints_the_subcommands_usage(capsys, library, parsing):
+    # the usage lines and the "ippp <cmd>: error:" prefix of both errors
+    lines = []
+    for argv in (library, parsing):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        *usage, last = err.splitlines()
+        lines.append((usage, last.partition(" error: ")[0]))
+    assert lines[0] == lines[1]
+    cmd = " ".join(library[: 2 if library[0] == "density" else 1])
+    assert lines[0][0][0].startswith(f"usage: ippp {cmd} [-h]")
+    assert lines[0][1] == f"ippp {cmd}:"

@@ -208,11 +208,11 @@ GOLDEN = {
     "parse/mutated": "cfd35a4d9c8ebec9055d452f341f80e171465f54f8114f5fca1750a1d308769f",
     "lex/random": "8b16e0b40c6319221b71a8ae4b5b5d2ca1d7df50eb0b8cec41da273c3a763063",
     "parse/random": "eb62fbeddaf2e80ec6dccdc0e0ae240cc160568c55e917a78cd9b86b7c27083e",
-    "cli/constant": "2729f45eb92422aafdae76304e4986864d721e00cf44c48f5c5bd59ed5dbe9ca",
-    "cli/linear": "149911943463dd7ff23ab388f12f94492093e39aea99f7ae0f6a29d21a979cd4",
-    "cli/sin": "1b5590e7b230b6cfe4b7db05f292d3c58d71a1de47e6e621764e9e02598dc8b8",
-    "cli/pwconst": "77fbc073e6759ac61fb6248aa20474c7e5ee68caa4f818e81fc556538b4bfa8f",
-    "cli/family": "a0de754580c6752f8d99d292d03f25c203206b8162fe46788ce288b6ab19fd2e",
+    "cli/constant": "879117a0516590b3599fc652a8aeb8ab64782d5b27c245d1d81ea2da1f7d8a5c",
+    "cli/linear": "e9c40841825f8e9ff1cc6790aa41eab1d549cb17e6703c4a3b900d3fff8dc19c",
+    "cli/sin": "9262b370494f84d810275766a73f2db6c3678abcdc2fe5764204b182199b05bc",
+    "cli/pwconst": "5c920cec80dbc5ac49c3c8697af48038f0f721732b42d278025666451938466d",
+    "cli/family": "1e408e078de95a71d15f3121b925ac4173e2177c0168e7a937c90b6cead7f939",
 }
 
 

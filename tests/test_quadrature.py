@@ -1046,18 +1046,19 @@ class TestDenseOutput:
                     together._pieces[:, first : first + n], alone._pieces[:, other : other + n]
                 ), text
 
-    @pytest.mark.parametrize(
-        "make, window, refines",
-        [
-            (lambda: RateModel.from_expression("2+sin(x)"), (0.0, 20.0), False),
-            (lambda: RateModel.from_expression(BUMP), (0.0, 10.0), False),
-            (lambda: RateModel.from_expression(SPIKE2), (0.0, 1.0), True),
-            (lambda: RateModel.piecewise_constant([0, 2, 5, 8], [3, 1, 4]), (0.0, 8.0), False),
-        ],
-    )
-    def test_stored_mass_is_the_polynomial_at_one(self, make, window, refines):
-        # the mass the inverse starts from has the bits of Horner's rule at
-        # s = 1 over the table's current degree, on every kind of table
+    # (model, window, whether some segment is refined into several pieces)
+    TABLES = [
+        (lambda: RateModel.from_expression("2+sin(x)"), (0.0, 20.0), False),
+        (lambda: RateModel.from_expression(BUMP), (0.0, 10.0), False),
+        (lambda: RateModel.from_expression(SPIKE2), (0.0, 1.0), True),
+        (lambda: RateModel.piecewise_constant([0, 2, 5, 8], [3, 1, 4]), (0.0, 8.0), False),
+        (lambda: RateModel.from_expression("max(0, sin(x))"), (0.0, 20.0), False),
+    ]
+
+    @staticmethod
+    def _grown(make, window, refines):
+        """Default, span and window tables of the model, with R and the
+        inverse read across the window."""
         model, span = make(), Interval(*window)
         for ci in (
             CumulativeIntensity(model),
@@ -1066,13 +1067,88 @@ class TestDenseOutput:
         ):
             rs = ci(np.linspace(span.lo, span.hi, 257))
             ci.inverse_many(np.random.default_rng(4).uniform(rs[0], rs[-1], 257))
-            used = ci._used
-            assert used == int(ci._count.sum()) > 0
-            coef = ci._pieces[: max(ci._degree, 1) + 1, :used]
-            want = quadrature._horner(coef, np.ones(used))
-            assert ci._pieces[quadrature._MASS, :used].tobytes() == want.tobytes()
+            assert ci._used == int(ci._count.sum()) > 0
             if refines:
                 assert np.max(ci._count) > 1
+            yield ci
+
+    @staticmethod
+    def _degrees(ci, cols=slice(None)):
+        """The highest power of s with a coefficient that is not 0, at
+        least 1, of the pieces in columns ``cols``, read off their
+        coefficients."""
+        coef = ci._pieces[:16, : ci._used][:, cols]
+        return np.array([np.flatnonzero(c).max(initial=1) for c in coef.T])
+
+    @pytest.mark.parametrize("make, window, refines", TABLES)
+    def test_stored_mass_is_the_polynomial_at_one(self, make, window, refines):
+        # the mass the inverse starts from has the bits of Horner's rule at
+        # s = 1 over the piece's own degree, on every kind of table
+        for ci in self._grown(make, window, refines):
+            degree = ci._pieces[quadrature._DEGREE, : ci._used].astype(int)
+            for d in np.unique(degree):
+                cols = np.flatnonzero(degree == d)
+                want = quadrature._horner(ci._pieces[: d + 1, cols], np.ones(cols.size))
+                assert ci._pieces[quadrature._MASS, cols].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make, window, refines", TABLES)
+    def test_degree_row_is_the_highest_power(self, make, window, refines):
+        for ci in self._grown(make, window, refines):
+            got = ci._pieces[quadrature._DEGREE, : ci._used]
+            assert np.array_equal(got, self._degrees(ci))
+
+    @classmethod
+    def _far_tables(cls):
+        # a default table grown to +-68, whose far pieces set a degree the
+        # pieces near 0 do not reach, and the plateau, whose kinked pieces
+        # reach degree 15
+        sin = CumulativeIntensity(RateModel.from_expression("2+sin(x)"))
+        sin(np.linspace(-68.0, 68.0, 4001))
+        plateau = CumulativeIntensity(RateModel.from_expression("max(0, sin(x))"))
+        plateau(np.linspace(-68.0, 68.0, 4001))
+        near = np.abs(sin._pieces[quadrature._LOW, : sin._used]) < 4.0
+        assert cls._degrees(sin, near).max() < cls._degrees(sin).max()
+        assert cls._degrees(plateau).max() == 15
+        return sin, plateau
+
+    def test_batch_degree_keeps_the_bits(self, monkeypatch):
+        # Horner's rule over all 16 rows of every piece is the reference
+        ys = np.random.default_rng(20).uniform(0.0, 10.0, 10_000)
+        ts = np.linspace(-10.0, 10.0, 2001)
+        for ci in self._far_tables():
+            got = ci.inverse_many(ys), ci(ts)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    CumulativeIntensity,
+                    "_coefficients",
+                    lambda self, cols: np.take(self._pieces[:16], cols, axis=1),
+                )
+                want = ci.inverse_many(ys), ci(ts)
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+    def test_horner_runs_at_the_batch_degree(self, monkeypatch):
+        ys = np.random.default_rng(20).uniform(0.0, 10.0, 10_000)
+        ts = np.linspace(-10.0, 10.0, 2001)
+        for ci in self._far_tables():
+            # warm: the calls below build no piece
+            ci.inverse_many(ys), ci(ts)
+            located, rows = [], []
+            locate, horner = CumulativeIntensity._locate, quadrature._horner
+
+            def spy_locate(table, *args):
+                located.append(locate(table, *args))
+                return located[-1]
+
+            def spy_horner(coef, *args, **kwargs):
+                rows.append((len(coef), int(self._degrees(ci, located[-1]).max())))
+                return horner(coef, *args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(CumulativeIntensity, "_locate", spy_locate)
+                m.setattr(quadrature, "_horner", spy_horner)
+                ci.inverse_many(ys), ci(ts)
+            assert len(rows) >= 4
+            assert all(n <= degree + 1 for n, degree in rows), rows
 
     def test_warm_batch_takes_four_horner_calls(self, monkeypatch):
         # R at the anchor (off the checkpoints), two start steps and one
