@@ -31,10 +31,12 @@ The module exposes three layers: :func:`tokenize` (source text to tokens),
 scalar or array ``x`` to values).  :func:`parse_text` is the obvious
 composition.  A number literal must be finite (``1e400`` is a
 :class:`~ippp.errors.ParseError` at its position).  Evaluation is
-vectorized over numpy arrays and raises :class:`~ippp.errors.EvalError`
-with a source position as soon as any intermediate result is non-finite,
-so a division by zero or ``log`` of a negative number is reported where
-it happened rather than surfacing as a ``nan`` downstream.
+vectorized over numpy arrays.  Every operand is finite, so an operator
+or function whose result is not raises an IEEE 754 flag (overflow,
+divide-by-zero or invalid), which the walk traps as an
+:class:`~ippp.errors.EvalError` at its source position: a division by
+zero or ``log`` of a negative number is reported where it happened
+rather than surfacing as a ``nan`` downstream.
 
 :func:`enclose` is the interval counterpart of :func:`evaluate`: given
 arrays of segments, it returns for each one an interval that holds every
@@ -186,7 +188,8 @@ class Step:
     levels: tuple
 
     def __post_init__(self):
-        # the levels with a 0 at both ends; not a field, so not in eq or hash
+        # the breaks, and the levels with a 0 at both ends; not fields, so not in eq or hash
+        object.__setattr__(self, "edges", np.array(self.breaks, dtype=float))
         object.__setattr__(self, "padded", np.array((0.0, *self.levels, 0.0)))
 
 
@@ -316,10 +319,6 @@ _BINARY_FNS = {
     "^": np.power,
 }
 
-# these map finite operands to finite values, and every operand is finite
-# (x, a literal, or a checked node), so they skip the finiteness check
-_TOTAL_FNS = frozenset({"sin", "cos", "abs", "min", "max"})
-
 _CALL_FNS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -332,65 +331,64 @@ _CALL_FNS = {
 }
 
 
-def _finite(values) -> bool:
-    # a finite sum means all are finite; one that overflows is tested in full
-    return math.isfinite(np.add.reduce(values, axis=None)) or bool(np.isfinite(values).all())
-
-
-def _require_finite(values, node: RateExpr, x):
-    if _finite(values):
-        return values
+def _nonfinite(values, node: RateExpr, x) -> EvalError:
+    # at the x of the first lane that is not finite, if values has x's lanes
     what = f"operator {node.op!r}" if type(node) is Binary else f"function {node.func!r}"
-    if np.ndim(values) == 0:
-        where = float(x) if np.ndim(x) == 0 else None
-    else:
-        bad = int(np.argmin(np.isfinite(values)))
-        where = float(np.asarray(x).flat[bad]) if np.ndim(x) > 0 else float(x)
-    suffix = "" if where is None else f" at x={where!r}"
-    raise EvalError(node.position, f"{what} produced a non-finite value{suffix}")
+    where = ""
+    if np.ndim(values) == x.ndim:
+        where = f" at x={float(x.flat[np.argmin(np.isfinite(values))])!r}"
+    return EvalError(node.position, f"{what} produced a non-finite value{where}")
 
 
 def _eval(node: RateExpr, x):
     # the node classes are final, so exact type tests dispatch them
     kind = type(node)
-    if kind is Binary:
-        out = _BINARY_FNS[node.op](_eval(node.left, x), _eval(node.right, x))
-        return _require_finite(out, node, x)
     if kind is Num:
         return node.value
     if kind is Var:
         return x
-    if kind is Call:
-        out = _CALL_FNS[node.func](*[_eval(a, x) for a in node.args])
-        return out if node.func in _TOTAL_FNS else _require_finite(out, node, x)
     if kind is Unary:
         return np.negative(_eval(node.operand, x))
     if kind is Step:
         # the piece's index plus 1 into the levels padded with 0 at both
         # ends, one less at the last break, which is closed
-        at = np.searchsorted(node.breaks, x, side="right") - (x == node.breaks[-1])
+        at = np.searchsorted(node.edges, x, side="right") - (x == node.edges[-1])
         return node.padded[at]
-    raise TypeError(f"not a RateExpr node: {node!r}")
+    if kind is Binary:
+        fn, args = _BINARY_FNS[node.op], (_eval(node.left, x), _eval(node.right, x))
+    elif kind is Call:
+        fn, args = _CALL_FNS[node.func], [_eval(a, x) for a in node.args]
+    else:
+        raise TypeError(f"not a RateExpr node: {node!r}")
+    # the operands are finite, so a value that is not set a flag _values traps
+    try:
+        return fn(*args)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+        raise _nonfinite(out, node, x) from None
 
 
 def evaluate(expr: RateExpr, x):
     """Evaluate ``expr`` at ``x``.
 
     ``x`` may be a float or a numpy array; the result has the same shape.
-    A scalar input returns a plain float.  Non-finite intermediates raise
-    :class:`EvalError` carrying the source position of the operator or
-    function that produced them; an ``x`` that is not finite real
-    numbers raises :class:`~ippp.errors.InvalidParameter`.
+    A scalar input returns a plain float.  An operator or function whose
+    value is not finite raises :class:`EvalError` carrying its source
+    position, as the library's rate call does; an ``x`` that is not
+    finite real numbers raises :class:`~ippp.errors.InvalidParameter`.
     """
     arr = _points(x)
     return _shaped(_values(expr, arr), arr)
 
 
 def _values(expr: RateExpr, x):
-    """The library's rate call: values at a float array ``x``, checked finite."""
-    with np.errstate(all="ignore"):
-        if not _finite(x):
-            raise InvalidParameter("x must be finite")
+    """The library's rate call: values at a float array ``x``, checked
+    finite by trapping the overflow, divide-by-zero and invalid flags
+    (underflow is a value)."""
+    if not np.isfinite(x).all():
+        raise InvalidParameter("x must be finite")
+    with np.errstate(all="raise", under="ignore"):
         out = _eval(expr, x)
     # constant sub-expressions collapse to scalars; broadcast back out
     return np.full(x.shape, out) if isinstance(out, float) else out
@@ -509,7 +507,7 @@ def _enclose(node: RateExpr, lo, hi):
     if isinstance(node, Step):
         # the least and largest level of the pieces that meet [lo, hi],
         # the least 0 where the segment reaches past the pieces
-        breaks, levels = np.asarray(node.breaks), np.asarray(node.levels)
+        breaks, levels = node.edges, node.padded[1:-1]
         outside = (lo < breaks[0]) | (hi > breaks[-1])
         meets = (breaks[:-1] <= hi[..., None]) & (breaks[1:] >= lo[..., None])
         low = np.min(np.where(meets, levels, np.inf), axis=-1)

@@ -388,8 +388,9 @@ class RateModel:
 
     def _rate(self, x):
         """The rate at an array ``x`` of points that must lie inside the
-        domain; only the source checks ``x`` (an expression, that it is
-        finite).  Raises NegativeRate and (with assertions enabled)
+        domain; only the source checks ``x`` (an expression checks that
+        it is finite, and traps the floating-point flag of any node whose
+        value is not).  Raises NegativeRate and (with assertions enabled)
         BoundViolation at the first point that breaks them.
         """
         vals = np.asarray(self.source(x), dtype=float)

@@ -15,6 +15,23 @@ _LEAVES = ["x", "pi", "e"]
 _UNARY_FUNCS = ["sin", "cos", "exp", "log", "sqrt", "abs"]
 _BINARY_FUNCS = ["min", "max"]
 
+# exponents the generator never writes: non-integer, negative and in x
+EXTRA_EXPRESSIONS = [
+    "x^0.5",
+    "(x - 1)^-1",
+    "(x + 3)^-2",
+    "2^x",
+    "abs(x)^x",
+    "x^(1/3)",
+    "exp(30*x)",
+    "1 + 200*exp(-((x-0.50049)^2)/1e-8)",
+    "max(0, sin(x))",
+    "cos(1e6*x)",
+    "sin(x)^2 + cos(x)^2",
+    "log(abs(x))",
+    "sqrt(x^2 - 1)",
+]
+
 
 def random_expression(rng: random.Random, depth: int = 4) -> str:
     if depth <= 0 or rng.random() < 0.3:

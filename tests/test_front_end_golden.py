@@ -7,8 +7,14 @@ is the syntax tree's ``repr``, or the error.  For each ``--rate-family`` a
 line is the exit code, stdout and stderr of in-process ``main`` on one
 ``--params`` string.  The digests were recorded before the lexer, the
 parser and the family table were rewritten, so any change to a token, a
-tree, an error or a CLI byte shows here.  Run this file as a script to
-print the table afresh.
+tree, an error or a CLI byte shows here.
+
+The ``evaluate`` corpora take each expression at each of ``POINTS``; a
+line is the bytes of the values, or the error.  They were recorded while
+the rate walk still scanned node values for non-finite ones, before
+floating-point traps took that over, so they show that the traps keep
+every value and every error.  Run this file as a script
+to print the table afresh.
 """
 
 import contextlib
@@ -18,11 +24,13 @@ import os
 import random
 from unittest import mock
 
+import numpy as np
+
 from ippp.cli import main
 from ippp.errors import IpppError
-from ippp.rate_expr import parse_text, tokenize
+from ippp.rate_expr import evaluate, parse_text, tokenize
 
-from expr_gen import mutate, random_expression
+from expr_gen import EXTRA_EXPRESSIONS, mutate, random_expression
 
 # the inputs the token rules and the grammar turn on: an exponent with no
 # digits, fractions without a digit on one side, the unicode minus, a
@@ -131,6 +139,38 @@ PARAMS = {
     ),
 }
 
+# rates that overflow, underflow or meet a pole on some of POINTS; in
+# exp(-1/x^2) at x = 1e-200, x^2 underflows to 0 before the division, and
+# exp(-exp(x)) and min(1, 1/x) would drop an infinity on its way up
+RATES = (
+    *EXTRA_EXPRESSIONS,
+    "exp(-1/x^2)",
+    "1/(x-1)",
+    "(x-1)^-1",
+    "exp(x)^2",
+    "min(1, 1/x)",
+    "exp(-exp(x))",
+    "exp(exp(x))",
+    "log(x)*0",
+    "x*x*1e300",
+    "1e-300*x*x",
+)
+
+# generated rates per depth, 2 to 6
+PER_DEPTH = 600
+
+# arrays over [-3, 3] and [-800, 800], where exp overflows, and scalars at
+# 0, 1, past exp's overflow, and near the smallest and largest floats
+POINTS = (
+    np.linspace(-3.0, 3.0, 25),
+    np.linspace(-800.0, 800.0, 25),
+    0.0,
+    1.0,
+    710.0,
+    1e-200,
+    1e200,
+)
+
 # argv tails around --rate-family: an unknown family, no --params, both
 # rate sources, and the help text that lists the families
 FAMILY_ARGVS = (
@@ -151,6 +191,12 @@ def _corpora():
     return {"hand": HAND, "generated": generated, "mutated": mutated, "random": rand}
 
 
+def _rate_corpora():
+    rng = random.Random(21)
+    generated = [random_expression(rng, d) for d in range(2, 7) for _ in range(PER_DEPTH)]
+    return {"hand": RATES, "generated": generated}
+
+
 def _outcome(fn, text):
     try:
         return fn(text)
@@ -160,6 +206,12 @@ def _outcome(fn, text):
 
 def _lex(text):
     return [(t.kind, t.lexeme, t.position) for t in tokenize(text)]
+
+
+def _evaluate_lines(text):
+    expr = parse_text(text)
+    for x in POINTS:
+        yield _outcome(lambda x: np.asarray(evaluate(expr, x)).tobytes(), x)
 
 
 def _run_main(argv):
@@ -194,6 +246,8 @@ def _digests():
     for corpus, texts in _corpora().items():
         yield f"lex/{corpus}", _digest(_outcome(_lex, t) for t in texts)
         yield f"parse/{corpus}", _digest(_outcome(parse_text, t) for t in texts)
+    for corpus, texts in _rate_corpora().items():
+        yield f"evaluate/{corpus}", _digest(line for t in texts for line in _evaluate_lines(t))
     for name in (*PARAMS, "family"):
         yield f"cli/{name}", _digest(_cli_lines(name))
 
@@ -208,6 +262,8 @@ GOLDEN = {
     "parse/mutated": "cfd35a4d9c8ebec9055d452f341f80e171465f54f8114f5fca1750a1d308769f",
     "lex/random": "8b16e0b40c6319221b71a8ae4b5b5d2ca1d7df50eb0b8cec41da273c3a763063",
     "parse/random": "eb62fbeddaf2e80ec6dccdc0e0ae240cc160568c55e917a78cd9b86b7c27083e",
+    "evaluate/hand": "f22dfcbbf94b88f0995a24ac4bd8b60a8fe73bbe8659535623dd71464b6d2435",
+    "evaluate/generated": "706055c324c06a4d0397e5e514ee5567f3d7568c087538279aa7f2d65b50588b",
     "cli/constant": "879117a0516590b3599fc652a8aeb8ab64782d5b27c245d1d81ea2da1f7d8a5c",
     "cli/linear": "e9c40841825f8e9ff1cc6790aa41eab1d549cb17e6703c4a3b900d3fff8dc19c",
     "cli/sin": "9262b370494f84d810275766a73f2db6c3678abcdc2fe5764204b182199b05bc",

@@ -20,7 +20,7 @@ from ippp.errors import (
     UnknownVariable,
 )
 
-from expr_gen import random_expression
+from expr_gen import EXTRA_EXPRESSIONS, random_expression
 from reference_eval import RefError, reference_eval
 
 
@@ -211,9 +211,10 @@ class TestEvaluate:
 
 
 class TestFiniteness:
-    """The finiteness test sums a node's values and looks at each one
-    only when the sum is not finite; the library's rate call tests x the
-    same way."""
+    """The rate walk runs with the overflow, divide-by-zero and invalid
+    flags trapped, so a node whose finite operands give a value that is
+    not finite raises at that node; underflow is a value.  x is checked
+    lane by lane, so finite values whose sum overflows pass."""
 
     # finite values near the largest float, whose sum overflows
     BIG = np.array([1.0e307, 5.0e307, 7.0e307, 2.0e307])
@@ -251,18 +252,86 @@ class TestFiniteness:
         with pytest.raises(InvalidParameter):
             step._rate(np.array([0.5, bad]))
 
+    # (text, finite x where the node at position gives inf or nan, position)
+    TRAPS = [
+        ("x + 1e308", 1e308, 2),
+        ("x - 1e308", -1e308, 2),
+        ("x * 1e300", 1e10, 2),
+        ("1 / x", 0.0, 2),
+        ("x / 1e-300", 1e10, 2),
+        ("x ^ 400", 10.0, 2),
+        ("x ^ -1", 0.0, 2),
+        ("x ^ 0.5", -1.0, 2),
+        ("exp(x)", 710.0, 0),
+        ("log(x)", 0.0, 0),
+        ("log(x)", -1.0, 0),
+        ("sqrt(x)", -1.0, 0),
+    ]
+
+    @pytest.mark.parametrize("text, bad, position", TRAPS)
+    def test_each_operation_traps_its_nonfinite_value(self, text, bad, position):
+        model = RateModel.from_expression(text)
+        for x in (np.array(bad), np.array([1.0, bad, 2.0])):
+            for call in (model._rate, lambda x: rate_expr.evaluate(model.source.expr, x)):
+                with pytest.raises(EvalError) as err:
+                    call(x)
+                assert err.value.position == position
+                assert str(err.value).endswith(f" at x={bad!r}")
+
+    @pytest.mark.parametrize("text", ["sin(x)", "cos(x)", "abs(x)", "min(x, -x)", "max(x, -x)"])
+    def test_total_functions_of_finite_operands_stay_finite(self, text):
+        big = np.finfo(float).max
+        xs = np.array([-big, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e300, big])
+        got = ev(text, xs)
+        assert np.all(np.isfinite(got))
+        assert [ev(text, float(x)) for x in xs] == got.tolist()
+
+    UNDERFLOWS = [
+        ("exp(-1000)", 0.0),
+        ("(1e-200)^2", 0.0),
+        ("1e-300*1e-300", 0.0),
+        ("1e-300*1e-10", 1e-310),
+    ]
+
+    @pytest.mark.parametrize("text, want", UNDERFLOWS)
+    def test_underflow_is_a_value(self, text, want):
+        for x in (0.5, np.zeros(3)):
+            got = ev(text, x)
+            assert np.asarray(got).tobytes() == np.full(np.shape(x), want).tobytes()
+        # under a caller's traps too
+        with np.errstate(all="raise"):
+            assert ev(text, 0.5) == want
+
+    def test_a_callers_ignore_does_not_hide_a_pole(self):
+        with np.errstate(all="ignore"):
+            with pytest.raises(EvalError) as err:
+                ev("2 + 1/x", np.array([1.0, 0.0]))
+        assert err.value.position == 5 and "x=0.0" in str(err.value)
+
+    def test_errstate_is_restored(self):
+        before = np.geterr()
+        ev("exp(-1000) + 1/x", 2.0)
+        assert np.geterr() == before
+        with pytest.raises(EvalError):
+            ev("1/x", 0.0)
+        assert np.geterr() == before
+
 
 class TestStep:
     def test_padded_levels_are_built_once_outside_the_value(self):
         a = rate_expr.Step((0.0, 1.0, 3.0), (2.0, 5.0))
         b = rate_expr.Step((0.0, 1.0, 3.0), (2.0, 5.0))
-        assert a == b and hash(a) == hash(b) and "padded" not in repr(a)
+        assert a == b and hash(a) == hash(b)
+        assert "padded" not in repr(a) and "edges" not in repr(a)
         assert a.padded.tolist() == [0.0, 2.0, 5.0, 0.0]
-        padded = a.padded
+        assert a.edges.dtype == float and a.edges.tolist() == [0.0, 1.0, 3.0]
+        padded, edges = a.padded, a.edges
         xs = np.array([-1.0, 0.0, 0.5, 1.0, 3.0, 4.0])
         assert rate_expr.evaluate(a, xs).tolist() == [0.0, 2.0, 2.0, 5.0, 5.0, 0.0]
         assert rate_expr.evaluate(a, 3.0) == 5.0
-        assert a.padded is padded
+        low, high = rate_expr.enclose(a, np.array([-1.0, 0.5]), np.array([0.5, 2.0]))
+        assert low.tolist() == [0.0, 2.0] and high.tolist() == [2.0, 5.0]
+        assert a.padded is padded and a.edges is edges
 
 
 class TestAgainstReference:
@@ -310,24 +379,6 @@ def _values_where_defined(expr, xs):
                 continue
             kept.append(x)
         return np.array(kept), np.array(vals)
-
-
-# exponents the generator never writes: non-integer, negative and in x
-_EXTRA_EXPRESSIONS = [
-    "x^0.5",
-    "(x - 1)^-1",
-    "(x + 3)^-2",
-    "2^x",
-    "abs(x)^x",
-    "x^(1/3)",
-    "exp(30*x)",
-    "1 + 200*exp(-((x-0.50049)^2)/1e-8)",
-    "max(0, sin(x))",
-    "cos(1e6*x)",
-    "sin(x)^2 + cos(x)^2",
-    "log(abs(x))",
-    "sqrt(x^2 - 1)",
-]
 
 
 class TestEnclose:
@@ -433,7 +484,7 @@ class TestEnclose:
         # lies within that segment's enclosure
         rng = random.Random(2024)
         gen = np.random.default_rng(2024)
-        texts = [random_expression(rng, 4) for _ in range(400)] + _EXTRA_EXPRESSIONS
+        texts = [random_expression(rng, 4) for _ in range(400)] + EXTRA_EXPRESSIONS
         checked = 0
         for text in texts:
             expr = rate_expr.parse_text(text)
