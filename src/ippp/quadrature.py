@@ -26,7 +26,12 @@ private window table instead, whose origin is the window's lower end and
 whose first 1024 segments are the window's own partition, the one
 :func:`integrate` sums: R at both window edges is a stored checkpoint,
 the table keeps the sum of those segment masses (:func:`integrate`'s
-bits), and its cost does not grow with the window's distance from 0.
+bits) and R at the upper edge, which the sampler and the CDF read with
+no query, and its cost does not grow with the window's distance from 0.
+The table also keeps the first panels of that growth (the rate at their
+nodes and their |K15 - G7| estimates) until its first build of dense
+output, which takes them instead of calling the rate again: a fresh
+window costs one rate call where no segment needs refining.
 A table memoizes integrals on a deterministic grid of checkpoints, so
 repeated path simulation costs O(path length), and values never depend
 on query order.  A query grows each side of the origin on its own,
@@ -53,11 +58,12 @@ Horner's rule runs up to the highest degree among the pieces a call
 reads, so a batch near the origin does not pay for the wide pieces far
 out or a kinked piece elsewhere.  One rate call takes the first panel
 of every new segment of a query: the first query into a segment costs
-one panel (15 rate points, more where it is refined), and later queries
-into it cost no rate call.  A piece holds 21 doubles (16 coefficients,
-its edges, R at its left edge, its mass and its degree), 168 bytes, in
-one column of a store with one row per field, and every checkpoint 8
-bytes more for the index of its segment's pieces.
+one panel (15 rate points, more where it is refined; none on a window
+table's first build, whose panels come from its growth), and later
+queries into it cost no rate call.  A piece holds 21 doubles (16
+coefficients, its edges, R at its left edge, its mass and its degree),
+168 bytes, in one column of a store with one row per field, and every
+checkpoint 8 bytes more for the index of its segment's pieces.
 R at a point is R at the left edge of its piece plus the piece's
 antiderivative there; the panels never evaluate at a checkpoint, so R
 does not need the rate there.
@@ -240,9 +246,13 @@ def _panels(f, lows, highs):
     half = 0.5 * (highs - lows)
     nodes = np.multiply.outer(half, _XK)
     nodes += (0.5 * (highs + lows))[:, None]
-    # a few ulps wide, a lane's outer nodes can round past its ends
-    ends = np.minimum(lows, highs)[:, None], np.maximum(lows, highs)[:, None]
-    np.clip(nodes, *ends, out=nodes)
+    # a few ulps wide, a lane's outer nodes can round past its ends.  A
+    # node is off by a few ulps of the lane's magnitude at most, and lies
+    # 0.0085 half-widths inside: lanes with a half-width over 1e-12 of
+    # their magnitude need no clamp
+    if not np.all(half > 1e-12 * np.maximum(np.abs(lows), np.abs(highs))):
+        np.maximum(nodes, np.minimum(lows, highs)[:, None], out=nodes)
+        np.minimum(nodes, np.maximum(lows, highs)[:, None], out=nodes)
     fx = np.asarray(f(nodes.reshape(-1)), dtype=float)
     # one dot product per row: a 2-D matmul blocks rows together and
     # rounds a row differently depending on its neighbours
@@ -254,7 +264,8 @@ def _panels(f, lows, highs):
 
 def _dense(rows, half, budget):
     """Dense output of panels from their node rates (as :func:`_panels`
-    returns them), half-widths and error budgets.
+    returns them), half-widths and error budgets (one number, or one per
+    panel).
 
     Returns the (n, 16) coefficients, in powers of s, of each piece's mass
     from its left edge, and the estimate of the interpolant's error, its
@@ -269,7 +280,8 @@ def _dense(rows, half, budget):
     legendre = np.matmul(rows, to_legendre)[:, 0]
     tail = half * (np.abs(legendre[:, 16]) + np.abs(legendre[:, 17]))
     mass = half[:, None] * legendre[:, :16]
-    mass[np.abs(mass) <= np.reshape(budget, (-1, 1)) / 256] = 0.0
+    limit = np.divide(budget, 256.0)
+    mass[np.abs(mass) <= (limit[:, None] if limit.ndim else limit)] = 0.0
     return np.matmul(mass[:, None, :], to_powers)[:, 0], tail
 
 
@@ -365,17 +377,22 @@ def _adaptive(f, lows, highs, tol: float, errs, dense=False):
 
 def _masses(f, lows, highs, tol: float):
     """Signed mass over each [low, high]: one panel per lane, refined
-    adaptively where its error estimate exceeds tol / _SEGMENTS."""
+    adaptively where its error estimate exceeds tol / _SEGMENTS.
+
+    Returns the masses, then the |K15 - G7| estimates and node rates of
+    the lanes' first panels, as :func:`_panels` returns them over
+    [min(low, high), max(low, high)].
+    """
     # lanes with low > high, from growth below a table's origin and points
     # below its lowest checkpoint, have minus the mass of [high, low]
     sign = np.where(np.less_equal(lows, highs), 1.0, -1.0)
     lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
-    vals, errs, _ = _panels(f, lows, highs)
+    vals, errs, rows = _panels(f, lows, highs)
     vals = sign * vals
     bad = np.nonzero(errs > tol / _SEGMENTS)[0]
     if bad.size:
         vals[bad] = sign[bad] * _adaptive(f, lows[bad], highs[bad], tol, errs[bad])
-    return vals
+    return vals, errs, rows
 
 
 def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
@@ -396,7 +413,7 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
     if a == b:
         return 0.0
     edges = _partition(a, b)
-    return float(np.sum(_masses(model._rate, edges[:-1], edges[1:], tol)))
+    return float(np.sum(_masses(model._rate, edges[:-1], edges[1:], tol)[0]))
 
 
 def _span(span):
@@ -451,12 +468,19 @@ class CumulativeIntensity:
     def _windowed(cls, model: RateModel, tol: float, window: Interval):
         """The window table: origin ``window.lo``, base width
         window.width / 1024, and first 1024 segments the window's
-        partition, grown in one call; ``mass`` is their masses' sum,
-        :func:`integrate` over the window bit for bit.  The window must
-        lie in the domain and ``tol`` be checked."""
+        partition, grown in one rate call; ``mass`` is their masses' sum,
+        :func:`integrate` over the window bit for bit, and ``r_hi`` is R
+        at ``window.hi``, the checkpoint that adds them up in order.  The
+        table keeps the first panels of that growth, its 1024 segments'
+        estimates and node rates (130 KB), for the first :meth:`_build`.
+        The window must lie in the domain and ``tol`` be checked."""
         self = cls.__new__(cls)
         self._start(model, tol, window.lo, window.width / _SEGMENTS)
-        self.mass = float(np.sum(self._extend(1, [_partition(window.lo, window.hi)[1:]])))
+        edges = _partition(window.lo, window.hi)
+        vals, *self._growth = _masses(model._rate, edges[:-1], edges[1:], tol)
+        self._append(1, [edges[1:]], vals)
+        self.mass = float(np.sum(vals))
+        self.r_hi = float(self._r[-1])
         return self
 
     def _start(self, model: RateModel, tol: float, origin: float, h0: float):
@@ -478,6 +502,8 @@ class CumulativeIntensity:
         self._pieces = np.empty((21, 0))
         self._used = 0
         self._added = {1: 0, -1: 0}  # segments added above (1) and below (-1)
+        # a window table's growth panels, until its first _build
+        self._growth = None
 
     # -- grid bookkeeping ------------------------------------------------
 
@@ -518,25 +544,33 @@ class CumulativeIntensity:
     def _extend(self, sign: int, batches):
         """Add planned batches of checkpoints to one side of the grid
         (sign > 0: above), integrating their segments in rate calls of at
-        most _GROWTH_SEGMENTS segments, and return the segments' signed
-        masses (below the origin, minus the mass of each segment).
+        most _GROWTH_SEGMENTS segments.
 
-        R accumulates batch by batch from the checkpoint each batch starts
-        at, so the values are those of adding the batches one at a time,
-        and a segment's mass does not depend on the call it sits in.
+        A segment's mass does not depend on the call it sits in.
         """
         if not batches:
-            return None
-        end = -1 if sign > 0 else 0
+            return
         edges = np.concatenate(batches)
-        inner = np.concatenate([[self._t[end]], edges[:-1]])
+        inner = np.concatenate([[self._t[-1 if sign > 0 else 0]], edges[:-1]])
         step = _GROWTH_SEGMENTS
         vals = np.concatenate(
             [
-                _masses(self.model._rate, inner[k : k + step], edges[k : k + step], self.tol)
+                _masses(self.model._rate, inner[k : k + step], edges[k : k + step], self.tol)[0]
                 for k in range(0, len(edges), step)
             ]
         )
+        self._append(sign, batches, vals)
+
+    def _append(self, sign: int, batches, vals):
+        """Add batches of checkpoints to one side of the grid (sign > 0:
+        above), given their segments' signed masses (below the origin,
+        minus the mass of each segment).
+
+        R accumulates batch by batch from the checkpoint each batch starts
+        at, so the values are those of adding the batches one at a time.
+        """
+        edges = np.concatenate(batches)
+        end = -1 if sign > 0 else 0
         r, last, k = [], self._r[end], 0
         for batch in batches:
             r.append(last + np.cumsum(vals[k : k + len(batch)]))
@@ -553,21 +587,22 @@ class CumulativeIntensity:
         self._r = joined(self._r, r)
         self._first = joined(self._first, pad)
         self._count = joined(self._count, pad)
-        return vals
 
     def _build(self, segs):
         """Dense pieces for the segments right of the checkpoints ``segs``
         that have none yet.
 
-        One rate call takes a panel over each new segment; a segment whose
-        panel's error estimate or tail estimate is over budget is refined
-        by :func:`_adaptive`.  A piece's R at its left edge sums the K15
-        masses of the segment's pieces left of it, from the segment's left
-        checkpoint, so a segment's pieces do not depend on the segments
-        built with it.  A piece's mass, its polynomial at s = 1 over all 16
-        rows, has the bits of any degree's: leading zeros add exact zeros.
-        Every piece, refined ones included, gets its degree: its highest
-        power of s with a coefficient that is not 0, at least 1.
+        Each new segment's first panel comes from :meth:`_first_panels`; a
+        segment whose panel's error estimate or tail estimate is over
+        budget is refined by :func:`_adaptive`.  A piece's R at its left
+        edge sums the K15 masses of the segment's pieces left of it, from
+        the segment's left checkpoint, so a segment's pieces do not depend
+        on the segments built with it.  A piece's mass is its polynomial at
+        s = 1 over all 16 rows, Horner's rule there: the rows summed in
+        order from the top one down, which leading zeros leave with the
+        bits of any degree's.  Every piece, refined ones included, gets its
+        degree: its highest power of s with a coefficient that is not 0, at
+        least 1.
         """
         new = np.sort(segs[self._count[segs] == 0])
         if new.size == 0:
@@ -575,16 +610,19 @@ class CumulativeIntensity:
         new = new[np.concatenate([[True], new[1:] != new[:-1]])]
         lows, highs = self._t[new], self._t[new + 1]
         budget = self.tol / _SEGMENTS
-        _, errs, rows = _panels(self.model._rate, lows, highs)
+        errs, rows = self._first_panels(new, lows, highs)
         coefs, tails = _dense(rows, 0.5 * (highs - lows), budget)
         errs = np.maximum(errs, tails)
-        block = np.vstack([coefs.T, lows, highs, self._r[new]])
+        coefs, r = coefs.T, self._r[new]
         bad = np.flatnonzero(errs > budget)
-        counts = np.ones(len(new), dtype=np.int32)
+        used = self._used
+        first, counts = np.arange(used, used + len(new)), 1
         if bad.size:
             refined = _adaptive(
                 self.model._rate, lows[bad], highs[bad], self.tol, errs[bad], dense=True
             )
+            block = np.vstack([coefs, lows, highs, r])
+            counts = np.ones(len(new), dtype=np.int32)
             parts, done = [], 0
             for j, pieces in zip(bad.tolist(), refined):
                 parts.append(block[:, done:j])
@@ -598,15 +636,37 @@ class CumulativeIntensity:
                 done = j + 1
             parts.append(block[:, done:])
             block = np.concatenate(parts, axis=1)
-        used, n = self._used, block.shape[1]
+            coefs, (lows, highs, r) = block[:16], block[16:]
+            first = used + np.cumsum(counts) - counts
+        n = len(lows)
         self._reserve(used + n)
-        self._pieces[:_MASS, used : used + n] = block
-        self._pieces[_MASS, used : used + n] = _horner(block[:16], np.ones(n))
-        powers = np.where(block[:16] != 0, np.arange(16)[:, None], 1)
-        self._pieces[_DEGREE, used : used + n] = np.max(powers, axis=0)
-        self._first[new] = used + np.cumsum(counts) - counts
+        store = self._pieces[:, used : used + n]
+        store[:16] = coefs
+        store[_LOW], store[_HIGH], store[_R] = lows, highs, r
+        store[_MASS] = np.cumsum(store[15::-1], axis=0)[-1]
+        nonzero = store[:16] != 0
+        nonzero[1] = True
+        store[_DEGREE] = 15 - np.argmax(nonzero[::-1], axis=0)
+        self._first[new] = first
         self._count[new] = counts
         self._used = used + n
+
+    def _first_panels(self, new, lows, highs):
+        """The |K15 - G7| estimates and node rates of the first panels of
+        the segments right of the sorted checkpoints ``new``, whose edges
+        are ``lows`` and ``highs``.  A window table's first call reads them
+        off its growth panels when every segment is one of the window's,
+        and drops those panels either way; otherwise one rate call takes
+        them.  The panels are the same either way: :func:`_panels` gives a
+        lane the bits it has in any batch."""
+        growth, self._growth = self._growth, None
+        if growth is not None:
+            # the window's segments start at the origin's checkpoint
+            j = new - self._added[-1]
+            if j[0] >= 0 and j[-1] < len(growth[0]):
+                return growth[0][j], growth[1][j]
+        _, errs, rows = _panels(self.model._rate, lows, highs)
+        return errs, rows
 
     def _reserve(self, size: int):
         """Room for ``size`` pieces, growing the store by half at a time."""
@@ -619,15 +679,20 @@ class CumulativeIntensity:
         """The pieces, as columns of the store, whose ``field`` (_LOW or _R)
         is the last in their segment below the key, or else the segment's
         first: a binary search over each segment's own pieces, which lie
-        in position order."""
+        in position order.  Only the lanes of segments with more than one
+        piece search."""
         row = self._first[segs].astype(np.intp)
-        n = self._count[segs].astype(np.intp)
-        half = n >> 1
-        while np.any(half):
-            right = self._pieces[field, row + half] < key
-            row = np.where(right, row + half, row)
-            n = np.where(right, n - half, half)
+        (lanes,) = np.nonzero(self._count[segs] > 1)
+        if lanes.size:
+            sub, key = row[lanes], key[lanes]
+            n = self._count[segs[lanes]].astype(np.intp)
             half = n >> 1
+            while np.any(half):
+                right = self._pieces[field, sub + half] < key
+                sub = np.where(right, sub + half, sub)
+                n = np.where(right, n - half, half)
+                half = n >> 1
+            row[lanes] = sub
         return row
 
     def _cover(self, lo: float, hi: float):
@@ -664,7 +729,8 @@ class CumulativeIntensity:
         arr = _points(t, "t")
         if arr.size == 0:
             return np.zeros(arr.shape)
-        flat = np.clip(arr.reshape(-1), self.model.domain.lo, self.model.domain.hi)
+        flat = np.maximum(arr.reshape(-1), self.model.domain.lo)
+        np.minimum(flat, self.model.domain.hi, out=flat)
         with self._lock:
             self._cover(float(flat.min()), float(flat.max()))
             out = self._eval_covered(flat)
@@ -675,33 +741,27 @@ class CumulativeIntensity:
 
         A point that is a checkpoint reads its stored value, with no rate
         call: its segment [t, t] has no mass, and its panel's nodes would
-        all sit at t, where the rate may not be defined.  Any other point
-        reads its piece (:meth:`_build` makes the pieces of a segment the
-        first time a point lands in it): R at the piece's left edge plus
-        the piece's antiderivative.  Points past the probe limit, beyond
-        the last checkpoint, add the mass from it instead.  A point's value
-        is kept between its checkpoints' values: a piece's value can round
-        past them (where the rate falls to 0, as at some finite domain
-        edges), and R must not decrease, or the inverse would refuse a
-        value R returned.
+        all sit at t, where the rate may not be defined.  Points past the
+        probe limit, beyond the last checkpoint, add the mass from it.
+        Every other point reads its piece (:meth:`_values`).  When every
+        point lies strictly inside a segment, as is usual, they are read
+        as they come, with no mask.
         """
         right = np.searchsorted(self._t, flat, side="right")
-        idx = np.maximum(right - 1, 0)
-        left = self._t[idx]
+        ends = right.min() == 0 or right.max() == len(self._t)
+        idx = np.maximum(right - 1, 0) if ends else right - 1
+        inside = flat != self._t[idx]
+        if not ends and inside.all():
+            return self._values(idx, flat)
         out = self._r[idx]
-        off = flat != left
-        if np.any(off):
-            has_right = right < len(self._t)
-            inside = off & has_right & (right > 0)
-            if np.any(inside):
-                segs, xs = idx[inside], flat[inside]
-                self._build(segs)
-                values = self._values(self._locate(segs, _LOW, xs), xs)
-                out[inside] = np.maximum(values, out[inside])
-            beyond = off & ~inside
+        if ends:
+            beyond = inside & ((right == 0) | (right == len(self._t)))
             if np.any(beyond):
-                out[beyond] += _masses(self.model._rate, left[beyond], flat[beyond], self.tol)
-            out[has_right] = np.minimum(out[has_right], self._r[right[has_right]])
+                left = self._t[idx[beyond]]
+                out[beyond] += _masses(self.model._rate, left, flat[beyond], self.tol)[0]
+                inside &= ~beyond
+        if inside.any():
+            out[inside] = self._values(idx[inside], flat[inside])
         return out
 
     def _coefficients(self, cols):
@@ -713,11 +773,21 @@ class CumulativeIntensity:
         degree = int(np.take(self._pieces[_DEGREE], cols).max())
         return np.take(self._pieces[: degree + 1], cols, axis=1)
 
-    def _values(self, cols, xs):
-        """R at points inside the pieces in columns ``cols`` of the store."""
+    def _values(self, segs, xs):
+        """R at points ``xs`` strictly inside the segments right of the
+        checkpoints ``segs``.  :meth:`_build` makes a segment's pieces the
+        first time a point lands in it.  R is R at the left edge of the
+        point's piece plus the piece's antiderivative, kept between the
+        segment's checkpoint values: a piece's value can round past them
+        (where the rate falls to 0, as at some finite domain edges), and R
+        must not decrease, or the inverse would refuse a value R returned.
+        """
+        self._build(segs)
+        cols = self._locate(segs, _LOW, xs)
         a, b, r = np.take(self._pieces[_LOW:_MASS], cols, axis=1)
         s = (xs - 0.5 * (a + b)) / (0.5 * (b - a))
-        return r + _horner(self._coefficients(cols), s)
+        values = np.maximum(r + _horner(self._coefficients(cols), s), self._r[segs])
+        return np.minimum(values, self._r[segs + 1])
 
     def inverse(self, y: float) -> float:
         """Generalized inverse inf{t : R(t) >= y}; see :meth:`inverse_many`.
@@ -846,20 +916,20 @@ class CumulativeIntensity:
                 use_newton &= np.abs(newton - t) <= 0.5 * step
                 middle = lo + 0.5 * (hi - lo)
                 collapsed = ~converged & ~use_newton & ((middle <= lo) | (middle >= hi))
-                out[lane[converged]] = t[converged]
-                out[lane[collapsed]] = hi[collapsed]
                 nxt = np.where(use_newton, newton, middle)
                 step = np.abs(nxt - t)
-                t = nxt
                 going = ~(converged | collapsed)
                 if not going.all():
-                    # only the lanes still going stay in the arrays
+                    out[lane[converged]] = t[converged]
+                    out[lane[collapsed]] = hi[collapsed]
                     if not going.any():
                         return out
-                    lane, t, lo, hi, step, mid, half, r, y, floor = (
-                        v[going] for v in (lane, t, lo, hi, step, mid, half, r, y, floor)
+                    # only the lanes still going stay in the arrays
+                    lane, nxt, lo, hi, step, mid, half, r, y, floor = (
+                        v[going] for v in (lane, nxt, lo, hi, step, mid, half, r, y, floor)
                     )
                     coef = coef[:, going]
+                t = nxt
         out[lane] = hi
         return out
 

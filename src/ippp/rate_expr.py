@@ -331,6 +331,10 @@ _CALL_FNS = {
 }
 
 
+# the nodes with no operand: their values are finite, and no flag is set
+_LEAVES = (Num, Var, Step)
+
+
 def _nonfinite(values, node: RateExpr, x) -> EvalError:
     # at the x of the first lane that is not finite, if values has x's lanes
     what = f"operator {node.op!r}" if type(node) is Binary else f"function {node.func!r}"
@@ -385,11 +389,16 @@ def evaluate(expr: RateExpr, x):
 def _values(expr: RateExpr, x):
     """The library's rate call: values at a float array ``x``, checked
     finite by trapping the overflow, divide-by-zero and invalid flags
-    (underflow is a value)."""
+    (underflow is a value).  A leaf (a number, ``x`` or a step) has no
+    flag to trap, since the parser keeps numbers finite and a step's
+    levels are finite, so it skips the traps."""
     if not np.isfinite(x).all():
         raise InvalidParameter("x must be finite")
-    with np.errstate(all="raise", under="ignore"):
+    if type(expr) in _LEAVES:
         out = _eval(expr, x)
+    else:
+        with np.errstate(all="raise", under="ignore"):
+            out = _eval(expr, x)
     # constant sub-expressions collapse to scalars; broadcast back out
     return np.full(x.shape, out) if isinstance(out, float) else out
 

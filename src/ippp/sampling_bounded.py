@@ -270,12 +270,12 @@ def location_cdf(model: RateModel, window: Interval, x, tol: float = DEFAULT_TOL
     R(x) / R(hi), R being the mass from the window's lower end on the
     cached window table that :func:`expected_count` and
     :func:`~ippp.sampling_line.sample_path_time_change` read; R(hi) is a
-    stored checkpoint.
+    stored checkpoint, which the table keeps beside its mass.
     """
     model.require_window(window)
     arr = _points(x)
     ci = _window_intensity(model, tol, window)
-    mass = ci(window.hi)
+    mass = ci.r_hi
     if mass <= tol:
         raise ZeroMass(mass, tol)
     clipped = np.clip(arr, window.lo, window.hi)

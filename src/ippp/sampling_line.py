@@ -92,18 +92,19 @@ def sample_path_time_change(
     (0, R(hi)] is laid down with Exp(1) gaps and mapped back through the
     inverse; the result is sorted by construction and distributed exactly
     like simulate_window's output.  R(hi), the ``mass`` in the result's
-    meta, is a stored checkpoint that adds up in order the segment masses
-    whose sum :func:`~ippp.sampling_bounded.expected_count` reads off the
-    same table, so the two agree to a few ulps, and a path costs the same
-    at any distance from 0.
+    meta, is a stored checkpoint, read off the table with no query.  It
+    adds up in order the segment masses whose sum
+    :func:`~ippp.sampling_bounded.expected_count` reads off the same
+    table, so the two agree to a few ulps, and a path costs the same at
+    any distance from 0.
     """
     model.require_window(window)
     ci = _window_intensity(model, tol, window)
-    mass = ci(window.hi)
+    mass = ci.r_hi
     pts = ci.inverse_many(rng.arrivals(0.0, mass))
     # a target of exactly 0 would resolve to the left end of a plateau
     # that ends at lo
-    pts = np.clip(pts, window.lo, window.hi)
+    np.minimum(np.maximum(pts, window.lo, out=pts), window.hi, out=pts)
     meta = _base_meta(model, rng, "time-change")
     meta["mass"] = mass
     return EventSet(window, pts, meta)
@@ -175,7 +176,8 @@ def nth_point_density(
     """Conditional density of the n-th point at x; 0 off the query's side.
 
     r(x) times the Erlang(n, 1) pdf of the intensity mass between the
-    anchor and x.  Sub-probability when the directional mass is finite;
+    anchor and x, from one query of R at the points and the anchor.
+    Sub-probability when the directional mass is finite;
     see :func:`nth_point_mass` for its total.
     """
     _require_anchor(model, query)
@@ -191,8 +193,10 @@ def nth_point_density(
     )
     if np.any(onside):
         xs = flat[onside]
-        # table round-off can leave a tiny negative mass on a plateau
-        u = np.maximum(sign * (ci(xs) - ci(query.anchor)), 0.0)
+        # R at the points and at the anchor in one call; table round-off
+        # can leave a tiny negative mass on a plateau
+        rs = ci(np.append(xs, query.anchor))
+        u = np.maximum(sign * (rs[:-1] - rs[-1]), 0.0)
         out[onside] = model._rate(xs) * np.exp(_erlang_log_pdf(u, query.n))
     return _shaped(out, arr)
 

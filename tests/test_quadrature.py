@@ -224,6 +224,26 @@ class TestPanel:
         hi = np.maximum(lows, highs)[:, None]
         assert np.all((nodes >= lo) & (nodes <= hi))
 
+    def test_nodes_stay_within_lanes_of_every_relative_width(self):
+        # one call per relative width, from a lane of an ulp or so up past
+        # 1e-12 of its magnitude, where the clamp is skipped.  The lanes
+        # start a few ulps from a power of 2, where the ulp changes and
+        # unclamped nodes of the narrowest lanes round past their ends
+        rng = np.random.default_rng(12)
+        for rel in 10.0 ** np.linspace(-16.0, -10.0, 25):
+            seen = []
+
+            def f(xs):
+                seen.append(xs.copy())
+                return np.ones_like(xs)
+
+            powers = np.ldexp(rng.choice([-1.0, 1.0], 500), rng.integers(-60, 60, 500))
+            lows = powers * (1.0 + rng.integers(-8, 9, 500) * 2.0**-53)
+            highs = lows + 2.0 * rel * np.abs(lows) * rng.uniform(1.0, 1.5, 500)
+            _panels(f, lows, highs)
+            nodes = seen[0].reshape(len(lows), 15)
+            assert np.all((nodes >= lows[:, None]) & (nodes <= highs[:, None])), rel
+
 
 class TestIntegrate:
     def test_zero_rate(self):
@@ -347,12 +367,12 @@ class TestAdaptive:
                     with pytest.raises(ToleranceNotMet):
                         _masses(model.evaluate, a, b, DEFAULT_TOL)
                     continue
-                got = _masses(model.evaluate, a, b, DEFAULT_TOL)
+                got = _masses(model.evaluate, a, b, DEFAULT_TOL)[0]
                 assert np.array_equal(got, want)
                 ok.append((a[0], b[0], float(want[0])))
             assert len(ok) >= 20, model.describe()
             a, b, want = map(np.array, zip(*ok))
-            assert np.array_equal(_masses(model.evaluate, a, b, DEFAULT_TOL), want)
+            assert np.array_equal(_masses(model.evaluate, a, b, DEFAULT_TOL)[0], want)
 
     def test_depth_cap_still_raises(self):
         with pytest.raises(ToleranceNotMet) as err:
@@ -603,6 +623,30 @@ class TestWindowTable:
         assert location_cdf(model, window, hi) == 1.0
         assert location_cdf(model, window, lo) == 0.0
 
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    def test_path_mass_is_R_at_hi(self, lo, hi):
+        # read off the table, with the bits of a query at the checkpoint
+        window = Interval(lo, hi)
+        mass = sample_path_time_change(SIN_MODEL, window, RngState(6)).meta["mass"]
+        fresh = CumulativeIntensity._windowed(SIN_MODEL, DEFAULT_TOL, window)
+        assert type(mass) is float
+        assert mass == fresh.r_hi == fresh(hi) == _window_intensity(SIN_MODEL, DEFAULT_TOL, window)(hi)
+
+    def test_growth_panels_go_with_the_first_build(self):
+        window = Interval(300.0, 350.0)
+        ci = CumulativeIntensity._windowed(SIN_MODEL, DEFAULT_TOL, window)
+        errs, rows = ci._growth
+        assert errs.shape == (_SEGMENTS,) and rows.shape == (_SEGMENTS, 1, 15)
+        # the window's edges are checkpoints: no piece is built
+        ci(np.array([300.0, 350.0]))
+        assert ci._growth is not None and ci._used == 0
+        ci(325.01)
+        assert ci._growth is None and ci._used == 1
+        # a path's one query drops them too
+        model = RateModel.from_expression("2+sin(x)")
+        sample_path_time_change(model, window, RngState(7))
+        assert _window_intensity(model, DEFAULT_TOL, window)._growth is None
+
     def test_cold_order_statistic_density_integrates_once(self, monkeypatch):
         # its density and its CDF read the one window table
         calls = []
@@ -631,7 +675,9 @@ class TestWindowTable:
             es = sample_path_time_change(
                 RateModel(source=src), Interval(lo, lo + 50.0), RngState(9)
             )
-            assert src.calls == 2  # the table, then the pieces the path lands in
+            # one rate call: the table's growth, whose panels the pieces
+            # the path lands in are built from
+            assert src.calls == 1
             return src.points / len(es)
 
         near = cost(0.0)
@@ -1071,6 +1117,56 @@ class TestDenseOutput:
             if refines:
                 assert np.max(ci._count) > 1
             yield ci
+
+    @pytest.mark.parametrize("make, window, refines", TABLES)
+    def test_pieces_from_the_growth_panels_match_a_fresh_panel_call(
+        self, make, window, refines, monkeypatch
+    ):
+        # the reference drops the growth panels, so its first build takes
+        # every segment's first panel in a rate call of its own
+        span = Interval(*window)
+        edges = _partition(span.lo, span.hi)
+        xs = 0.5 * (edges[:-1] + edges[1:])  # a point inside every segment
+        calls = []
+        monkeypatch.setattr(
+            quadrature, "_panels", lambda *a: calls.append(len(a[1])) or _panels(*a)
+        )
+        tables = []
+        for keep in (True, False):
+            ci = CumulativeIntensity._windowed(make(), DEFAULT_TOL, span)
+            if not keep:
+                ci._growth = None
+            calls.clear()
+            rs = ci(xs)
+            tables.append((ci, rs, list(calls)))
+        (kept, got, kept_calls), (fresh, want, fresh_calls) = tables
+        assert fresh_calls[0] == _SEGMENTS and kept_calls == fresh_calls[1:]
+        assert got.tobytes() == want.tobytes()
+        assert kept._used == fresh._used == int(kept._count.sum())
+        assert np.array_equal(kept._first, fresh._first)
+        assert np.array_equal(kept._count, fresh._count)
+        assert kept._pieces[:, : kept._used].tobytes() == fresh._pieces[:, : fresh._used].tobytes()
+        if refines:
+            assert np.max(kept._count) > 1
+
+    def test_one_column_mass_is_summed_from_the_top_row_down(self):
+        # a build of one segment stores one column; its mass adds rows 15
+        # down to 0 in order, as Horner's rule at s = 1 does.  numpy's
+        # pairwise reduce of the same 16 numbers rounds some differently,
+        # and at least one of these pieces shows it
+        model = RateModel.from_expression("2+sin(x)")
+        pairwise_differs = 0
+        for t in np.random.default_rng(8).uniform(0.0, 1.0, 200):
+            ci = CumulativeIntensity(model)
+            ci(float(t))
+            assert ci._used == 1
+            coef = ci._pieces[:16, 0]
+            want = float(coef[15])
+            for c in coef[14::-1].tolist():
+                want += c
+            assert ci._pieces[quadrature._MASS, 0] == want
+            pairwise_differs += float(np.add.reduce(coef[::-1].copy())) != want
+        assert pairwise_differs > 0
 
     @staticmethod
     def _degrees(ci, cols=slice(None)):

@@ -252,6 +252,26 @@ class TestFiniteness:
         with pytest.raises(InvalidParameter):
             step._rate(np.array([0.5, bad]))
 
+    def test_leaf_trees_skip_the_traps(self, monkeypatch):
+        # a number, x and a step set no flag, so their rate calls enter no
+        # errstate; a tree with an operator or a function still does
+        entered = []
+        errstate = np.errstate
+        monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+        x = np.linspace(0.0, 9.0, 240)
+        leaves = [
+            (RateModel.constant(2.0), np.full(240, 2.0)),
+            (RateModel.from_expression("x"), x),
+            (RateModel.piecewise_constant([0, 2, 5, 8], [3, 1, 4]), np.select(
+                [x < 2, x < 5, x <= 8], [3.0, 1.0, 4.0], 0.0)),
+        ]
+        for model, want in leaves:
+            assert model._rate(x).tobytes() == want.tobytes()
+        assert entered == []
+        for text in ("x + 1", "exp(x)", "-x + 9"):
+            RateModel.from_expression(text)._rate(x)
+        assert len(entered) == 3
+
     # (text, finite x where the node at position gives inf or nan, position)
     TRAPS = [
         ("x + 1e308", 1e308, 2),
