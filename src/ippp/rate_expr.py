@@ -49,10 +49,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     EvalError,
     InvalidParameter,
@@ -96,8 +96,7 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 _VARIABLE = "x"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     """One lexeme of source text.
 
     ``kind`` is one of ``"number"``, ``"identifier"``, ``"operator"``,
@@ -106,9 +105,12 @@ class Token:
     input, and ``position`` is the offset of its first character.
     """
 
-    kind: str
-    lexeme: str
-    position: int
+    __slots__ = _fields = ("kind", "lexeme", "position")
+
+    def __init__(self, kind: str, lexeme: str, position: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lexeme", lexeme)
+        object.__setattr__(self, "position", position)
 
 
 # one group per token kind, tried in order, with ``other`` taking any
@@ -146,51 +148,62 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    position: int
+class Num(Record):
+    __slots__ = _fields = ("value", "position")
+
+    def __init__(self, value: float, position: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
-class Var:
-    position: int
+class Var(Record):
+    __slots__ = _fields = ("position",)
+
+    def __init__(self, position: int):
+        object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: "RateExpr"
-    position: int
+class Unary(Record):
+    __slots__ = _fields = ("op", "operand", "position")
+
+    def __init__(self, op: str, operand: RateExpr, position: int):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "operand", operand)
+        object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: "RateExpr"
-    right: "RateExpr"
-    position: int
+class Binary(Record):
+    __slots__ = _fields = ("op", "left", "right", "position")
+
+    def __init__(self, op: str, left: RateExpr, right: RateExpr, position: int):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
-    position: int
+class Call(Record):
+    __slots__ = _fields = ("func", "args", "position")
+
+    def __init__(self, func: str, args: tuple, position: int):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     """``levels[i]`` on [breaks[i], breaks[i+1]), the last piece closed, 0
     outside: a piecewise-constant rate."""
 
-    breaks: tuple
-    levels: tuple
+    _fields = ("breaks", "levels")
+    # the breaks, and the levels with a 0 at both ends; not fields, so not in eq or hash
+    __slots__ = _fields + ("edges", "padded")
 
-    def __post_init__(self):
-        # the breaks, and the levels with a 0 at both ends; not fields, so not in eq or hash
-        object.__setattr__(self, "edges", np.array(self.breaks, dtype=float))
-        object.__setattr__(self, "padded", np.array((0.0, *self.levels, 0.0)))
+    def __init__(self, breaks: tuple, levels: tuple):
+        object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "edges", np.array(breaks, dtype=float))
+        object.__setattr__(self, "padded", np.array((0.0, *levels, 0.0)))
 
 
 RateExpr = Num | Var | Unary | Binary | Call | Step

@@ -35,12 +35,12 @@ on them directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import rate_expr
+from ._record import Record
 from .errors import (
     BoundViolation,
     DomainViolation,
@@ -73,20 +73,27 @@ def _partition(a: float, b: float):
     return np.concatenate([[a], a + steps, [b]])
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A bounded window [lo, hi] with lo < hi."""
 
-    lo: float
-    hi: float
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _real(self.lo, "lo"))
-        object.__setattr__(self, "hi", _real(self.hi, "hi"))
-        if not self.lo < self.hi:
-            raise InvalidParameter(
-                f"interval needs lo < hi, got [{self.lo!r}, {self.hi!r}]"
-            )
+    def __init__(self, lo: float, hi: float):
+        lo = _real(lo, "lo")
+        hi = _real(hi, "hi")
+        if not lo < hi:
+            raise InvalidParameter(f"interval needs lo < hi, got [{lo!r}, {hi!r}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    # built and keyed on by every operation, so spelled out
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @property
     def width(self) -> float:
@@ -105,16 +112,14 @@ class Interval:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """Where a rate function is defined.  Edges may be infinite."""
 
-    lo: float = -math.inf
-    hi: float = math.inf
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        lo = _real(self.lo, "lo", finite=False)
-        hi = _real(self.hi, "hi", finite=False)
+    def __init__(self, lo: float = -math.inf, hi: float = math.inf):
+        lo = _real(lo, "lo", finite=False)
+        hi = _real(hi, "hi", finite=False)
         if not lo < hi:
             raise InvalidParameter(f"domain needs lo < hi, got ({lo!r}, {hi!r})")
         object.__setattr__(self, "lo", lo)
@@ -133,13 +138,15 @@ class Domain:
         return f"({lo}, {hi})"
 
 
-@dataclass(frozen=True)
-class ExpressionRate:
+class ExpressionRate(Record):
     """A rate given by an expression in ``x``, e.g. ``"2 + 0.5*sin(x)"``,
     with the text :meth:`describe` returns."""
 
-    expr: rate_expr.RateExpr
-    description: str
+    __slots__ = _fields = ("expr", "description")
+
+    def __init__(self, expr: rate_expr.RateExpr, description: str):
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "description", description)
 
     def __call__(self, x):
         return rate_expr._values(self.expr, x)
@@ -282,32 +289,30 @@ def _envelope(model: "RateModel", lo: float, hi: float) -> Envelope:
     return Envelope(edges, levels)
 
 
-@dataclass(frozen=True)
-class RateModel:
+class RateModel(Record):
     """A rate function together with its domain and an optional bound."""
 
-    source: object
-    domain: Domain = field(default_factory=Domain)
-    declared_bound: float | None = None
+    _fields = ("source", "domain", "declared_bound")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        if not isinstance(self.domain, Domain):
-            raise InvalidParameter(f"domain must be a Domain, got {self.domain!r}")
-        if self.declared_bound is not None:
-            b = _real(self.declared_bound, "declared_bound", low=0.0, strict=True)
-            object.__setattr__(self, "declared_bound", b)
+    def __init__(
+        self, source: object, domain: Domain = Domain(), declared_bound: float | None = None
+    ):
+        if not isinstance(domain, Domain):
+            raise InvalidParameter(f"domain must be a Domain, got {domain!r}")
+        if declared_bound is not None:
+            declared_bound = _real(declared_bound, "declared_bound", low=0.0, strict=True)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "declared_bound", declared_bound)
         # every cache keyed on a model hashes it; an expression's hash walks
-        # its whole syntax tree, so it is taken once here
-        object.__setattr__(
-            self, "_hash", hash((self.source, self.domain, self.declared_bound))
-        )
+        # its whole syntax tree, so it is taken once here (and again by the
+        # constructor when a pickle is loaded: str hashes differ between
+        # processes)
+        object.__setattr__(self, "_hash", hash((source, domain, declared_bound)))
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        # rebuild through __init__: string hashes differ between processes
-        return type(self), (self.source, self.domain, self.declared_bound)
 
     # -- construction helpers ------------------------------------------------
 

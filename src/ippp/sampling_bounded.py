@@ -27,10 +27,10 @@ given (seed, stream, size) and sample the same law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     BoundViolation,
     InvalidIndex,
@@ -67,27 +67,25 @@ _MAX_REJECTIONS = 1_000_000
 _MAX_BATCH = 8192
 
 
-@dataclass(frozen=True, eq=False)
-class EventSet:
+class EventSet(Record):
     """An immutable realization of the process on a window.
 
     ``points`` is a sorted, read-only float array inside the window.
     ``meta`` records seed, stream, method and model so a run can be
     reproduced exactly (replay the same call on a fresh RngState).
+    Not hashable: ``points`` and ``meta`` are not.
     """
 
-    window: Interval
-    points: np.ndarray
-    meta: dict = field(default_factory=dict)
+    __slots__ = _fields = ("window", "points", "meta")
 
-    def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=float).reshape(-1))
-        if pts.size and not (
-            pts[0] >= self.window.lo and pts[-1] <= self.window.hi
-        ):
+    def __init__(self, window: Interval, points: np.ndarray, meta: dict | None = None):
+        pts = np.sort(np.asarray(points, dtype=float).reshape(-1))
+        if pts.size and not (pts[0] >= window.lo and pts[-1] <= window.hi):
             raise InvalidParameter("points must lie within the window")
         pts.setflags(write=False)
+        object.__setattr__(self, "window", window)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
 
     def __len__(self):
         return int(self.points.size)

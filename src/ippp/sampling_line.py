@@ -17,11 +17,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import Record
 from .errors import InvalidParameter, _integer, _points, _real, _shaped
 from .quadrature import DEFAULT_TOL, _window_intensity, cumulative_intensity
 from .rate_model import Interval, RateModel
@@ -53,23 +53,33 @@ class Direction(enum.Enum):
         return 1 if self is Direction.ABOVE else -1
 
 
-@dataclass(frozen=True)
-class NthPointQuery:
+class NthPointQuery(Record):
     """Ask for the n-th process point above or below ``anchor``."""
 
-    anchor: float
-    n: int
-    direction: Direction
+    __slots__ = _fields = ("anchor", "n", "direction")
 
-    def __post_init__(self):
-        object.__setattr__(self, "anchor", _real(self.anchor, "anchor"))
-        object.__setattr__(self, "n", _integer(self.n, "n", low=1))
+    def __init__(self, anchor: float, n: int, direction: Direction):
+        object.__setattr__(self, "anchor", _real(anchor, "anchor"))
+        object.__setattr__(self, "n", _integer(n, "n", low=1))
         try:
-            object.__setattr__(self, "direction", Direction(self.direction))
+            object.__setattr__(self, "direction", Direction(direction))
         except ValueError:
             raise InvalidParameter(
-                f"direction must be a Direction, 'above' or 'below', got {self.direction!r}"
+                f"direction must be a Direction, 'above' or 'below', got {direction!r}"
             ) from None
+
+    # built on every query, so spelled out
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.anchor, self.n, self.direction) == (
+                other.anchor,
+                other.n,
+                other.direction,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.anchor, self.n, self.direction))
 
 
 def _require_anchor(model: RateModel, query: NthPointQuery) -> None:

@@ -306,6 +306,21 @@ class TestStreamState:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_import_generates_no_dataclass_code(self):
+        # a dataclass compiles its methods with exec in every interpreter
+        # that imports it, which every CLI process would pay for
+        code = (
+            "import sys, ippp, ippp.cli\n"
+            "rc = ippp.cli.main(['intensity', '--rate-family', 'sin', '--params', 'a=2,b=1',"
+            " '--window', '0', '3'])\n"
+            "classes = [c for m in list(sys.modules.values()) if m.__name__.startswith('ippp')"
+            " for c in vars(m).values() if isinstance(c, type) and c.__module__.startswith('ippp')]\n"
+            "print(rc, len(classes) > 10, 'dataclasses' in sys.modules,"
+            " [c.__name__ for c in classes if hasattr(c, '__dataclass_fields__')])\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "0 True False []"
+
     # (mean, size): counts of each size up to past one block of gaps
     DRAWS = [(0.4, None), (3.0, None), (50.0, None), (2e4, None), (1e5, None)]
     DRAWS += [(0.5, 7), (3.0, 1000), (40.0, 2000), (2e4, 5)]
