@@ -14,7 +14,7 @@ attribute afterwards raises AttributeError.  The base gives every record
   hash differs between processes).
 
 None of this is generated at import.  The methods loop over ``_fields``;
-a record built or compared on every operation writes its own out.
+a record hashed and compared on every operation writes its own out.
 """
 
 from __future__ import annotations

@@ -68,19 +68,6 @@ class NthPointQuery(Record):
                 f"direction must be a Direction, 'above' or 'below', got {direction!r}"
             ) from None
 
-    # built on every query, so spelled out
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.anchor, self.n, self.direction) == (
-                other.anchor,
-                other.n,
-                other.direction,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.anchor, self.n, self.direction))
-
 
 def _require_anchor(model: RateModel, query: NthPointQuery) -> None:
     if not model.domain.contains(query.anchor):
