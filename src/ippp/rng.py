@@ -17,11 +17,19 @@ produces bitwise-equal values.  The same holds for ``exponential`` and
 ``erlang`` (lane major: each lane takes a contiguous block of words),
 and ``arrivals`` consumes exactly the words of its scalar loop.
 A Poisson count is an arrival count: a scalar ``poisson(mean)`` is
-``arrivals(0.0, mean).size`` and uses count + 1 words (``advance`` moves
-the stream past them, with no redraw).  A batch of n cuts one arrival path
-on (0, n*mean] into n consecutive windows of length ``mean``, so it is
-deterministic for (seed, stream, size) but is not word-for-word the same
-as a sequence of scalar calls.
+``arrivals(0.0, mean).size`` and uses count + 1 words.  A batch of n cuts
+one arrival path on (0, n*mean] into n consecutive windows of length
+``mean``, so it is deterministic for (seed, stream, size) but is not
+word-for-word the same as a sequence of scalar calls.  An arrival path
+must lie within 2**53 of 0, where a gap below 1 still moves its sum.
+
+Philox is counter based, so the position in the stream is the number of
+words drawn, which RngState counts.  Arrivals are drawn in blocks of gaps,
+and the block that crosses the path's end draws words past it; the
+stream is moved back from the count (``advance`` to the Philox step
+before the last word used, then ``random_raw`` up to that word), which
+leaves it exactly as a stream that drew only the used words, buffer
+included.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidMean, InvalidShape, _integer, _real
+from .errors import InvalidMean, InvalidParameter, InvalidShape, _integer, _real
 
 __all__ = ["RngState"]
 
@@ -39,7 +47,20 @@ _U64 = 2**64
 
 _INV_2_53 = 2.0**-53
 
-# largest block of gaps drawn at once by RngState._arrival_blocks
+# a 53-bit uniform is a word's top 53 bits times 2**-53
+_SHIFT = np.uint64(11)
+
+# arrivals must stay below this in magnitude, where a gap below 1 still
+# moves their sum
+_EXACT = 2.0**53
+
+# the counter of a fresh Philox, passed as an array: Philox turns its
+# default, the int 0, into one with Python-level arithmetic, which takes
+# about a third of its construction
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.setflags(write=False)
+
+# largest block of gaps drawn at once by RngState._arrival_block
 _ARRIVAL_BLOCK = 1 << 16
 
 # the shortest sum that np.add.reduce adds pairwise rather than left to right
@@ -56,7 +77,8 @@ class RngState:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = _integer(seed, "seed", low=0, high=_U64 - 1)
         self.stream = _integer(stream, "stream", low=0, high=_U64 - 1)
-        self._bits = np.random.Philox(_key_type()(self.seed, self.stream))
+        self._bits = np.random.Philox(_key_type()(self.seed, self.stream), _ZERO_COUNTER)
+        self._words = 0  # words drawn: the position in the stream
 
     def __repr__(self):
         return f"RngState(seed={self.seed}, stream={self.stream})"
@@ -68,9 +90,16 @@ class RngState:
 
         Scalar when ``size`` is None, else a 1-d array of length ``size``.
         """
-        n = _check_size(size)
-        vals = (self._bits.random_raw(n) >> np.uint64(11)) * _INV_2_53
+        vals = self._uniform(_check_size(size))
         return float(vals[0]) if size is None else vals
+
+    def _uniform(self, n: int, scale: float = _INV_2_53):
+        # n words as 53-bit uniforms u (scale 2**-53), or exactly -u (scale
+        # -2**-53); every word is drawn here, so ``_words`` counts them all
+        self._words += n
+        w = self._bits.random_raw(n)
+        w >>= _SHIFT
+        return w * scale
 
     def exponential(self, size: int | None = None):
         """Unit-rate exponential variates via the inverse transform -log(1 - U)."""
@@ -95,8 +124,7 @@ class RngState:
         n = _check_size(size)
         # -log1p(-u), as in exponential, in place: a batch holds one
         # double per word
-        steps = self.uniform01(size=n * shape)
-        np.negative(steps, out=steps)
+        steps = self._uniform(n * shape, -_INV_2_53)
         np.log1p(steps, out=steps)
         np.negative(steps, out=steps)
         steps = steps.reshape(n, shape)
@@ -115,36 +143,49 @@ class RngState:
         added left to right.  Bitwise the values, and exactly the count + 1
         words, of the scalar loop
         ``y = start + exponential(); while y <= stop: keep y; y += exponential()``.
-        Both bounds must be finite real numbers (InvalidParameter); a stop
-        below start gives no arrivals.
+        Both bounds must be finite real numbers below 2**53 in magnitude
+        (InvalidParameter); a stop below start gives no arrivals.
         """
-        start = _real(start, "start")
+        y = _real(start, "start")
         stop = _real(stop, "stop")
-        return np.concatenate(list(self._arrival_blocks(start, stop)))
-
-    def _arrival_blocks(self, start: float, stop: float):
-        # Yield the arrivals in blocks of gaps.  For the block that crosses
-        # ``stop`` the state is restored and moved past its words up to the
-        # first gap past ``stop`` with ``advance`` and at most four words,
-        # so the stream is left exactly where the scalar loop leaves it.
-        y = float(start)
+        blocks = []
         while True:
-            state = self._bits.state
-            room = max(float(stop) - y, 0.0)
-            n = min(int(room + 4.0 * math.sqrt(room)) + 16, _ARRIVAL_BLOCK)
-            ys = np.cumsum(np.concatenate(([y], self.exponential(size=n))))[1:]
-            k = int(np.searchsorted(ys, stop, side="right"))  # ys never decrease
-            if k < n:
-                self._bits.state = state
-                used, left = k + 1, 4 - int(state["buffer_pos"])
-                if used > left:  # skip the buffer, then steps of 4 words
-                    self._bits.advance((used - left - 1) // 4)
-                    used = (used - left - 1) % 4 + 1
-                self._bits.random_raw(used)
-                yield ys[:k]
-                return
-            yield ys
-            y = float(ys[-1])
+            neg, done = self._arrival_block(y, stop, InvalidParameter)
+            blocks.append(neg)
+            if done:
+                break
+            y = -float(neg[-1])
+        out = np.concatenate(blocks)
+        return np.negative(out, out=out)
+
+    def _arrival_block(self, y: float, stop: float, error):
+        # The next block of arrivals after y, negated: -(y + E1),
+        # -(y + E1 + E2), ..., and whether it ends the path at ``stop``.
+        # Each -E is log1p(-u) from the words' -u and the block a running sum,
+        # which gives the arrivals' bits negated, as IEEE addition is
+        # symmetric in sign.  The block that crosses ``stop`` is cut there
+        # and the stream moved back from the word count to just past the
+        # first gap beyond it, where the scalar loop leaves it.
+        if not (abs(y) < _EXACT and abs(stop) < _EXACT):
+            raise error(
+                f"an arrival path must lie within 2**53 of 0, where a gap "
+                f"below 1 still moves its sum; got one from {y!r} to {stop!r}"
+            )
+        room = max(stop - y, 0.0)
+        n = min(int(room + 4.0 * math.sqrt(room)) + 16, _ARRIVAL_BLOCK)
+        neg = self._uniform(n, -_INV_2_53)
+        np.log1p(neg, out=neg)
+        neg[0] -= y
+        np.add.accumulate(neg, out=neg)  # np.cumsum's sum, at less call cost
+        k = int(np.count_nonzero(neg >= -stop))  # a prefix: neg never rises
+        if k == n:
+            return neg, False
+        words = self._words - n + k + 1
+        step = (words + 3) // 4  # the Philox step that holds the last word used
+        self._bits.advance(step - 1 - (self._words + 3) // 4)
+        self._bits.random_raw(words - 4 * step + 4)
+        self._words = words
+        return neg[:k], True
 
     def poisson(self, mean: float, size: int | None = None):
         """Poisson counts: the unit-rate arrivals in windows of length ``mean``.
@@ -155,18 +196,32 @@ class RngState:
         counts are i.i.d. Poisson(mean) because the process has independent
         increments.  Each block of arrivals is binned as it is drawn, so
         memory stays O(n) whatever the mean.  A batch of one equals the
-        scalar draw; ``mean == 0`` and ``size=0`` use no words.
+        scalar draw; ``mean == 0`` and ``size=0`` use no words.  The path's
+        end, mean or n*mean, must be below 2**53 (InvalidMean).
         """
         mean = _real(mean, "mean", InvalidMean, low=0.0)
         n = _check_size(size)
         if size is None:
-            return sum(ys.size for ys in self._arrival_blocks(0.0, mean)) if mean > 0 else 0
+            count, y = 0, 0.0
+            while mean > 0:  # a mean of 0 draws no word
+                neg, done = self._arrival_block(y, mean, InvalidMean)
+                count += neg.size
+                if done:
+                    break
+                y = -float(neg[-1])
+            return count
         counts = np.zeros(n, dtype=np.int64)
         if mean > 0 and n:
-            for ys in self._arrival_blocks(0.0, n * mean):
-                # lane i holds (i*mean, (i+1)*mean]; y/mean can round past an end
-                lanes = np.ceil(ys / mean).astype(np.int64) - 1
+            y = 0.0
+            while True:
+                neg, done = self._arrival_block(y, n * mean, InvalidMean)
+                # lane i holds (i*mean, (i+1)*mean]; y/mean can round past an
+                # end, and -y/-mean is y/mean bit for bit
+                lanes = np.ceil(neg / -mean).astype(np.int64) - 1
                 counts += np.bincount(np.clip(lanes, 0, n - 1), minlength=n)
+                if done:
+                    break
+                y = -float(neg[-1])
         return counts
 
 

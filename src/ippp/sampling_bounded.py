@@ -79,7 +79,18 @@ class EventSet(Record):
     __slots__ = _fields = ("window", "points", "meta")
 
     def __init__(self, window: Interval, points: np.ndarray, meta: dict | None = None):
-        pts = np.sort(np.asarray(points, dtype=float).reshape(-1))
+        self._fill(window, np.array(points, dtype=float).reshape(-1), meta)
+
+    @classmethod
+    def _owning(cls, window: Interval, pts: np.ndarray, meta: dict) -> EventSet:
+        # a sampler's fresh 1-d float array, kept with no copy
+        es = cls.__new__(cls)
+        es._fill(window, pts, meta)
+        return es
+
+    def _fill(self, window, pts, meta):
+        # sorts and freezes ``pts`` in place
+        pts.sort()
         if pts.size and not (pts[0] >= window.lo and pts[-1] <= window.hi):
             raise InvalidParameter("points must lie within the window")
         pts.setflags(write=False)
@@ -170,13 +181,13 @@ def _rejection_sample(model, window, rng, count):
         else:
             block = 1
         drawn += block
-        u = rng.uniform01(size=2 * block)
+        u = rng._uniform(2 * block)
         levels, xs = env.locate(u[:block])
         us = u[block:]
         rates = model._rate(xs)
-        over = np.nonzero(rates > levels)[0]
-        if over.size:
-            i = int(over[0])
+        over = rates > levels
+        if over.any():
+            i = int(np.argmax(over))  # the first violation
             raise BoundViolation(float(xs[i]), float(rates[i]), float(levels[i]))
         accepted = xs[us * levels < rates]
         if accepted.size:
@@ -225,7 +236,7 @@ def simulate_window(
         pts = np.empty(0)
     meta = _base_meta(model, rng, "count-location")
     meta["mean"] = mean
-    return EventSet(window, pts, meta)
+    return EventSet._owning(window, pts, meta)
 
 
 def simulate_conditional(
@@ -244,7 +255,7 @@ def simulate_conditional(
     pts = _rejection_sample(model, window, rng, m) if m else np.empty(0)
     meta = _base_meta(model, rng, "conditional")
     meta["count"] = m
-    return EventSet(window, pts, meta)
+    return EventSet._owning(window, pts, meta)
 
 
 def location_density(model: RateModel, window: Interval, x, tol: float = DEFAULT_TOL):

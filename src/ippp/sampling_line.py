@@ -104,7 +104,7 @@ def sample_path_time_change(
     np.minimum(np.maximum(pts, window.lo, out=pts), window.hi, out=pts)
     meta = _base_meta(model, rng, "time-change")
     meta["mass"] = mass
-    return EventSet(window, pts, meta)
+    return EventSet._owning(window, pts, meta)
 
 
 def sample_nth_point(

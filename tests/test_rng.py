@@ -6,7 +6,9 @@ refactors cannot silently change sampled output.  Distribution shape is
 checked separately against scipy oracles.
 """
 
+import copy
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -341,6 +343,70 @@ class TestStreamState:
                     ends.add(used % 4)
         assert ends == {0, 1, 2, 3}
         assert max(m * (s or 1) for m, s in self.DRAWS) > _ARRIVAL_BLOCK
+
+
+class TestWordCount:
+    # Philox is counter based: the stream position is the number of words
+    # drawn, which RngState counts and moves back from
+    DRAWS = {
+        "uniform01": lambda rng: rng.uniform01(size=5),
+        "exponential": lambda rng: rng.exponential(),
+        "erlang": lambda rng: rng.erlang(3, size=2),
+        "arrivals": lambda rng: rng.arrivals(2.5, 40.0),
+        "poisson": lambda rng: rng.poisson(7.5),
+        "poisson_batch": lambda rng: rng.poisson(3.0, size=6),
+    }
+
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    @pytest.mark.parametrize("before", range(4))
+    def test_count_is_the_stream_position(self, draw, before):
+        for seed in range(3):
+            rng = RngState(seed, 6)
+            rng.uniform01(size=before)
+            for _ in range(3):
+                self.DRAWS[draw](rng)
+                assert rng._words == _words_used(rng)
+                _same_state(rng._bits, _philox(seed, 6, rng._words))
+
+    @pytest.mark.parametrize(
+        "twin_of", [lambda rng: pickle.loads(pickle.dumps(rng)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_twin_draws_like_the_original(self, twin_of):
+        rng = RngState(3, 4)
+        rng.uniform01(size=3)
+        twin = twin_of(rng)
+        assert twin.poisson(9.0) == rng.poisson(9.0)
+        assert twin._words == rng._words == _words_used(twin)
+        _same_state(twin._bits, rng._bits)
+
+
+class TestPathBound:
+    # from 2**53 on a gap below 1 no longer moves the arrival sum, so the
+    # counts would follow the wrong law and take ~2**53 words: the path is
+    # refused before any word is drawn, naming its end
+    @pytest.mark.parametrize(
+        "mean, size", [(2.0**53, None), (2.0**60, None), (1e308, 10), (2.0**60, 32), (2.0**50, 8)]
+    )
+    def test_poisson_past_2_53_raises(self, mean, size):
+        rng = RngState(5, 3)
+        end = mean * (size or 1)
+        with pytest.raises(InvalidMean, match=re.escape(repr(end))):
+            rng.poisson(mean, size=size)
+        assert rng._words == _words_used(rng) == 0
+
+    @pytest.mark.parametrize(
+        "start, stop", [(2.0**60, 2.0**60 + 4096.0), (-(2.0**60), 0.0), (0.0, 2.0**53), (-(2.0**53), -5.0)]
+    )
+    def test_arrivals_past_2_53_raise(self, start, stop):
+        rng = RngState(5, 3)
+        with pytest.raises(InvalidParameter, match="2\\*\\*53"):
+            rng.arrivals(start, stop)
+        assert rng._words == _words_used(rng) == 0
+
+    def test_a_path_just_inside_is_drawn(self):
+        far = 2.0**53 - 64.0
+        ys = RngState(5, 3).arrivals(far - 16.0, far)
+        assert ys.size and np.all(np.diff(ys) >= 0.0) and far - 16.0 <= ys[0] and ys[-1] <= far
 
 
 class TestArrivalBounds:

@@ -32,6 +32,7 @@ from ippp.sampling_bounded import (
     simulate_conditional,
     simulate_window,
 )
+from ippp.sampling_line import sample_path_time_change
 
 from stat_checks import ks_distance, ks_threshold
 
@@ -55,6 +56,38 @@ def test_event_set_rejects_points_outside_window():
         EventSet(UNIT, [0.5, 1.5])
     with pytest.raises(InvalidParameter):
         EventSet(UNIT, [-0.1])
+
+
+def test_event_set_leaves_the_callers_array_alone():
+    # the public constructor copies: it sorts and freezes its own array
+    arr = np.array([0.75, 0.25, 0.5])
+    es = EventSet(UNIT, arr)
+    assert arr.tolist() == [0.75, 0.25, 0.5] and arr.flags.writeable
+    assert es.points.tolist() == [0.25, 0.5, 0.75] and not es.points.flags.writeable
+    arr[0] = 0.125
+    assert es.points.tolist() == [0.25, 0.5, 0.75]
+    bad = np.array([0.5, 1.5, 0.25])
+    with pytest.raises(InvalidParameter):
+        EventSet(UNIT, bad)
+    assert bad.tolist() == [0.5, 1.5, 0.25] and bad.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda m, w, rng: simulate_window(m, w, rng),
+        lambda m, w, rng: simulate_conditional(m, w, 40, rng),
+        lambda m, w, rng: sample_path_time_change(m, w, rng),
+    ],
+    ids=["window", "conditional", "time_change"],
+)
+def test_sampler_result_is_sorted_and_read_only(draw):
+    # samplers hand EventSet the array they built, sorted in place
+    es = draw(RateModel.from_expression("1 + 30*exp(-(x-5)^2)"), Interval(0.0, 10.0), RngState(4))
+    assert len(es) > 1 and np.all(np.diff(es.points) >= 0.0)
+    assert not es.points.flags.writeable
+    with pytest.raises(ValueError):
+        es.points[0] = 0.0
 
 
 def test_event_set_empty_ok():
