@@ -1,22 +1,27 @@
 """Adaptive integration of rate functions and the cumulative intensity map.
 
 One integrator serves the whole library.  :func:`_masses` takes a
-Gauss-Kronrod 7-15 panel over each segment of a partition and refines by
-interval bisection each segment whose |K15 - G7| error estimate (G7 is the
-embedded 7-point Gauss rule) exceeds its budget of tol / 1024, as in the
-adaptive Gauss-Kronrod scheme of QUADPACK (Piessens et al., 1983).  Each
-rate call of the refinement takes up to 16 pieces of every open segment;
-the accepted pieces, and the order they are summed in, are those of one
-piece per call, so the sums do not change with the width of a round.  The
-node and weight constants below were derived for this module by a
-high-precision Newton solve of the moment equations (the 15-point
-extension integrates polynomials through degree 22 exactly, which the
-tests verify).
-
-:func:`integrate` splits [a, b] into the 1024 equal segments of a table
-sized to that window and sums their masses, so its estimated error is at
-most the sum of the segment budgets, tol.  A single panel over the whole
-window could step over a narrow spike with all 15 nodes.
+Gauss-Kronrod 7-15 panel over each segment of a partition and bisects, as
+QUADPACK does (Piessens et al., 1983), each piece that fails the one test
+of :func:`_judged`: the larger of |K15 - G7| (G7 the embedded Gauss rule)
+and the tail (the interpolant's last two Legendre coefficients times the
+half-width, which sees content odd about the midpoint) must be within
+the larger of the piece's share of its segment's budget tol / 1024 and
+its rounding floor c eps half (max|x| L + max|r|), L = (max r - min r) /
+half.  Rounded nodes move the rates by about |r'| ulp(x), noise that both
+estimates read and no bisection lowers, so far pieces are accepted at
+their floor and refinement ends.  Against long-double closed forms of
+2 + sin(x), 3 + x/2 and 2 + cos(2x) (1000 pieces each at x from 1e2 to
+1e6, half-widths 1e-3 to 0.1), a K15 mass missed by at most 1.7 and an
+estimate read at most 1.8 of eps half (...), so c = 2.  A segment whose
+floors sum past tol, or that takes more than 1024 pieces, raises
+ToleranceNotMet.  A rate call takes up to 16 pieces of every open
+segment; acceptance depends on the piece alone, so the pieces, and the
+order they are summed in, are those of one piece per call.  The nodes and
+weights were derived by a high-precision Newton solve of the moment
+equations (the 15-point rule integrates degree 22 exactly, as the tests
+verify).  :func:`integrate` sums the masses of the 1024 equal segments of
+[a, b]: a single panel could step over a narrow spike with all 15 nodes.
 
 :class:`CumulativeIntensity` is the signed antiderivative of the rate
 from the table's origin o: R(t) is the mass on (o, t] for t >= o and
@@ -28,10 +33,6 @@ whose first 1024 segments are the window's own partition, the one
 the table keeps the sum of those segment masses (:func:`integrate`'s
 bits) and R at the upper edge, which the sampler and the CDF read with
 no query, and its cost does not grow with the window's distance from 0.
-The table also keeps the first panels of that growth (the rate at their
-nodes and their |K15 - G7| estimates) until its first build of dense
-output, which takes them instead of calling the rate again: a fresh
-window costs one rate call where no segment needs refining.
 A table memoizes integrals on a deterministic grid of checkpoints, so
 repeated path simulation costs O(path length), and values never depend
 on query order.  A query grows each side of the origin on its own,
@@ -39,34 +40,27 @@ planning every batch of checkpoints it needs there first and
 integrating their segments in rate calls of at most 1536 segments, so
 the temporaries of a large growth stay small.
 
-Between its checkpoints the table keeps dense output, built lazily, as in
-the PINV method of Derflinger, Hörmann & Leydold (ACM TOMACS 20(4), 2010).
-The first time a point query or an inverse target lands in a checkpoint
-segment, the segment is covered by pieces.  Each piece keeps the
-antiderivative of the degree-14 polynomial through the rate at its 15
-Kronrod nodes; the Kronrod rule is interpolatory, so that antiderivative
-over the whole piece is the piece's K15 mass.  The pieces are those the
-integrator accepts, bisected further wherever the interpolant's last two
-Legendre coefficients times the half-width exceed the piece's share of
-the segment budget, so a segment holding a kink is refined as the
-integrator refines it.  The antiderivative is formed as a Legendre series,
-whose coefficients within 1/256 of the piece's budget are set to 0 (R
-moves by at most 1/16 of the budget), and kept as coefficients of powers
-of the piece's local coordinate s in [-1, 1].  A piece's degree is its
-highest power of s with a coefficient that is not 0 (at least 1), and
+Between its checkpoints the table keeps dense output, as in the PINV
+method of Derflinger, Hörmann & Leydold (ACM TOMACS 20(4), 2010), on the
+pieces its growth accepted.  Growth keeps each piece's node rates, edges
+and K15 mass; the next query builds the pieces of the segments it lands
+in, with no rate call, and drops the rest, and a later query into a
+dropped segment integrates it again, which gives the same pieces.  A
+fresh window so costs one rate call where no segment is refined.  A
+piece keeps the antiderivative of the degree-14 polynomial through its
+node rates, its K15 mass over the whole piece (the rule is
+interpolatory), as a Legendre series whose coefficients within 1/256 of
+the piece's share are set to 0 (R moves by at most 1/16 of it), in
+powers of the piece's coordinate s in [-1, 1].  Its degree is its
+highest power of s with a coefficient that is not 0 (at least 1);
 Horner's rule runs up to the highest degree among the pieces a call
-reads, so a batch near the origin does not pay for the wide pieces far
-out or a kinked piece elsewhere.  One rate call takes the first panel
-of every new segment of a query: the first query into a segment costs
-one panel (15 rate points, more where it is refined; none on a window
-table's first build, whose panels come from its growth), and later
-queries into it cost no rate call.  A piece holds 21 doubles (16
-coefficients, its edges, R at its left edge, its mass and its degree),
-168 bytes, in one column of a store with one row per field, and every
-checkpoint 8 bytes more for the index of its segment's pieces.
-R at a point is R at the left edge of its piece plus the piece's
-antiderivative there; the panels never evaluate at a checkpoint, so R
-does not need the rate there.
+reads, so a batch near the origin does not pay for wide pieces far out.
+A built piece holds 21 doubles (16 coefficients, its edges, R at its
+left edge, its mass and its degree), 168 bytes, in one column of a store
+with one row per field, and a checkpoint 8 bytes more for the index of
+its segment's pieces.  R at a point is R at the left edge of its piece
+plus the piece's antiderivative there; the panels never evaluate at a
+checkpoint, so R does not need the rate there.
 
 Its generalized inverse inf{t : R(t) >= y} supports the time-change
 sampler.  Each target is bracketed by the piece whose R values hold it
@@ -173,8 +167,11 @@ _WG = np.array(
     ]
 )
 
-_DEPTH_CAP = 50
-# pieces that each interval's stack gives up to one round of _adaptive
+# the constant c of the rounding floor (see the module docstring)
+_FLOOR = 2.0
+# pieces an interval may be cut into before ToleranceNotMet
+_PIECE_CAP = 1024
+# pieces that each interval's stack gives up to one round of _refine
 _ROUND_PIECES = 16
 # segments per rate call when a table grows, which bounds the temporaries
 # of a default table's growth; no fewer than a window table's first 1024
@@ -198,14 +195,15 @@ def _dense_matrices():
     On the piece mapped to s in [-1, 1], the first maps the node rates to
     the Legendre coefficients of the integral from -1 of their degree-14
     interpolant, per unit half-width (16 columns), and to the
-    interpolant's own coefficients of degree 13 and 14, its tail.  Those
-    solve the Vandermonde system of P_0..P_14 at the nodes; the integral
-    from -1 of P_0 is P_0 + P_1, and of P_k, k >= 1, is
-    (P_{k+1} - P_{k-1}) / (2k + 1).  The second maps Legendre
-    coefficients to coefficients of powers of s; its entries are exact
-    binary fractions, which the recurrence reaches without rounding.
-    Converting after the Legendre step rounds in proportion to the
-    Legendre coefficients, which fall off fast on an accepted piece.
+    interpolant's own coefficients of degree 13 and 14, its tail; the
+    second is those two columns as rows.
+    Those solve the Vandermonde system of P_0..P_14 at the nodes; the
+    integral from -1 of P_0 is P_0 + P_1, and of P_k, k >= 1, is
+    (P_{k+1} - P_{k-1}) / (2k + 1).  The third maps Legendre coefficients
+    to coefficients of powers of s; its entries are exact binary
+    fractions, which the recurrence reaches without rounding.  Converting
+    after the Legendre step rounds in proportion to the Legendre
+    coefficients, which fall off fast on an accepted piece.
     """
     vander = np.ones((15, 15))  # P_k at the nodes
     vander[:, 1] = _XK
@@ -224,11 +222,12 @@ def _dense_matrices():
         powers[k + 1, 1:] = (2 * k + 1) * powers[k, :-1]
         powers[k + 1] -= k * powers[k - 1]
         powers[k + 1] /= k + 1
-    return np.concatenate([anti @ interp, interp[13:]]).T, powers
+    to_legendre = np.concatenate([anti @ interp, interp[13:]]).T
+    return to_legendre, interp[13:].copy(), powers
 
 
-# the store's rows, one column per piece: 16 coefficients, then its edges,
-# R at its left edge, its mass (its polynomial at s = 1) and its degree
+# the store's rows, one column per built piece: 16 coefficients, then its
+# edges, R at its left edge, its mass (its polynomial at s = 1) and degree
 _LOW, _HIGH, _R, _MASS, _DEGREE = 16, 17, 18, 19, 20
 
 
@@ -262,27 +261,48 @@ def _panels(f, lows, highs):
     return k15, np.abs(k15 - g7), rows
 
 
+def _judged(lows, highs, errs, rows, shares):
+    """The one acceptance test, on panels (``errs`` and ``rows`` as
+    :func:`_panels` returns them) and their shares of the budget: whether
+    each is accepted, the floor it was accepted at (0 where its estimate
+    is within its share) and its estimate, the larger of |K15 - G7| and
+    its tail, which numpy sums in the same order whatever the batch."""
+    half = 0.5 * (highs - lows)
+    r = rows[:, 0]
+    tails = _dense_matrices()[1]
+    estimates = np.abs(np.einsum("nj,j->n", r, tails[0]))
+    estimates += np.abs(np.einsum("nj,j->n", r, tails[1]))
+    estimates *= half
+    np.maximum(estimates, errs, out=estimates)
+    ok = estimates <= shares
+    floors = np.zeros(len(estimates))
+    if not ok.all():
+        over = np.flatnonzero(~ok)
+        top, bottom = r[over].max(axis=1), r[over].min(axis=1)
+        edge = np.maximum(np.abs(lows[over]), np.abs(highs[over]))
+        top = half[over] * np.maximum(np.abs(top), np.abs(bottom)) + edge * (top - bottom)
+        floors[over] = _FLOOR * _EPS * top
+        ok[over] = estimates[over] <= floors[over]
+    return ok, floors, estimates
+
+
 def _dense(rows, half, budget):
-    """Dense output of panels from their node rates (as :func:`_panels`
-    returns them), half-widths and error budgets (one number, or one per
-    panel).
+    """Dense output of pieces from their node rates (as :func:`_panels`
+    returns them), half-widths and shares of the budget.
 
     Returns the (n, 16) coefficients, in powers of s, of each piece's mass
-    from its left edge, and the estimate of the interpolant's error, its
-    tail coefficients times the half-width.  Each of the mass's 16
-    Legendre coefficients within 1/256 of the piece's budget is set to 0,
-    which moves R by at most 1/16 of the budget; on a smooth piece the top
-    ones fall off fast, so above its degree the coefficients are exactly
-    0 and :func:`_horner` can stop short of them.  Computed row by row, so
-    a row does not depend on its neighbours.
+    from its left edge.  Each of the mass's 16 Legendre coefficients
+    within 1/256 of the piece's share is set to 0, which moves R by at
+    most 1/16 of it; on a smooth piece the top ones fall off fast, so
+    above its degree the coefficients are exactly 0 and :func:`_horner`
+    can stop short of them.  Computed row by row, so a row does not
+    depend on its neighbours; the product keeps the tail's two columns,
+    as a narrower one rounds the coefficients differently.
     """
-    to_legendre, to_powers = _dense_matrices()
-    legendre = np.matmul(rows, to_legendre)[:, 0]
-    tail = half * (np.abs(legendre[:, 16]) + np.abs(legendre[:, 17]))
-    mass = half[:, None] * legendre[:, :16]
-    limit = np.divide(budget, 256.0)
-    mass[np.abs(mass) <= (limit[:, None] if limit.ndim else limit)] = 0.0
-    return np.matmul(mass[:, None, :], to_powers)[:, 0], tail
+    to_legendre, _, to_powers = _dense_matrices()
+    mass = half[:, None] * np.matmul(rows, to_legendre)[:, 0, :16]
+    mass[np.abs(mass) <= np.divide(budget, 256.0)[:, None]] = 0.0
+    return np.matmul(mass[:, None, :], to_powers)[:, 0]
 
 
 def _horner(coef, s, slope=False):
@@ -301,108 +321,111 @@ def _horner(coef, s, slope=False):
     return (value, deriv) if slope else value
 
 
-def _adaptive(f, lows, highs, tol: float, errs, dense=False):
-    """Adaptive bisection over parallel intervals, one rate call per round.
+def _refine(f, lows, highs, tol: float):
+    """Adaptive bisection, one rate call per round, of intervals whose
+    first panels failed.
 
-    ``errs`` are the estimates of the intervals' depth-0 panels, already
-    taken and over budget: each interval starts at its two halves, and
-    ToleranceNotMet counts those estimates.
+    Each interval keeps a stack of pieces in position order, the rightmost
+    on top, starting at its two halves; a piece's share of the budget
+    tol / _SEGMENTS is its share of the interval's width.  A round pops up
+    to _ROUND_PIECES pieces off every open stack, accepts each that passes
+    :func:`_judged` and pushes both halves of every other back in order.
+    The accepted pieces are those a round of one piece would accept, summed
+    from the rightmost leftward: a total depends on neither the round width
+    nor the intervals beside it.  Depths never decrease up a stack, so at
+    most 2 * _ROUND_PIECES pieces of one depth wait on it.  An interval
+    cut into more than _PIECE_CAP pieces raises ToleranceNotMet.
 
-    Each interval keeps its own stack of pieces, in position order with
-    the rightmost on top, with error budgets proportional to width that
-    sum to tol / _SEGMENTS (tol is the caller's, which ToleranceNotMet
-    reports).  A round pops up to _ROUND_PIECES pieces off every
-    unfinished stack, accepts each piece whose |K15 - G7| estimate is
-    within budget and pushes both halves of every other piece back in
-    position order.  Acceptance depends on the piece alone, so the
-    accepted pieces are the ones a round of one piece would accept, and
-    they are summed from the rightmost leftward, the order in which a
-    depth-first walk that takes the right half first meets them.  So every
-    interval gets the same total whatever the round width and whatever
-    intervals share its batch.  Depths never decrease up a stack, so a
-    round that pushes pieces of some depth has first popped every piece
-    of that depth: at most 2 * _ROUND_PIECES pieces of one depth wait on
-    a stack.
-
-    With ``dense``, a piece is accepted when the larger of its estimate
-    and its dense output's (:func:`_dense`) is within budget, and each
-    interval comes back as its accepted pieces in position order, as
-    (low, high, K15 value, 16 coefficients).
+    Returns each interval's mass, the floors it accepted at summed, and
+    the pieces of the intervals, each one's in position order, as
+    :func:`_masses` returns them.
     """
-    lows = np.asarray(lows, dtype=float).tolist()
-    highs = np.asarray(highs, dtype=float).tolist()
-    seg_tol = tol / _SEGMENTS
-    worst = np.asarray(errs, dtype=float).tolist()
-    mids = [0.5 * (a + b) for a, b in zip(lows, highs)]
-    stacks = [[(a, m, 1), (m, b, 1)] for a, m, b in zip(lows, mids, highs)]
-    accepted = [[] for _ in lows]
-    live = list(range(len(lows)))
+    seg_tol, widths = tol / _SEGMENTS, highs - lows
+    mids = 0.5 * (lows + highs)
+    stacks = [[(a, m), (m, b)] for a, m, b in zip(lows.tolist(), mids.tolist(), highs.tolist())]
+    cuts = [2] * len(lows)
+    accepted = [[] for _ in stacks]
+    live, kept, k = list(range(len(stacks))), [], 0
     while live:
         groups = []
         for i in live:
             groups.append(stacks[i][-_ROUND_PIECES:])
             del stacks[i][-_ROUND_PIECES:]
-        pieces = [p for group in groups for p in group]
-        a_s = np.array([p[0] for p in pieces])
-        b_s = np.array([p[1] for p in pieces])
+        a_s, b_s = np.array([p for group in groups for p in group]).T
+        spans = np.repeat(widths[live], list(map(len, groups)))
         vals, errs, rows = _panels(f, a_s, b_s)
-        if dense:
-            spans = [highs[i] - lows[i] for i, group in zip(live, groups) for _ in group]
-            budgets = seg_tol * (b_s - a_s) / np.array(spans)
-            coefs, tails = _dense(rows, 0.5 * (b_s - a_s), budgets)
-            errs = np.maximum(errs, tails)
-        results = iter(enumerate(zip(vals.tolist(), errs.tolist())))
+        ok, floors, errs = _judged(a_s, b_s, errs, rows, seg_tol * ((b_s - a_s) / spans))
+        kept.append(rows[ok])
+        results = iter(zip(ok.tolist(), vals.tolist(), floors.tolist(), errs.tolist()))
         for i, group in zip(live, groups):
-            for (a, b, depth), (j, (value, err)) in zip(group, results):
-                if err <= seg_tol * (b - a) / (highs[i] - lows[i]):
-                    accepted[i].append((a, b, value, coefs[j]) if dense else (a, b, value))
+            for (a, b), (good, value, floor, err) in zip(group, results):
+                if good:
+                    accepted[i].append((a, b, value, k, floor))
+                    k += 1
                     continue
-                if depth >= _DEPTH_CAP:
-                    raise ToleranceNotMet(max(worst[i], err), tol)
-                worst[i] = max(worst[i], err)
+                cuts[i] += 1
+                if cuts[i] > _PIECE_CAP:
+                    raise ToleranceNotMet(err, tol)
                 mid = 0.5 * (a + b)
-                stacks[i].append((a, mid, depth + 1))
-                stacks[i].append((mid, b, depth + 1))
+                stacks[i] += [(a, mid), (mid, b)]
         live = [i for i in live if stacks[i]]
-    if dense:
-        return [sorted(pieces, key=lambda p: p[:2]) for pieces in accepted]
-    totals = []
     for pieces in accepted:
-        total = 0.0
-        for _, _, value in sorted(pieces, reverse=True):
-            total += value
-        totals.append(total)
-    return np.array(totals)
+        pieces.sort(key=lambda p: p[:2])
+    # a total adds its pieces one at a time from the rightmost leftward
+    totals = [np.cumsum([p[2] for p in reversed(pieces)])[-1] for pieces in accepted]
+    floors = [sum(p[4] for p in pieces) for pieces in accepted]
+    lows, highs, k15, index, _ = map(np.array, zip(*(p for pieces in accepted for p in pieces)))
+    counts = np.array([len(pieces) for pieces in accepted])
+    return totals, floors, (counts, lows, highs, k15, np.concatenate(kept)[index])
+
+
+def _lanes(pieces, lanes):
+    """The pieces (:func:`_masses`) of the given lanes."""
+    counts, *rest = pieces
+    if len(rest[0]) == len(counts):
+        return (counts[lanes], *(a[lanes] for a in rest))
+    counts, starts = counts[lanes], (np.cumsum(counts) - counts)[lanes]
+    runs = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return (counts, *(a[runs] for a in rest))
 
 
 def _masses(f, lows, highs, tol: float):
     """Signed mass over each [low, high]: one panel per lane, refined
-    adaptively where its error estimate exceeds tol / _SEGMENTS.
-
-    Returns the masses, then the |K15 - G7| estimates and node rates of
-    the lanes' first panels, as :func:`_panels` returns them over
-    [min(low, high), max(low, high)].
-    """
+    (:func:`_refine`) where it fails :func:`_judged` against the lane's
+    budget tol / _SEGMENTS; a lane whose floors sum past tol raises
+    ToleranceNotMet.  Returns the masses and the pieces over [min(low,
+    high), max(low, high)], each lane's in position order, as (pieces per
+    lane, lows, highs, K15 values, node rates as :func:`_panels` gives)."""
     # lanes with low > high, from growth below a table's origin and points
     # below its lowest checkpoint, have minus the mass of [high, low]
     sign = np.where(np.less_equal(lows, highs), 1.0, -1.0)
     lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
-    vals, errs, rows = _panels(f, lows, highs)
-    vals = sign * vals
-    bad = np.nonzero(errs > tol / _SEGMENTS)[0]
+    k15, errs, rows = _panels(f, lows, highs)
+    ok, floors, errs = _judged(lows, highs, errs, rows, tol / _SEGMENTS)
+    vals, counts = sign * k15, np.ones(len(lows), dtype=np.int64)
+    pieces = (lows, highs, k15, rows)
+    bad = np.flatnonzero(~ok)
     if bad.size:
-        vals[bad] = sign[bad] * _adaptive(f, lows[bad], highs[bad], tol, errs[bad])
-    return vals, errs, rows
+        totals, floors[bad], (counts[bad], *refined) = _refine(f, lows[bad], highs[bad], tol)
+        vals[bad] = sign[bad] * totals
+        good = np.flatnonzero(ok)
+        # the refined lanes' pieces in the place of their first panels
+        order = np.argsort(np.concatenate([good, np.repeat(bad, counts[bad])]), kind="stable")
+        pieces = tuple(np.concatenate([a[good], b])[order] for a, b in zip(pieces, refined))
+    if floors.size and floors.max() > tol:
+        raise ToleranceNotMet(float(floors.max()), tol)
+    return vals, (counts, *pieces)
 
 
 def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
-    """Integral of the rate over [a, b] with estimated absolute error <= tol.
+    """Integral of the rate over [a, b] with estimated absolute error <= tol
+    plus the rounding floors its pieces were accepted at.
 
     [a, b] is split into 1024 equal segments, the first checkpoints of
     the window table on [a, b], with error budgets tol / 1024 that sum to
-    tol.  Both endpoints must lie in the model's domain (DomainViolation),
-    so every panel node does.  Negative rates and expression evaluation failures
-    propagate from the rate call.
+    tol; see the module docstring for ToleranceNotMet.  Both endpoints
+    must lie in the model's domain (DomainViolation), so every panel node
+    does.  Negative rates and expression evaluation failures propagate.
     """
     a = _real(a, "a")
     b = _real(b, "b", low=a)
@@ -471,14 +494,12 @@ class CumulativeIntensity:
         partition, grown in one rate call; ``mass`` is their masses' sum,
         :func:`integrate` over the window bit for bit, and ``r_hi`` is R
         at ``window.hi``, the checkpoint that adds them up in order.  The
-        table keeps the first panels of that growth, its 1024 segments'
-        estimates and node rates (130 KB), for the first :meth:`_build`.
-        The window must lie in the domain and ``tol`` be checked."""
+        window must lie in the domain and ``tol`` be checked."""
         self = cls.__new__(cls)
         self._start(model, tol, window.lo, window.width / _SEGMENTS)
         edges = _partition(window.lo, window.hi)
-        vals, *self._growth = _masses(model._rate, edges[:-1], edges[1:], tol)
-        self._append(1, [edges[1:]], vals)
+        vals, pieces = _masses(model._rate, edges[:-1], edges[1:], tol)
+        self._append(1, [edges[1:]], vals, pieces)
         self.mass = float(np.sum(vals))
         self.r_hi = float(self._r[-1])
         return self
@@ -491,19 +512,17 @@ class CumulativeIntensity:
         self._h0 = h0
         self._t = np.array([origin])
         self._r = np.array([0.0])
-        # the dense pieces of the segment right of each checkpoint: the
-        # store row of the first one and their count (0 until a query
-        # lands in the segment)
+        # the built pieces of the segment right of each checkpoint: the
+        # store column of the first one and their count (0 until built)
         self._first = np.zeros(1, dtype=np.int32)
         self._count = np.zeros(1, dtype=np.int32)
-        # one column per piece: the coefficients of its mass from its left
-        # edge in powers of s, its edges, R at its left edge, its mass and
-        # its degree
+        # one column per built piece; _LOW and the others name its rows
         self._pieces = np.empty((21, 0))
         self._used = 0
+        # the growths since the last build: (the first lane's segment,
+        # counted from the origin's, the lanes' direction, their pieces)
+        self._pending = []
         self._added = {1: 0, -1: 0}  # segments added above (1) and below (-1)
-        # a window table's growth panels, until its first _build
-        self._growth = None
 
     # -- grid bookkeeping ------------------------------------------------
 
@@ -544,27 +563,22 @@ class CumulativeIntensity:
     def _extend(self, sign: int, batches):
         """Add planned batches of checkpoints to one side of the grid
         (sign > 0: above), integrating their segments in rate calls of at
-        most _GROWTH_SEGMENTS segments.
+        most _GROWTH_SEGMENTS segments, each call's batches added before
+        the next call.
 
-        A segment's mass does not depend on the call it sits in.
+        A segment's mass and pieces do not depend on the call they sit in.
         """
-        if not batches:
-            return
-        edges = np.concatenate(batches)
-        inner = np.concatenate([[self._t[-1 if sign > 0 else 0]], edges[:-1]])
-        step = _GROWTH_SEGMENTS
-        vals = np.concatenate(
-            [
-                _masses(self.model._rate, inner[k : k + step], edges[k : k + step], self.tol)[0]
-                for k in range(0, len(edges), step)
-            ]
-        )
-        self._append(sign, batches, vals)
+        step = _GROWTH_SEGMENTS // self._BATCH
+        for k in range(0, len(batches), step):
+            edges = np.concatenate(batches[k : k + step])
+            inner = np.concatenate([[self._t[-1 if sign > 0 else 0]], edges[:-1]])
+            vals, pieces = _masses(self.model._rate, inner, edges, self.tol)
+            self._append(sign, batches[k : k + step], vals, pieces)
 
-    def _append(self, sign: int, batches, vals):
+    def _append(self, sign: int, batches, vals, pieces):
         """Add batches of checkpoints to one side of the grid (sign > 0:
         above), given their segments' signed masses (below the origin,
-        minus the mass of each segment).
+        minus the mass of each segment) and pieces (:func:`_masses`).
 
         R accumulates batch by batch from the checkpoint each batch starts
         at, so the values are those of adding the batches one at a time.
@@ -583,90 +597,75 @@ class CumulativeIntensity:
             # the checkpoints below the grid go in farthest first
             return np.concatenate([old, new] if sign > 0 else [new[::-1], old])
 
+        # above the origin the old top checkpoint starts the first lane's
+        # segment; below it each new checkpoint starts its own
+        below = self._added[-1] - (0 if sign > 0 else len(edges))
+        first = len(self._t) - 1 - below if sign > 0 else -1 - below
+        self._pending.append((first, sign, pieces))
         self._t = joined(self._t, edges)
         self._r = joined(self._r, r)
         self._first = joined(self._first, pad)
         self._count = joined(self._count, pad)
 
     def _build(self, segs):
-        """Dense pieces for the segments right of the checkpoints ``segs``
-        that have none yet.
-
-        Each new segment's first panel comes from :meth:`_first_panels`; a
-        segment whose panel's error estimate or tail estimate is over
-        budget is refined by :func:`_adaptive`.  A piece's R at its left
-        edge sums the K15 masses of the segment's pieces left of it, from
-        the segment's left checkpoint, so a segment's pieces do not depend
-        on the segments built with it.  A piece's mass is its polynomial at
-        s = 1 over all 16 rows, Horner's rule there: the rows summed in
-        order from the top one down, which leading zeros leave with the
-        bits of any degree's.  Every piece, refined ones included, gets its
-        degree: its highest power of s with a coefficient that is not 0, at
-        least 1.
+        """Dense output for the segments right of the checkpoints ``segs``
+        that have none yet, from the pieces growth accepted since the last
+        build, with no rate call, or else integrated again (:func:`_masses`,
+        the same pieces) in one rate call.  The pieces of the other
+        segments are dropped: a table grown between queries far apart would
+        otherwise keep them all.
         """
         new = np.sort(segs[self._count[segs] == 0])
-        if new.size == 0:
-            return
-        new = new[np.concatenate([[True], new[1:] != new[:-1]])]
-        lows, highs = self._t[new], self._t[new + 1]
-        budget = self.tol / _SEGMENTS
-        errs, rows = self._first_panels(new, lows, highs)
-        coefs, tails = _dense(rows, 0.5 * (highs - lows), budget)
-        errs = np.maximum(errs, tails)
-        coefs, r = coefs.T, self._r[new]
-        bad = np.flatnonzero(errs > budget)
-        used = self._used
-        first, counts = np.arange(used, used + len(new)), 1
-        if bad.size:
-            refined = _adaptive(
-                self.model._rate, lows[bad], highs[bad], self.tol, errs[bad], dense=True
-            )
-            block = np.vstack([coefs, lows, highs, r])
-            counts = np.ones(len(new), dtype=np.int32)
-            parts, done = [], 0
-            for j, pieces in zip(bad.tolist(), refined):
-                parts.append(block[:, done:j])
-                r = float(self._r[new[j]])
-                cols = []
-                for a, b, value, coef in pieces:
-                    cols.append([*coef, a, b, r])
-                    r += value
-                parts.append(np.array(cols).T)
-                counts[j] = len(pieces)
-                done = j + 1
-            parts.append(block[:, done:])
-            block = np.concatenate(parts, axis=1)
-            coefs, (lows, highs, r) = block[:16], block[16:]
-            first = used + np.cumsum(counts) - counts
-        n = len(lows)
+        if new.size:
+            new = new[np.concatenate([[True], new[1:] != new[:-1]])]
+            rel, rest, parts = new - self._added[-1], np.ones(len(new), dtype=bool), []
+            for rel0, sign, pieces in reversed(self._pending):
+                lane = (rel - rel0) * sign
+                hit = rest & (lane >= 0) & (lane < len(pieces[0]))
+                if hit.any():
+                    parts.append((new[hit], _lanes(pieces, lane[hit])))
+                    rest &= ~hit
+                    if not rest.any():
+                        break
+            else:
+                lows, highs = self._t[new[rest]], self._t[new[rest] + 1]
+                parts.append((new[rest], _masses(self.model._rate, lows, highs, self.tol)[1]))
+            if len(parts) > 1:
+                segs, fields = zip(*parts)
+                parts = [(np.concatenate(segs), [np.concatenate(f) for f in zip(*fields)])]
+            self._make(*parts[0])
+        self._pending = []
+
+    def _make(self, segs, pieces):
+        """Build the pieces (:func:`_masses`) of the segments right of the
+        checkpoints ``segs`` into the store: :func:`_dense` with each
+        piece's share of the budget; R at its left edge, the K15 masses left
+        of it added in order to R at the segment's left checkpoint; its
+        mass, its polynomial at s = 1 summed from the top row down (leading
+        zeros keep the bits of any degree's); and its degree."""
+        counts, lows, highs, k15, rows = pieces
+        at = left = self._r[segs]
+        starts = np.arange(len(counts))
+        width = self._t[segs + 1] - self._t[segs]
+        if len(lows) > len(counts):
+            starts, width, at = np.cumsum(counts) - counts, *np.repeat([width, left], counts, 1)
+            for j in np.flatnonzero(counts > 1).tolist():
+                s, n = starts[j], counts[j]
+                at[s : s + n] = np.cumsum(np.concatenate([left[j : j + 1], k15[s : s + n - 1]]))
+        share = self.tol / _SEGMENTS * ((highs - lows) / width)
+        coefs = _dense(rows, 0.5 * (highs - lows), share)
+        used, n = self._used, len(lows)
         self._reserve(used + n)
         store = self._pieces[:, used : used + n]
-        store[:16] = coefs
-        store[_LOW], store[_HIGH], store[_R] = lows, highs, r
+        store[:16] = coefs.T
+        store[_LOW], store[_HIGH], store[_R] = lows, highs, at
         store[_MASS] = np.cumsum(store[15::-1], axis=0)[-1]
         nonzero = store[:16] != 0
         nonzero[1] = True
         store[_DEGREE] = 15 - np.argmax(nonzero[::-1], axis=0)
-        self._first[new] = first
-        self._count[new] = counts
+        self._first[segs] = used + starts
+        self._count[segs] = counts
         self._used = used + n
-
-    def _first_panels(self, new, lows, highs):
-        """The |K15 - G7| estimates and node rates of the first panels of
-        the segments right of the sorted checkpoints ``new``, whose edges
-        are ``lows`` and ``highs``.  A window table's first call reads them
-        off its growth panels when every segment is one of the window's,
-        and drops those panels either way; otherwise one rate call takes
-        them.  The panels are the same either way: :func:`_panels` gives a
-        lane the bits it has in any batch."""
-        growth, self._growth = self._growth, None
-        if growth is not None:
-            # the window's segments start at the origin's checkpoint
-            j = new - self._added[-1]
-            if j[0] >= 0 and j[-1] < len(growth[0]):
-                return growth[0][j], growth[1][j]
-        _, errs, rows = _panels(self.model._rate, lows, highs)
-        return errs, rows
 
     def _reserve(self, size: int):
         """Room for ``size`` pieces, growing the store by half at a time."""
@@ -775,7 +774,7 @@ class CumulativeIntensity:
 
     def _values(self, segs, xs):
         """R at points ``xs`` strictly inside the segments right of the
-        checkpoints ``segs``.  :meth:`_build` makes a segment's pieces the
+        checkpoints ``segs``.  :meth:`_build` builds a segment's pieces the
         first time a point lands in it.  R is R at the left edge of the
         point's piece plus the piece's antiderivative, kept between the
         segment's checkpoint values: a piece's value can round past them
@@ -850,7 +849,7 @@ class CumulativeIntensity:
 
         On entry R(lo) < y <= R(hi), with lo and hi the checkpoints at
         idx - 1 and idx.  Each lane takes the segment's piece whose R at
-        its left edge is the last below y (:meth:`_build` makes the pieces
+        its left edge is the last below y (:meth:`_build` builds the pieces
         if need be) and brackets the root by the piece's edges.  It starts
         on the piece's chord, through its stored mass, moved by
         _START_STEPS Newton steps on the piece's polynomial, each clipped

@@ -21,7 +21,9 @@ A Poisson count is an arrival count: a scalar ``poisson(mean)`` is
 one arrival path on (0, n*mean] into n consecutive windows of length
 ``mean``, so it is deterministic for (seed, stream, size) but is not
 word-for-word the same as a sequence of scalar calls.  An arrival path
-must lie within 2**53 of 0, where a gap below 1 still moves its sum.
+must lie within 2**53 of 0, where a gap below 1 still moves its sum, and
+its gaps are summed from 0, not from its start, so that they keep their
+law at any start.
 
 Philox is counter based, so the position in the stream is the number of
 words drawn, which RngState counts.  Arrivals are drawn in blocks of gaps,
@@ -139,26 +141,32 @@ class RngState:
     def arrivals(self, start: float, stop: float):
         """Arrival times of a unit-rate process from ``start`` up to ``stop``.
 
-        The partial sums start + E1, start + E1 + E2, ... that are <= stop,
-        added left to right.  Bitwise the values, and exactly the count + 1
-        words, of the scalar loop
-        ``y = start + exponential(); while y <= stop: keep y; y += exponential()``.
-        Both bounds must be finite real numbers below 2**53 in magnitude
+        The partial sums E1, E1 + E2, ... that are <= stop - start, added
+        left to right from 0, each then added to start and kept at most
+        stop.  Bitwise the values, and exactly the count + 1 words, of the
+        scalar loop ``s = exponential(); while s <= stop - start: keep
+        min(start + s, stop); s += exponential()``.  Summed from start, a
+        gap below ulp(start) / 2 would not move the sum, and counts would
+        run high from start = 2**52 on; summed from 0, they keep their law
+        at any start, and a start of 0 gives the sums themselves.  Both
+        bounds must be finite real numbers below 2**53 in magnitude
         (InvalidParameter); a stop below start gives no arrivals.
         """
-        y = _real(start, "start")
+        start = _real(start, "start")
         stop = _real(stop, "stop")
-        blocks = []
+        _check_path(start, stop, InvalidParameter)
+        span, y, blocks = stop - start, 0.0, []
         while True:
-            neg, done = self._arrival_block(y, stop, InvalidParameter)
+            neg, done = self._arrival_block(y, span)
             blocks.append(neg)
             if done:
                 break
             y = -float(neg[-1])
         out = np.concatenate(blocks)
-        return np.negative(out, out=out)
+        np.subtract(start, out, out=out)
+        return np.minimum(out, stop, out=out)
 
-    def _arrival_block(self, y: float, stop: float, error):
+    def _arrival_block(self, y: float, stop: float):
         # The next block of arrivals after y, negated: -(y + E1),
         # -(y + E1 + E2), ..., and whether it ends the path at ``stop``.
         # Each -E is log1p(-u) from the words' -u and the block a running sum,
@@ -166,11 +174,6 @@ class RngState:
         # symmetric in sign.  The block that crosses ``stop`` is cut there
         # and the stream moved back from the word count to just past the
         # first gap beyond it, where the scalar loop leaves it.
-        if not (abs(y) < _EXACT and abs(stop) < _EXACT):
-            raise error(
-                f"an arrival path must lie within 2**53 of 0, where a gap "
-                f"below 1 still moves its sum; got one from {y!r} to {stop!r}"
-            )
         room = max(stop - y, 0.0)
         n = min(int(room + 4.0 * math.sqrt(room)) + 16, _ARRIVAL_BLOCK)
         neg = self._uniform(n, -_INV_2_53)
@@ -201,10 +204,11 @@ class RngState:
         """
         mean = _real(mean, "mean", InvalidMean, low=0.0)
         n = _check_size(size)
+        _check_path(0.0, mean * (1 if size is None else n), InvalidMean)
         if size is None:
             count, y = 0, 0.0
             while mean > 0:  # a mean of 0 draws no word
-                neg, done = self._arrival_block(y, mean, InvalidMean)
+                neg, done = self._arrival_block(y, mean)
                 count += neg.size
                 if done:
                     break
@@ -214,7 +218,7 @@ class RngState:
         if mean > 0 and n:
             y = 0.0
             while True:
-                neg, done = self._arrival_block(y, n * mean, InvalidMean)
+                neg, done = self._arrival_block(y, n * mean)
                 # lane i holds (i*mean, (i+1)*mean]; y/mean can round past an
                 # end, and -y/-mean is y/mean bit for bit
                 lanes = np.ceil(neg / -mean).astype(np.int64) - 1
@@ -241,6 +245,15 @@ def _key_type():
     # registered on first use, as numpy.random takes ~17 ms to import
     np.random.bit_generator.ISeedSequence.register(_Key)
     return _Key
+
+
+def _check_path(start: float, stop: float, error):
+    # an arrival path must lie within 2**53 of 0, before any word is drawn
+    if not (abs(start) < _EXACT and abs(stop) < _EXACT):
+        raise error(
+            f"an arrival path must lie within 2**53 of 0, where a gap "
+            f"below 1 still moves its sum; got one from {start!r} to {stop!r}"
+        )
 
 
 def _check_size(size) -> int:

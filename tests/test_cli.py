@@ -1016,3 +1016,15 @@ def test_library_check_prints_the_subcommands_usage(capsys, library, parsing):
     cmd = " ".join(library[: 2 if library[0] == "density" else 1])
     assert lines[0][0][0].startswith(f"usage: ippp {cmd} [-h]")
     assert lines[0][1] == f"ippp {cmd}:"
+
+
+def test_next_point_far_from_zero_ends():
+    # the default table past |t| = 3e3 accepts pieces at their rounding
+    # floor; before, its refinement never ended
+    argv = ["next-point", "--rate", "2+sin(x)", "--from", "10000", "--n", "3"]
+    argv += ["--direction", "up", "--seed", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "ippp", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.split()[-1].split(",")[-1]) > 10000.0

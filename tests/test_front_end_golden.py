@@ -265,7 +265,7 @@ GOLDEN = {
     "evaluate/hand": "f22dfcbbf94b88f0995a24ac4bd8b60a8fe73bbe8659535623dd71464b6d2435",
     "evaluate/generated": "706055c324c06a4d0397e5e514ee5567f3d7568c087538279aa7f2d65b50588b",
     "cli/constant": "879117a0516590b3599fc652a8aeb8ab64782d5b27c245d1d81ea2da1f7d8a5c",
-    "cli/linear": "e9c40841825f8e9ff1cc6790aa41eab1d549cb17e6703c4a3b900d3fff8dc19c",
+    "cli/linear": "4f898e6f02b0f8530a134faa825e30b4f3a8827b01b7f95170efb437ce01f656",
     "cli/sin": "9262b370494f84d810275766a73f2db6c3678abcdc2fe5764204b182199b05bc",
     "cli/pwconst": "5c920cec80dbc5ac49c3c8697af48038f0f721732b42d278025666451938466d",
     "cli/family": "1e408e078de95a71d15f3121b925ac4173e2177c0168e7a937c90b6cead7f939",

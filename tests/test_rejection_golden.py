@@ -119,7 +119,7 @@ GOLDEN = {
     "1/bump/window": "e5e1ff6dc8272c44f8c59861a870e849b845adf9072c41d647f402bfb2af6977",
     "1/bump/conditional": "253f690593e63fac939b2809be7416798a4851e4f05e52a32dc661f94d098ad8",
     "1/bump/location": "319cbd307a600239ffe503f06d6f8aad206a4a70a946b740fe560feda5df977e",
-    "1/spike2/window": "182e3ec2e5e06c5dfafd24022089f242354afaa12887675a13c3fa04d55b4b11",
+    "1/spike2/window": "1387d1816d69855145c5d57267c9d6cb3019de8db475054c2ee2f2e04935601e",
     "1/spike2/conditional": "4c8d17eb7ec6656c37eb3f7a152123f12563919cfc24b97681e49b5d0db12ef6",
     "1/spike2/location": "25728249e45e5df2af3ac14b46824fa42322d62c796163af528dfefc3cd27f81",
     "1/poisson/scalar": "7735edcab001b01110f1e15bfc8f41506952dcba3f180163328b307c9350df09",
@@ -146,7 +146,7 @@ GOLDEN = {
     "2/bump/window": "449d134528c309f0c8f70d5bd2454fdeb1a37060a3275a44ce93927f6c626614",
     "2/bump/conditional": "592935c901592baa30b6bf3c9f2d6b436e5e1cc898e571fc87d04e14f0382093",
     "2/bump/location": "0a64cae70a0f098ed6c0637a5dcc9bdf29894f70570fbb3ec0ffd9c030af1b19",
-    "2/spike2/window": "b8d2e93ffd54ed94a7701f5611f555bde880b010ef5daff89ec1be442010d5ca",
+    "2/spike2/window": "3f821ef9d5e7db448add1cfc50396d6e42ae5623d5b4645192521a53d8784465",
     "2/spike2/conditional": "f5d3c03a189afcb632e5a19ea8ca77335c60ec26808d48b3f2972eb5a77f963f",
     "2/spike2/location": "c8073bdd9751ae13325990115975ec4a6c2f9a4611d3df21b0311680578bfa0a",
     "2/poisson/scalar": "98484dc6548fb87e0ae7f515b1ab0127fa90156e4401f7721edb8ef2a86dbe1b",
