@@ -7,18 +7,20 @@ of :func:`_judged`: the larger of |K15 - G7| (G7 the embedded Gauss rule)
 and the tail (the interpolant's last two Legendre coefficients times the
 half-width, which sees content odd about the midpoint) must be within
 the larger of the piece's share of its segment's budget tol / 1024 and
-its rounding floor c eps half (max|x| L + max|r|), L = (max r - min r) /
-half.  Rounded nodes move the rates by about |r'| ulp(x), noise that both
-estimates read and no bisection lowers, so far pieces are accepted at
-their floor and refinement ends.  Against long-double closed forms of
-2 + sin(x), 3 + x/2 and 2 + cos(2x) (1000 pieces each at x from 1e2 to
-1e6, half-widths 1e-3 to 0.1), a K15 mass missed by at most 1.7 and an
-estimate read at most 1.8 of eps half (...), so c = 2.  A segment whose
-floors sum past tol, or that takes more than 1024 pieces, raises
-ToleranceNotMet.  A rate call takes up to 16 pieces of every open
+its rounding floor c s, s = eps half (max|x| L + max|r|), L = (max r -
+min r) / half: rounded nodes and sums leave noise in both estimates that
+no bisection lowers, so refinement ends at any distance from 0.  Against
+long-double closed forms of 2 + sin(x), 3 + x/2 and 2 + cos(2x) (x from 0
+to 1e6, half-widths 1e-5 to 0.1, five OpenBLAS kernels) an estimate read
+at most 8.3 s, so c = 16; the root-sum-square of K15's misses was at most
+1.02 times that of s, so a piece accepted past its share counts a miss of
+2 s.  Misses of distinct pieces are independent and add in quadrature:
+ToleranceNotMet is raised where their root-sum-square over an integral,
+or over a table's growth on one side of its origin, passes tol, or where
+a segment takes over 1024 pieces.  A rate call takes up to 16 pieces of every open
 segment; acceptance depends on the piece alone, so the pieces, and the
-order they are summed in, are those of one piece per call.  The nodes and
-weights were derived by a high-precision Newton solve of the moment
+order they are summed in, are those of one piece per call.  The nodes
+and weights come from a high-precision Newton solve of the moment
 equations (the 15-point rule integrates degree 22 exactly, as the tests
 verify).  :func:`integrate` sums the masses of the 1024 equal segments of
 [a, b]: a single panel could step over a narrow spike with all 15 nodes.
@@ -55,33 +57,15 @@ powers of the piece's coordinate s in [-1, 1].  Its degree is its
 highest power of s with a coefficient that is not 0 (at least 1);
 Horner's rule runs up to the highest degree among the pieces a call
 reads, so a batch near the origin does not pay for wide pieces far out.
-A built piece holds 21 doubles (16 coefficients, its edges, R at its
-left edge, its mass and its degree), 168 bytes, in one column of a store
-with one row per field, and a checkpoint 8 bytes more for the index of
-its segment's pieces.  R at a point is R at the left edge of its piece
-plus the piece's antiderivative there; the panels never evaluate at a
-checkpoint, so R does not need the rate there.
+A built piece is one column of a store with one row per field.  R at a
+point is R at the left edge of its piece plus the piece's antiderivative
+there; the panels never evaluate at a checkpoint, so R does not need the
+rate there.
 
 Its generalized inverse inf{t : R(t) >= y} supports the time-change
-sampler.  Each target is bracketed by the piece whose R values hold it
-and started on the piece's chord, moved by two Newton steps on the
-piece's polynomial.  It is then solved on that polynomial, with no rate
-call, by a safeguarded Newton iteration on R(t) = y, R' being the
-interpolant: a Newton step is taken only when it stays inside the
-shrinking bracket and at least halves the previous step, otherwise the
-bracket is bisected.  A lane stops once its mass gap is within
-max(1e-4 tol, min(2 eps |y|, tol)), the middle term being the rounding
-floor of the gap itself.  Results satisfy |R(inverse(y)) - y| <= 2 tol,
-an estimate against the table's own R, which is itself an estimate;
-plateaus (rate zero over an interval) resolve to their left edge,
-through the bisection; within one call, targets at least tol/8 apart
-come out in order while 4 eps |y| < tol/8; and a target's result does
-not depend on the other targets in its call, so scalar and batched calls
-agree bitwise.  A batch is solved in ascending target order and returned
-in input order: the search of the checkpoints is then one ordered pass,
-the reads of the piece store run along the store's columns, and the
-targets past either end of R's range are a prefix and a suffix of the
-sorted batch (README.md gives what a warm batch of 10 000 costs).
+sampler: :meth:`CumulativeIntensity._solve` solves it on the pieces'
+polynomials with no rate call, and
+:meth:`CumulativeIntensity.inverse_many` states what its results satisfy.
 """
 
 from __future__ import annotations
@@ -167,8 +151,8 @@ _WG = np.array(
     ]
 )
 
-# the constant c of the rounding floor (see the module docstring)
-_FLOOR = 2.0
+# c of the rounding floor, and a piece's miss, in units of s (see above)
+_FLOOR, _MISS = 16.0, 2.0
 # pieces an interval may be cut into before ToleranceNotMet
 _PIECE_CAP = 1024
 # pieces that each interval's stack gives up to one round of _refine
@@ -264,8 +248,8 @@ def _panels(f, lows, highs):
 def _judged(lows, highs, errs, rows, shares):
     """The one acceptance test, on panels (``errs`` and ``rows`` as
     :func:`_panels` returns them) and their shares of the budget: whether
-    each is accepted, the floor it was accepted at (0 where its estimate
-    is within its share) and its estimate, the larger of |K15 - G7| and
+    each is accepted; its miss, _MISS s where its estimate is past its
+    share and 0 elsewhere; and its estimate, the larger of |K15 - G7| and
     its tail, which numpy sums in the same order whatever the batch."""
     half = 0.5 * (highs - lows)
     r = rows[:, 0]
@@ -275,15 +259,15 @@ def _judged(lows, highs, errs, rows, shares):
     estimates *= half
     np.maximum(estimates, errs, out=estimates)
     ok = estimates <= shares
-    floors = np.zeros(len(estimates))
+    misses = np.zeros(len(estimates))
     if not ok.all():
         over = np.flatnonzero(~ok)
         top, bottom = r[over].max(axis=1), r[over].min(axis=1)
         edge = np.maximum(np.abs(lows[over]), np.abs(highs[over]))
         top = half[over] * np.maximum(np.abs(top), np.abs(bottom)) + edge * (top - bottom)
-        floors[over] = _FLOOR * _EPS * top
-        ok[over] = estimates[over] <= floors[over]
-    return ok, floors, estimates
+        ok[over] = estimates[over] <= _FLOOR * _EPS * top
+        misses[over] = _MISS * _EPS * top
+    return ok, misses, estimates
 
 
 def _dense(rows, half, budget):
@@ -336,9 +320,8 @@ def _refine(f, lows, highs, tol: float):
     most 2 * _ROUND_PIECES pieces of one depth wait on it.  An interval
     cut into more than _PIECE_CAP pieces raises ToleranceNotMet.
 
-    Returns each interval's mass, the floors it accepted at summed, and
-    the pieces of the intervals, each one's in position order, as
-    :func:`_masses` returns them.
+    Returns each interval's mass, its pieces' squared misses summed, and
+    the pieces of the intervals, as :func:`_masses` returns them.
     """
     seg_tol, widths = tol / _SEGMENTS, highs - lows
     mids = 0.5 * (lows + highs)
@@ -354,13 +337,13 @@ def _refine(f, lows, highs, tol: float):
         a_s, b_s = np.array([p for group in groups for p in group]).T
         spans = np.repeat(widths[live], list(map(len, groups)))
         vals, errs, rows = _panels(f, a_s, b_s)
-        ok, floors, errs = _judged(a_s, b_s, errs, rows, seg_tol * ((b_s - a_s) / spans))
+        ok, misses, errs = _judged(a_s, b_s, errs, rows, seg_tol * ((b_s - a_s) / spans))
         kept.append(rows[ok])
-        results = iter(zip(ok.tolist(), vals.tolist(), floors.tolist(), errs.tolist()))
+        results = iter(zip(ok.tolist(), vals.tolist(), misses.tolist(), errs.tolist()))
         for i, group in zip(live, groups):
-            for (a, b), (good, value, floor, err) in zip(group, results):
+            for (a, b), (good, value, miss, err) in zip(group, results):
                 if good:
-                    accepted[i].append((a, b, value, k, floor))
+                    accepted[i].append((a, b, value, k, miss))
                     k += 1
                     continue
                 cuts[i] += 1
@@ -373,10 +356,10 @@ def _refine(f, lows, highs, tol: float):
         pieces.sort(key=lambda p: p[:2])
     # a total adds its pieces one at a time from the rightmost leftward
     totals = [np.cumsum([p[2] for p in reversed(pieces)])[-1] for pieces in accepted]
-    floors = [sum(p[4] for p in pieces) for pieces in accepted]
+    misses = [sum(p[4] ** 2 for p in pieces) for pieces in accepted]
     lows, highs, k15, index, _ = map(np.array, zip(*(p for pieces in accepted for p in pieces)))
     counts = np.array([len(pieces) for pieces in accepted])
-    return totals, floors, (counts, lows, highs, k15, np.concatenate(kept)[index])
+    return totals, misses, (counts, lows, highs, k15, np.concatenate(kept)[index])
 
 
 def _lanes(pieces, lanes):
@@ -392,40 +375,49 @@ def _lanes(pieces, lanes):
 def _masses(f, lows, highs, tol: float):
     """Signed mass over each [low, high]: one panel per lane, refined
     (:func:`_refine`) where it fails :func:`_judged` against the lane's
-    budget tol / _SEGMENTS; a lane whose floors sum past tol raises
-    ToleranceNotMet.  Returns the masses and the pieces over [min(low,
+    budget tol / _SEGMENTS.  Returns the masses, the pieces over [min(low,
     high), max(low, high)], each lane's in position order, as (pieces per
-    lane, lows, highs, K15 values, node rates as :func:`_panels` gives)."""
+    lane, lows, highs, K15 values, node rates as :func:`_panels` gives),
+    and the squares of each lane's pieces' misses (:func:`_judged`) summed."""
     # lanes with low > high, from growth below a table's origin and points
     # below its lowest checkpoint, have minus the mass of [high, low]
     sign = np.where(np.less_equal(lows, highs), 1.0, -1.0)
     lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
     k15, errs, rows = _panels(f, lows, highs)
-    ok, floors, errs = _judged(lows, highs, errs, rows, tol / _SEGMENTS)
-    vals, counts = sign * k15, np.ones(len(lows), dtype=np.int64)
+    ok, misses, errs = _judged(lows, highs, errs, rows, tol / _SEGMENTS)
+    vals, counts, sq = sign * k15, np.ones(len(lows), dtype=np.int64), np.square(misses)
     pieces = (lows, highs, k15, rows)
     bad = np.flatnonzero(~ok)
     if bad.size:
-        totals, floors[bad], (counts[bad], *refined) = _refine(f, lows[bad], highs[bad], tol)
+        totals, sq[bad], (counts[bad], *refined) = _refine(f, lows[bad], highs[bad], tol)
         vals[bad] = sign[bad] * totals
         good = np.flatnonzero(ok)
         # the refined lanes' pieces in the place of their first panels
         order = np.argsort(np.concatenate([good, np.repeat(bad, counts[bad])]), kind="stable")
         pieces = tuple(np.concatenate([a[good], b])[order] for a, b in zip(pieces, refined))
-    if floors.size and floors.max() > tol:
-        raise ToleranceNotMet(float(floors.max()), tol)
-    return vals, (counts, *pieces)
+    return vals, (counts, *pieces), sq
+
+
+def _rounding(sq: float, lanes, tol: float) -> float:
+    """``sq`` plus the squared misses ``lanes`` of :func:`_masses`, added in
+    order: misses add in quadrature, and past tol raise ToleranceNotMet."""
+    sq = float(np.cumsum(np.concatenate([[sq], lanes]))[-1])
+    if math.sqrt(sq) > tol:
+        raise ToleranceNotMet(math.sqrt(sq), tol)
+    return sq
 
 
 def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     """Integral of the rate over [a, b] with estimated absolute error <= tol
-    plus the rounding floors its pieces were accepted at.
+    plus the root-sum-square of its pieces' misses, itself within tol.
 
     [a, b] is split into 1024 equal segments, the first checkpoints of
     the window table on [a, b], with error budgets tol / 1024 that sum to
-    tol; see the module docstring for ToleranceNotMet.  Both endpoints
-    must lie in the model's domain (DomainViolation), so every panel node
-    does.  Negative rates and expression evaluation failures propagate.
+    tol; a piece whose estimate passes its share is accepted within its
+    rounding floor with a miss, and misses past tol raise ToleranceNotMet
+    (see the module docstring).  Both endpoints must lie in the model's
+    domain (DomainViolation), so every panel node does.  Negative rates
+    and expression evaluation failures propagate.
     """
     a = _real(a, "a")
     b = _real(b, "b", low=a)
@@ -436,7 +428,9 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
     if a == b:
         return 0.0
     edges = _partition(a, b)
-    return float(np.sum(_masses(model._rate, edges[:-1], edges[1:], tol)[0]))
+    vals, _, sq = _masses(model._rate, edges[:-1], edges[1:], tol)
+    _rounding(0.0, sq, tol)
+    return float(np.sum(vals))
 
 
 def _span(span):
@@ -498,8 +492,8 @@ class CumulativeIntensity:
         self = cls.__new__(cls)
         self._start(model, tol, window.lo, window.width / _SEGMENTS)
         edges = _partition(window.lo, window.hi)
-        vals, pieces = _masses(model._rate, edges[:-1], edges[1:], tol)
-        self._append(1, [edges[1:]], vals, pieces)
+        vals, pieces, sq = _masses(model._rate, edges[:-1], edges[1:], tol)
+        self._append(1, [edges[1:]], vals, pieces, sq)
         self.mass = float(np.sum(vals))
         self.r_hi = float(self._r[-1])
         return self
@@ -523,6 +517,7 @@ class CumulativeIntensity:
         # counted from the origin's, the lanes' direction, their pieces)
         self._pending = []
         self._added = {1: 0, -1: 0}  # segments added above (1) and below (-1)
+        self._misses = {1: 0.0, -1: 0.0}  # their squared misses, summed
 
     # -- grid bookkeeping ------------------------------------------------
 
@@ -572,17 +567,19 @@ class CumulativeIntensity:
         for k in range(0, len(batches), step):
             edges = np.concatenate(batches[k : k + step])
             inner = np.concatenate([[self._t[-1 if sign > 0 else 0]], edges[:-1]])
-            vals, pieces = _masses(self.model._rate, inner, edges, self.tol)
-            self._append(sign, batches[k : k + step], vals, pieces)
+            masses = _masses(self.model._rate, inner, edges, self.tol)
+            self._append(sign, batches[k : k + step], *masses)
 
-    def _append(self, sign: int, batches, vals, pieces):
+    def _append(self, sign: int, batches, vals, pieces, sq):
         """Add batches of checkpoints to one side of the grid (sign > 0:
         above), given their segments' signed masses (below the origin,
-        minus the mass of each segment) and pieces (:func:`_masses`).
+        minus the mass of each segment), pieces and squared misses
+        (:func:`_masses`), which :func:`_rounding` adds to the side's.
 
         R accumulates batch by batch from the checkpoint each batch starts
         at, so the values are those of adding the batches one at a time.
         """
+        self._misses[sign] = _rounding(self._misses[sign], sq, self.tol)
         edges = np.concatenate(batches)
         end = -1 if sign > 0 else 0
         r, last, k = [], self._r[end], 0
@@ -757,7 +754,9 @@ class CumulativeIntensity:
             beyond = inside & ((right == 0) | (right == len(self._t)))
             if np.any(beyond):
                 left = self._t[idx[beyond]]
-                out[beyond] += _masses(self.model._rate, left, flat[beyond], self.tol)[0]
+                vals, _, sq = _masses(self.model._rate, left, flat[beyond], self.tol)
+                _rounding(0.0, sq, self.tol)
+                out[beyond] += vals
                 inside &= ~beyond
         if inside.any():
             out[inside] = self._values(idx[inside], flat[inside])

@@ -232,7 +232,7 @@ GOLDEN = {
     "1/sinusoid/nth2/lanes": "d3993f6c5fbfaa3f2f59d3bfc0530d706e7ccc229d540b4315c069db0279d3aa",
     "1/sinusoid/nth2/density": "b235129b02467b3f3753cfeebdcbceb441459eaa0eb85bba424fee989ff9d745",
     "1/sinusoid/nth2/mass": "3fcd1a06581658e8e86780440fbc543c8826c9972a887dcfc0febbc4164c8202",
-    "1/step_dyadic/integrate": "4ef9d7cb7a3f9e680868e1ccbbdfada47ccd84213ccfc9ef82b62c1ab19da00b",
+    "1/step_dyadic/integrate": "51a8e1d7c3f47b656e41e541f8126e5093eec3fe938a5189c1205dada329756a",
     "1/step_dyadic/default/R": "634068c7dcaef24d3ccfef5c15ea18a7b2b410991ad3fa6591300c16529b442d",
     "1/step_dyadic/default/checkpoints": "1223a28e59f8268160230e1391db2d9c2dd2c54b830c45aa2a5d1eaa8d545657",
     "1/step_dyadic/default/inverse": "d9b3eea4e08fa16ae8fa6d565b050b4b9db4ebe294ccdc1ba5fb89d87a54b8d6",
@@ -394,7 +394,7 @@ GOLDEN = {
     "2/sinusoid/nth2/lanes": "54894af0a283b9478801ab19e21d59d5b49db77466cc8a73ca2ea0c1467afa45",
     "2/sinusoid/nth2/density": "b235129b02467b3f3753cfeebdcbceb441459eaa0eb85bba424fee989ff9d745",
     "2/sinusoid/nth2/mass": "3fcd1a06581658e8e86780440fbc543c8826c9972a887dcfc0febbc4164c8202",
-    "2/step_dyadic/integrate": "4ef9d7cb7a3f9e680868e1ccbbdfada47ccd84213ccfc9ef82b62c1ab19da00b",
+    "2/step_dyadic/integrate": "51a8e1d7c3f47b656e41e541f8126e5093eec3fe938a5189c1205dada329756a",
     "2/step_dyadic/default/R": "634068c7dcaef24d3ccfef5c15ea18a7b2b410991ad3fa6591300c16529b442d",
     "2/step_dyadic/default/checkpoints": "1223a28e59f8268160230e1391db2d9c2dd2c54b830c45aa2a5d1eaa8d545657",
     "2/step_dyadic/default/inverse": "f0ec43eea7c22fc89c2d406b1db5151cc45af8f4e026de0123aa915541c7e8ed",

@@ -113,7 +113,7 @@ GOLDEN = {
     "1/step_dyadic/window": "aa806b29afb8a68d09d95c1a33cc7f896276f4910e1e9a7fee9abd936d32f286",
     "1/step_dyadic/conditional": "2b781d4c3a6f3dd91e693090d2afa7d8bc71a04a7611d2292c28fdc8121fc201",
     "1/step_dyadic/location": "e2eed7b1bd295734d4a29aafdcfb44a5877ab8aef181fc49e711fd91b547c337",
-    "1/step_off_dyadic/window": "4b716a71f7b76b88cd978922e405c234f0dbd4d12c9f4ee992ff688d6ce5e5ff",
+    "1/step_off_dyadic/window": "703ed1dd9ff82482d06108b0fe191a786f211b6f92755c2f7dcf4c583ff8ebf7",
     "1/step_off_dyadic/conditional": "b21b0aeb712a07db1ad2d4e250a4e22e41384317b32d1e64a6468a907722e76e",
     "1/step_off_dyadic/location": "26425bf6c2104af97d4e7fd0d52be24edc0fa6d5f1620fbadef6c1f1c24f8513",
     "1/bump/window": "e5e1ff6dc8272c44f8c59861a870e849b845adf9072c41d647f402bfb2af6977",
@@ -140,7 +140,7 @@ GOLDEN = {
     "2/step_dyadic/window": "121854351383c00f3c1a4541dd7625486da3d866084035fdc96a0b0e8b84df31",
     "2/step_dyadic/conditional": "ff7b0f8165802cf9c7e1184c907fbf45d5f1d4bd6b6c6c092adc6c22737eff11",
     "2/step_dyadic/location": "caecd74af49fdad09312aebd5605ab511c74c3101b09815e4d117802aa3a19c2",
-    "2/step_off_dyadic/window": "a924825f41df74bb630a7a364143abbf1ee8414a702c7e6ab14da4fdcd6e89ec",
+    "2/step_off_dyadic/window": "72cd491695d316666f640e0a6d5c95647a7fd9b35546b9953761e1f557c490c2",
     "2/step_off_dyadic/conditional": "f1b764dc5238d3db54ac12e515d10eb0adaa62ab7e71b269d84d3ea03b30deac",
     "2/step_off_dyadic/location": "9cd72ceb0195b21e39ea2ed210a5f22e32b70d0881d8b809fffc2fea316db83b",
     "2/bump/window": "449d134528c309f0c8f70d5bd2454fdeb1a37060a3275a44ce93927f6c626614",
