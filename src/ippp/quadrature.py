@@ -66,6 +66,8 @@ Its generalized inverse inf{t : R(t) >= y} supports the time-change
 sampler: :meth:`CumulativeIntensity._solve` solves it on the pieces'
 polynomials with no rate call, and
 :meth:`CumulativeIntensity.inverse_many` states what its results satisfy.
+The sampler's arrivals come ascending and within R's range on its table,
+so it hands them to the solve directly, past inverse_many's sort and probe.
 """
 
 from __future__ import annotations
@@ -479,44 +481,47 @@ class CumulativeIntensity:
             hi = model.domain.clamp(max(span.hi, origin))
             if hi > lo:
                 h0 = (hi - lo) / _SEGMENTS
-        self._start(model, tol, origin, h0)
+        self._start(model, tol, h0, np.array([origin]), np.array([0.0]))
 
     @classmethod
     def _windowed(cls, model: RateModel, tol: float, window: Interval):
         """The window table: origin ``window.lo``, base width
         window.width / 1024, and first 1024 segments the window's
-        partition, grown in one rate call; ``mass`` is their masses' sum,
-        :func:`integrate` over the window bit for bit, and ``r_hi`` is R
-        at ``window.hi``, the checkpoint that adds them up in order.  The
-        window must lie in the domain and ``tol`` be checked."""
+        partition, set in one step from one rate call; ``mass`` is their
+        masses' sum, :func:`integrate` over the window bit for bit, and
+        ``r_hi`` is R at ``window.hi``, the checkpoint that adds them up in
+        order.  The window must lie in the domain and ``tol`` be checked."""
         self = cls.__new__(cls)
-        self._start(model, tol, window.lo, window.width / _SEGMENTS)
         edges = _partition(window.lo, window.hi)
         vals, pieces, sq = _masses(model._rate, edges[:-1], edges[1:], tol)
-        self._append(1, [edges[1:]], vals, pieces, sq)
+        r = np.cumsum(np.append(0.0, vals))
+        self._start(model, tol, window.width / _SEGMENTS, edges, r)
+        self._pending.append((0, 1, pieces))
+        if sq.any():
+            self._misses[1] = _rounding(0.0, sq, tol)
         self.mass = float(np.sum(vals))
         self.r_hi = float(self._r[-1])
         return self
 
-    def _start(self, model: RateModel, tol: float, origin: float, h0: float):
-        """An empty table: R(origin) = 0, and checkpoints h0 apart near it."""
+    def _start(self, model: RateModel, tol: float, h0: float, t, r):
+        """A table on the checkpoints ``t`` from its origin t[0] up, R(t) =
+        ``r`` (r[0] = 0), growing h0 apart near the origin; no piece built."""
         self.model = model
         self.tol = tol
         self._lock = threading.RLock()
         self._h0 = h0
-        self._t = np.array([origin])
-        self._r = np.array([0.0])
+        self._t, self._r = t, r
         # the built pieces of the segment right of each checkpoint: the
         # store column of the first one and their count (0 until built)
-        self._first = np.zeros(1, dtype=np.int32)
-        self._count = np.zeros(1, dtype=np.int32)
+        self._first = np.zeros(len(t), dtype=np.int32)
+        self._count = np.zeros(len(t), dtype=np.int32)
         # one column per built piece; _LOW and the others name its rows
         self._pieces = np.empty((21, 0))
         self._used = 0
         # the growths since the last build: (the first lane's segment,
         # counted from the origin's, the lanes' direction, their pieces)
         self._pending = []
-        self._added = {1: 0, -1: 0}  # segments added above (1) and below (-1)
+        self._added = {1: len(t) - 1, -1: 0}  # segments above (1) and below (-1)
         self._misses = {1: 0.0, -1: 0.0}  # their squared misses, summed
 
     # -- grid bookkeeping ------------------------------------------------
@@ -557,52 +562,40 @@ class CumulativeIntensity:
 
     def _extend(self, sign: int, batches):
         """Add planned batches of checkpoints to one side of the grid
-        (sign > 0: above), integrating their segments in rate calls of at
-        most _GROWTH_SEGMENTS segments, each call's batches added before
-        the next call.
+        (sign > 0: above), integrating their segments (:func:`_masses`) in
+        rate calls of at most _GROWTH_SEGMENTS segments, each call's batches
+        added before the next call; :func:`_rounding` adds their squared
+        misses to the side's.  Below the origin a segment's signed mass is
+        minus its mass.
 
-        A segment's mass and pieces do not depend on the call they sit in.
+        A segment's mass and pieces do not depend on the call they sit in,
+        and R accumulates batch by batch from the checkpoint each batch
+        starts at, so the values are those of adding the batches one at a
+        time.
         """
-        step = _GROWTH_SEGMENTS // self._BATCH
+        step, end = _GROWTH_SEGMENTS // self._BATCH, -1 if sign > 0 else 0
         for k in range(0, len(batches), step):
             edges = np.concatenate(batches[k : k + step])
-            inner = np.concatenate([[self._t[-1 if sign > 0 else 0]], edges[:-1]])
-            masses = _masses(self.model._rate, inner, edges, self.tol)
-            self._append(sign, batches[k : k + step], *masses)
-
-    def _append(self, sign: int, batches, vals, pieces, sq):
-        """Add batches of checkpoints to one side of the grid (sign > 0:
-        above), given their segments' signed masses (below the origin,
-        minus the mass of each segment), pieces and squared misses
-        (:func:`_masses`), which :func:`_rounding` adds to the side's.
-
-        R accumulates batch by batch from the checkpoint each batch starts
-        at, so the values are those of adding the batches one at a time.
-        """
-        self._misses[sign] = _rounding(self._misses[sign], sq, self.tol)
-        edges = np.concatenate(batches)
-        end = -1 if sign > 0 else 0
-        r, last, k = [], self._r[end], 0
-        for batch in batches:
-            r.append(last + np.cumsum(vals[k : k + len(batch)]))
-            last, k = r[-1][-1], k + len(batch)
-        r = np.concatenate(r)
-        pad = np.zeros(len(edges), dtype=np.int32)
-        self._added[sign] += len(edges)
-
-        def joined(old, new):
+            inner = np.concatenate([[self._t[end]], edges[:-1]])
+            vals, pieces, sq = _masses(self.model._rate, inner, edges, self.tol)
+            self._misses[sign] = _rounding(self._misses[sign], sq, self.tol)
+            r, last, j = [], self._r[end], 0
+            for batch in batches[k : k + step]:
+                r.append(last + np.cumsum(vals[j : j + len(batch)]))
+                last, j = r[-1][-1], j + len(batch)
+            pad = np.zeros(len(edges), dtype=np.int32)
+            self._added[sign] += len(edges)
+            # above the origin the old top checkpoint starts the first lane's
+            # segment; below it each new checkpoint starts its own
+            below = self._added[-1] - (0 if sign > 0 else len(edges))
+            first = len(self._t) - 1 - below if sign > 0 else -1 - below
+            self._pending.append((first, sign, pieces))
             # the checkpoints below the grid go in farthest first
-            return np.concatenate([old, new] if sign > 0 else [new[::-1], old])
-
-        # above the origin the old top checkpoint starts the first lane's
-        # segment; below it each new checkpoint starts its own
-        below = self._added[-1] - (0 if sign > 0 else len(edges))
-        first = len(self._t) - 1 - below if sign > 0 else -1 - below
-        self._pending.append((first, sign, pieces))
-        self._t = joined(self._t, edges)
-        self._r = joined(self._r, r)
-        self._first = joined(self._first, pad)
-        self._count = joined(self._count, pad)
+            old = (self._t, self._r, self._first, self._count)
+            new = (edges, np.concatenate(r), pad, pad)
+            self._t, self._r, self._first, self._count = (
+                np.concatenate([a, b] if sign > 0 else [b[::-1], a]) for a, b in zip(old, new)
+            )
 
     def _build(self, segs):
         """Dense output for the segments right of the checkpoints ``segs``
@@ -805,7 +798,8 @@ class CumulativeIntensity:
         in another order.  The lanes are solved in ascending target order,
         which makes the search of the checkpoints one ordered pass and the
         reads of the piece store run along it, and returned in input
-        order.
+        order; targets that come ascending and in range, as the time-change
+        sampler's do, can go to :meth:`_solve` with the same bits.
         ``missing`` controls out-of-range targets: "raise" propagates
         OutOfRange (the default), for the first target below the range in
         input order or, failing that, the first above it; "nan" marks

@@ -88,22 +88,28 @@ def sample_path_time_change(
     whose first segments are the window's partition.  A unit-rate path on
     (0, R(hi)] is laid down with Exp(1) gaps and mapped back through the
     inverse; the result is sorted by construction and distributed exactly
-    like simulate_window's output.  R(hi), the ``mass`` in the result's
-    meta, is a stored checkpoint, read off the table with no query.  It
-    adds up in order the segment masses whose sum
+    like simulate_window's output.  The arrivals come out ascending and in
+    [0, R(hi)], so they go to the table's root solve as they are, with no
+    sort or range check: each point is bitwise
+    :meth:`~ippp.quadrature.CumulativeIntensity.inverse_many` of its
+    arrival, but an arrival of 0 maps to lo, not to the left end of a
+    plateau that ends there.  R(hi), the ``mass`` in the result's meta, is
+    a stored checkpoint, read off the table with no query.  It adds up in
+    order the segment masses whose sum
     :func:`~ippp.sampling_bounded.expected_count` reads off the same
     table, so the two agree to a few ulps, and a path costs the same at
     any distance from 0.
     """
     model.require_window(window)
     ci = _window_intensity(model, tol, window)
-    mass = ci.r_hi
-    pts = ci.inverse_many(rng.arrivals(0.0, mass))
-    # a target of exactly 0 would resolve to the left end of a plateau
-    # that ends at lo
-    np.minimum(np.maximum(pts, window.lo, out=pts), window.hi, out=pts)
+    ys = rng.arrivals(0.0, ci.r_hi)
+    zeros = int(ys.searchsorted(0.0, side="right"))
+    pts = np.full(len(ys), window.lo)
+    if zeros < len(ys):
+        with ci._lock:
+            pts[zeros:] = ci._solve(ys[zeros:], ci._r.searchsorted(ys[zeros:]))
     meta = _base_meta(model, rng, "time-change")
-    meta["mass"] = mass
+    meta["mass"] = ci.r_hi
     return EventSet._owning(window, pts, meta)
 
 

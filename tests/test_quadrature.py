@@ -1425,6 +1425,19 @@ class TestDenseOutput:
         assert src.calls == 0
         assert len(calls) <= 4
 
+    def test_fresh_path_takes_one_rate_call_and_no_argsort(self, monkeypatch):
+        # the window's partition in one rate call, built with no other; the
+        # arrivals are ascending, so they reach the root solve unsorted
+        src = _CountingSource(RateModel.from_expression("2+sin(x)").source)
+        model = RateModel(source=src)
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+        es = sample_path_time_change(model, Interval(123.25, 173.25), RngState(2))
+        assert len(es) > 50
+        assert src.calls == 1
+        assert sorts == []
+
     def test_tail_catches_content_odd_about_a_piece(self):
         # the window's first segment [-5, 5] is centred on 0, where sin is
         # odd: K15 and G7 both give it no mass, so |K15 - G7| cannot see it

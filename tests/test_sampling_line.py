@@ -1,6 +1,8 @@
 """Tests for the time-change sampler and n-th point queries."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,12 @@ import scipy.special
 import scipy.stats
 
 from ippp.errors import InvalidParameter
-from ippp.quadrature import DEFAULT_TOL, _window_intensity, cumulative_intensity
+from ippp.quadrature import (
+    DEFAULT_TOL,
+    CumulativeIntensity,
+    _window_intensity,
+    cumulative_intensity,
+)
 from ippp.rate_model import Domain, Interval, RateModel
 from ippp.rng import RngState
 from ippp.sampling_bounded import simulate_window
@@ -25,6 +32,11 @@ from ippp.sampling_line import (
 )
 
 from stat_checks import ks_distance, ks_threshold, two_sample_ks
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import mix  # noqa: E402
+from workloads import TC_FRESH  # noqa: E402
 
 
 UNIT_RATE = RateModel.constant(1.0)
@@ -153,6 +165,56 @@ def test_time_change_matches_scalar_gap_loop(hi):
     want = np.clip(ci.inverse_many(ys), window.lo, window.hi)
     assert es.points.tobytes() == want.tobytes()
     assert fast.uniform01() == slow.uniform01()
+
+
+@pytest.mark.parametrize("rate, lows, width", [(t[0], *t[2:]) for t in TC_FRESH])
+def test_fresh_path_is_inverse_many_of_its_arrivals(rate, lows, width):
+    # the sampler hands its ascending arrivals straight to the root solve;
+    # inverse_many sorts the same targets, shuffled, on a table of its own
+    model = mix.model(rate)
+    g = np.random.default_rng(29)
+    refined = False
+    for k in range(8):
+        lo = float(g.uniform(*lows))
+        window = Interval(lo, lo + width)
+        fast, slow = RngState(9, k), RngState(9, k)
+        es = sample_path_time_change(model, window, fast)
+        ci = CumulativeIntensity._windowed(model, DEFAULT_TOL, window)
+        refined |= bool(np.any(ci._pending[0][2][0] > 1))
+        ys = slow.arrivals(0.0, ci.r_hi)
+        perm = g.permutation(len(ys))
+        want = np.empty(len(ys))
+        want[perm] = ci.inverse_many(ys[perm])
+        assert es.points.tobytes() == want.tobytes()
+        assert es.meta["mass"] == ci.r_hi
+    assert refined == (rate == "spike")
+
+
+@pytest.mark.parametrize(
+    "model, window",
+    [
+        (RateModel.sinusoidal(2.0, 1.0), Interval(3.0, 13.0)),
+        # rate 0 on [0, 1): R(lo) = 0 is also R at every point of it
+        (RateModel.piecewise_constant([0.0, 1.0, 2.0], [0.0, 1.5]), Interval(1.0, 2.0)),
+        # the window starts at the domain's lower edge
+        (RateModel.constant(2.0, domain=Domain(0.0, 4.0)), Interval(0.0, 4.0)),
+    ],
+)
+def test_fresh_path_on_crafted_targets(monkeypatch, model, window):
+    ci = _window_intensity(model, DEFAULT_TOL, window)
+    mass = ci.r_hi
+    for ys in ([], [0.0], [0.0, 0.0, 0.25 * mass, mass], [0.5 * mass, mass, mass]):
+        ys = np.array(ys, dtype=float)
+        monkeypatch.setattr(RngState, "arrivals", lambda self, start, stop: ys.copy())
+        pts = sample_path_time_change(model, window, RngState(1)).points
+        assert pts.shape == ys.shape
+        # R(lo) gives lo, and R(hi) at most hi
+        assert np.all(pts[ys == 0.0] == window.lo)
+        assert np.all(pts[ys == mass] <= window.hi)
+        inner = ys > 0.0
+        assert pts[inner].tobytes() == ci.inverse_many(ys[inner]).tobytes()
+    # a target of 0 does not grow the table below the window
+    assert ci._t[0] == window.lo
 
 
 def test_unit_rate_gaps_are_exponential():
