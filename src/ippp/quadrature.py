@@ -235,7 +235,7 @@ def _panels(f, lows, highs):
     # node is off by a few ulps of the lane's magnitude at most, and lies
     # 0.0085 half-widths inside: lanes with a half-width over 1e-12 of
     # their magnitude need no clamp
-    if not np.all(half > 1e-12 * np.maximum(np.abs(lows), np.abs(highs))):
+    if not (half > 1e-12 * np.maximum(np.abs(lows), np.abs(highs))).all():
         np.maximum(nodes, np.minimum(lows, highs)[:, None], out=nodes)
         np.minimum(nodes, np.maximum(lows, highs)[:, None], out=nodes)
     fx = np.asarray(f(nodes.reshape(-1)), dtype=float)
@@ -389,8 +389,8 @@ def _masses(f, lows, highs, tol: float):
     ok, misses, errs = _judged(lows, highs, errs, rows, tol / _SEGMENTS)
     vals, counts, sq = sign * k15, np.ones(len(lows), dtype=np.int64), np.square(misses)
     pieces = (lows, highs, k15, rows)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
         totals, sq[bad], (counts[bad], *refined) = _refine(f, lows[bad], highs[bad], tol)
         vals[bad] = sign[bad] * totals
         good = np.flatnonzero(ok)
@@ -494,12 +494,12 @@ class CumulativeIntensity:
         self = cls.__new__(cls)
         edges = _partition(window.lo, window.hi)
         vals, pieces, sq = _masses(model._rate, edges[:-1], edges[1:], tol)
-        r = np.cumsum(np.append(0.0, vals))
+        r = np.add.accumulate(np.concatenate([[0.0], vals]))
         self._start(model, tol, window.width / _SEGMENTS, edges, r)
         self._pending.append((0, 1, pieces))
         if sq.any():
             self._misses[1] = _rounding(0.0, sq, tol)
-        self.mass = float(np.sum(vals))
+        self.mass = float(np.add.reduce(vals))  # np.sum, at less call cost
         self.r_hi = float(self._r[-1])
         return self
 
@@ -605,8 +605,9 @@ class CumulativeIntensity:
         segments are dropped: a table grown between queries far apart would
         otherwise keep them all.
         """
-        new = np.sort(segs[self._count[segs] == 0])
+        new = segs[self._count[segs] == 0]
         if new.size:
+            new.sort()
             new = new[np.concatenate([[True], new[1:] != new[:-1]])]
             rel, rest, parts = new - self._added[-1], np.ones(len(new), dtype=bool), []
             for rel0, sign, pieces in reversed(self._pending):
@@ -635,24 +636,24 @@ class CumulativeIntensity:
         zeros keep the bits of any degree's); and its degree."""
         counts, lows, highs, k15, rows = pieces
         at = left = self._r[segs]
-        starts = np.arange(len(counts))
-        width = self._t[segs + 1] - self._t[segs]
+        starts, share = np.arange(len(counts)), np.full(len(lows), self.tol / _SEGMENTS)
         if len(lows) > len(counts):
+            width = self._t[segs + 1] - self._t[segs]
             starts, width, at = np.cumsum(counts) - counts, *np.repeat([width, left], counts, 1)
             for j in np.flatnonzero(counts > 1).tolist():
                 s, n = starts[j], counts[j]
                 at[s : s + n] = np.cumsum(np.concatenate([left[j : j + 1], k15[s : s + n - 1]]))
-        share = self.tol / _SEGMENTS * ((highs - lows) / width)
+            share *= (highs - lows) / width
         coefs = _dense(rows, 0.5 * (highs - lows), share)
         used, n = self._used, len(lows)
         self._reserve(used + n)
         store = self._pieces[:, used : used + n]
         store[:16] = coefs.T
         store[_LOW], store[_HIGH], store[_R] = lows, highs, at
-        store[_MASS] = np.cumsum(store[15::-1], axis=0)[-1]
+        store[_MASS] = np.add.accumulate(store[15::-1], axis=0)[-1]
         nonzero = store[:16] != 0
         nonzero[1] = True
-        store[_DEGREE] = 15 - np.argmax(nonzero[::-1], axis=0)
+        store[_DEGREE] = 15 - nonzero[::-1].argmax(axis=0)
         self._first[segs] = used + starts
         self._count[segs] = counts
         self._used = used + n
@@ -671,7 +672,7 @@ class CumulativeIntensity:
         in position order.  Only the lanes of segments with more than one
         piece search."""
         row = self._first[segs].astype(np.intp)
-        (lanes,) = np.nonzero(self._count[segs] > 1)
+        (lanes,) = (self._count[segs] > 1).nonzero()
         if lanes.size:
             sub, key = row[lanes], key[lanes]
             n = self._count[segs[lanes]].astype(np.intp)
@@ -761,8 +762,8 @@ class CumulativeIntensity:
         gathered from just those rows of the store in one take.  A piece of
         lower degree gets leading zeros, which :func:`_horner` turns into
         exact zeros, so its bits do not depend on the other pieces."""
-        degree = int(np.take(self._pieces[_DEGREE], cols).max())
-        return np.take(self._pieces[: degree + 1], cols, axis=1)
+        degree = int(self._pieces[_DEGREE].take(cols).max())
+        return self._pieces[: degree + 1].take(cols, axis=1)
 
     def _values(self, segs, xs):
         """R at points ``xs`` strictly inside the segments right of the
@@ -874,7 +875,7 @@ class CumulativeIntensity:
         self._build(segs)
         cols = self._locate(segs, _R, ys)
         coef = self._coefficients(cols)
-        lo, hi, r, mass = np.take(self._pieces[_LOW:_DEGREE], cols, axis=1)
+        lo, hi, r, mass = self._pieces[_LOW:_DEGREE].take(cols, axis=1)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         out = hi.copy()
         floor = np.maximum(

@@ -69,7 +69,7 @@ _SEGMENTS = 1024
 def _partition(a: float, b: float):
     """The _SEGMENTS + 1 edges of [a, b]: a + cumsum of equal widths, the
     last edge exactly b."""
-    steps = np.cumsum(np.full(_SEGMENTS - 1, (b - a) / _SEGMENTS))
+    steps = np.add.accumulate(np.full(_SEGMENTS - 1, (b - a) / _SEGMENTS))
     return np.concatenate([[a], a + steps, [b]])
 
 

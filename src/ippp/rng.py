@@ -162,7 +162,7 @@ class RngState:
             if done:
                 break
             y = -float(neg[-1])
-        out = np.concatenate(blocks)
+        out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         np.subtract(start, out, out=out)
         return np.minimum(out, stop, out=out)
 

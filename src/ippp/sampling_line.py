@@ -108,8 +108,7 @@ def sample_path_time_change(
     if zeros < len(ys):
         with ci._lock:
             pts[zeros:] = ci._solve(ys[zeros:], ci._r.searchsorted(ys[zeros:]))
-    meta = _base_meta(model, rng, "time-change")
-    meta["mass"] = ci.r_hi
+    meta = dict(_base_meta(model, rng, "time-change"), mass=ci.r_hi)
     return EventSet._owning(window, pts, meta)
 
 
