@@ -7,6 +7,10 @@ Subcommands:
   next-point   the n-th point above/below an anchor
   density      order-stat or nth-point density tables
 
+Each flag's add_argument keywords are defined once, in ``_FLAGS``, and
+each subcommand is one row of ``_COMMANDS``, which lists its flags in
+``--help`` order.
+
 A rate is given either as an expression (--rate "2+sin(x)") or as a
 built-in family (--rate-family with --params).  Sampling commands
 require an explicit --seed; replications use per-rep streams
@@ -59,152 +63,44 @@ _FAMILIES = {
 _DIRECTIONS = {"up": Direction.ABOVE, "down": Direction.BELOW}
 
 
-def _add_rate_flags(parser):
-    parser.add_argument("--rate", metavar="EXPR", help="rate as an expression in x")
-    parser.add_argument(
-        "--rate-family",
-        choices=_FAMILIES,
-        help="built-in rate family (needs --params)",
-    )
-    parser.add_argument(
-        "--params",
+# the add_argument keywords of every flag
+_FLAGS = {
+    "--version": dict(action="version", version=f"ippp {__version__}"),
+    "--rate": dict(metavar="EXPR", help="rate as an expression in x"),
+    "--rate-family": dict(choices=_FAMILIES, help="built-in rate family (needs --params)"),
+    "--params": dict(
         metavar="K=V,...",
         help="family parameters, e.g. c=1 or a=2,b=1 or breaks=0:1:2,levels=2:5",
-    )
-    parser.add_argument(
-        "--bound",
-        type=float,
-        metavar="B",
+    ),
+    "--bound": dict(
+        type=float, metavar="B",
         help="declared upper bound on the rate over the domain, used as the "
         "rejection envelope (for rates with no finite enclosure)",
-    )
-
-
-def _add_tol_flag(parser):
-    parser.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance"
-    )
-
-
-def _add_seed_flags(parser):
-    parser.add_argument(
-        "--seed", type=int, required=True, help="RNG seed (required, no entropy fallback)"
-    )
-    parser.add_argument("--stream", type=int, default=0, help="RNG stream (default 0)")
-    parser.add_argument(
-        "--reps", type=int, default=1, help="independent replications (default 1)"
-    )
-
-
-def _add_output_flags(parser):
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-    parser.add_argument("--out", metavar="PATH", help="write output to a file")
-
-
-def _add_window_flag(parser, required=True):
-    parser.add_argument(
-        "--window",
-        nargs=2,
-        type=float,
-        metavar=("LO", "HI"),
-        required=required,
-        help="observation window",
-    )
-
-
-def _add_grid_flag(parser):
-    parser.add_argument(
-        "--grid",
-        nargs=3,
-        type=float,
-        metavar=("LO", "HI", "STEPS"),
-        required=True,
+    ),
+    "--tol": dict(type=float, default=DEFAULT_TOL, help="quadrature tolerance"),
+    "--window": dict(
+        nargs=2, type=float, metavar=("LO", "HI"), required=True, help="observation window"
+    ),
+    "--count": dict(type=int, required=True, help="exact number of points"),
+    "--from": dict(dest="anchor", type=float, required=True, metavar="X", help="anchor point"),
+    "--n": dict(type=int, required=True, help="which point (n >= 1)"),
+    "--direction": dict(choices=sorted(_DIRECTIONS), required=True, help="side of the anchor"),
+    "--k": dict(type=int, required=True, help="order statistic index"),
+    "--m": dict(type=int, required=True, help="total point count"),
+    "--grid": dict(
+        nargs=3, type=float, metavar=("LO", "HI", "STEPS"), required=True,
         help="evaluation grid: lo hi steps",
-    )
-
-
-def _add_anchor_flags(parser):
-    parser.add_argument(
-        "--from",
-        dest="anchor",
-        type=float,
-        required=True,
-        metavar="X",
-        help="anchor point",
-    )
-    parser.add_argument("--n", type=int, required=True, help="which point (n >= 1)")
-    parser.add_argument(
-        "--direction",
-        choices=sorted(_DIRECTIONS),
-        required=True,
-        help="side of the anchor",
-    )
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ippp",
-        description="Simulate inhomogeneous Poisson point processes on the line.",
-    )
-    parser.add_argument("--version", action="version", version=f"ippp {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("intensity", help="integral of the rate over a window")
-    p.set_defaults(run=_run_intensity, parser=p)
-    _add_rate_flags(p)
-    _add_tol_flag(p)
-    _add_window_flag(p)
-    p.add_argument("--out", metavar="PATH", help="write output to a file")
-
-    p = sub.add_parser("simulate", help="simulate realizations on a window")
-    p.set_defaults(run=_run_simulate, parser=p)
-    _add_rate_flags(p)
-    _add_tol_flag(p)
-    _add_window_flag(p)
-    _add_seed_flags(p)
-    _add_output_flags(p)
-
-    # no --tol: conditional simulation integrates nothing
-    p = sub.add_parser("simulate-n", help="simulate with an exact point count")
-    p.set_defaults(run=_run_simulate_n, parser=p)
-    _add_rate_flags(p)
-    _add_window_flag(p)
-    p.add_argument("--count", type=int, required=True, help="exact number of points")
-    _add_seed_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("next-point", help="sample the n-th point beside an anchor")
-    p.set_defaults(run=_run_next_point, parser=p)
-    _add_rate_flags(p)
-    _add_tol_flag(p)
-    _add_anchor_flags(p)
-    _add_seed_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("density", help="evaluate a conditional density on a grid")
-    dsub = p.add_subparsers(dest="density_kind", required=True)
-
-    q = dsub.add_parser("order-stat", help="k-th of m points on a window")
-    q.set_defaults(run=_run_density_order_stat, parser=q)
-    _add_rate_flags(q)
-    _add_tol_flag(q)
-    _add_window_flag(q)
-    q.add_argument("--k", type=int, required=True, help="order statistic index")
-    q.add_argument("--m", type=int, required=True, help="total point count")
-    _add_grid_flag(q)
-    _add_output_flags(q)
-
-    q = dsub.add_parser("nth-point", help="n-th point beside an anchor")
-    q.set_defaults(run=_run_density_nth_point, parser=q)
-    _add_rate_flags(q)
-    _add_tol_flag(q)
-    _add_anchor_flags(q)
-    _add_grid_flag(q)
-    _add_output_flags(q)
-
-    return parser
+    ),
+    "--seed": dict(type=int, required=True, help="RNG seed (required, no entropy fallback)"),
+    "--stream": dict(type=int, default=0, help="RNG stream (default 0)"),
+    "--reps": dict(type=int, default=1, help="independent replications (default 1)"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
+    "--out": dict(metavar="PATH", help="write output to a file"),
+}
+_RATE_FLAGS = ("--rate", "--rate-family", "--params", "--bound")
+_ANCHOR_FLAGS = ("--from", "--n", "--direction")
+_SEED_FLAGS = ("--seed", "--stream", "--reps")
+_OUTPUT_FLAGS = ("--format", "--out")
 
 
 def _checked(parser, flag, check, *args, **kwargs):
@@ -300,30 +196,6 @@ def _check_shared_flags(parser, args):
         _checked(parser, "--stream", _integer, last, "stream + reps - 1", high=_U64 - 1)
 
 
-def _comment_line(args, argv):
-    cmd = shlex.join(["ippp", *argv])
-    seed = getattr(args, "seed", None)
-    stream = getattr(args, "stream", None)
-    seed_txt = "none" if seed is None else str(seed)
-    stream_txt = "none" if stream is None else str(stream)
-    return f"# ippp {__version__} seed={seed_txt} stream={stream_txt} cmd={cmd}"
-
-
-def _meta(args, argv, **extra):
-    meta = {
-        "version": __version__,
-        "cmd": shlex.join(["ippp", *argv]),
-        "seed": getattr(args, "seed", None),
-        "stream": getattr(args, "stream", None),
-    }
-    meta.update(extra)
-    return meta
-
-
-def _format_point(value):
-    return "" if value is None else repr(value)
-
-
 def _render_json(meta, key, names, rows):
     """``json.dumps({"meta": meta, key: [dict(zip(names, row)) for row in
     rows]}, indent=2) + "\n"``, byte for byte.
@@ -345,25 +217,24 @@ def _render_json(meta, key, names, rows):
     return head + ",\n".join(map(row.__mod__, zip(*columns))) + "\n  ]\n}\n"
 
 
-def _render_points(args, argv, rows, **extra):
+def _render(args, argv, key, names, rows, **extra):
+    """The rows as CSV under a comment line, or as JSON under ``meta``;
+    both carry the version, command line, seed and stream, and ``extra``."""
+    meta = {
+        "version": __version__,
+        "cmd": shlex.join(["ippp", *argv]),
+        "seed": getattr(args, "seed", None),
+        "stream": getattr(args, "stream", None),
+        **extra,
+    }
     if args.format == "json":
-        meta = _meta(args, argv, **extra)
-        return _render_json(meta, "points", ("rep", "point"), rows)
-    lines = [_comment_line(args, argv), "rep,point"]
-    lines.extend(f"{rep},{_format_point(val)}" for rep, val in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _render_table(args, argv, xs, values, **extra):
-    rows = list(zip(xs.tolist(), values.tolist()))
-    if args.format == "json":
-        meta = _meta(args, argv, **extra)
-        return _render_json(meta, "table", ("x", "value"), rows)
-    lines = [_comment_line(args, argv)]
-    if "mass" in extra:
-        lines.append(f"# mass={extra['mass']!r}")
-    lines.append("x,value")
-    lines.extend(f"{x!r},{v!r}" for x, v in rows)
+        return _render_json(meta, key, names, rows)
+    seed, stream = ("none" if v is None else v for v in (meta["seed"], meta["stream"]))
+    lines = [f"# ippp {__version__} seed={seed} stream={stream} cmd={meta['cmd']}"]
+    lines.extend(f"# {name}={value!r}" for name, value in extra.items())
+    lines.append(",".join(names))
+    # two columns, of which only the second can be None (no n-th point)
+    lines.extend(f"{a!r},{'' if b is None else repr(b)}" for a, b in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -374,27 +245,25 @@ def _run_intensity(parser, args, argv):
     return f"{value!r}\n"
 
 
+def _draw_reps(args, argv, draw):
+    rows = []
+    for rep in range(args.reps):
+        es = draw(RngState(args.seed, stream=args.stream + rep))
+        rows.extend((rep, p) for p in es.points.tolist())
+    return _render(args, argv, "points", ("rep", "point"), rows)
+
+
 def _run_simulate(parser, args, argv):
     model = _build_model(parser, args)
     window = _checked(parser, "--window", Interval, *args.window)
-    rows = []
-    for rep in range(args.reps):
-        rng = RngState(args.seed, stream=args.stream + rep)
-        es = simulate_window(model, window, rng, args.tol)
-        rows.extend((rep, p) for p in es.points.tolist())
-    return _render_points(args, argv, rows)
+    return _draw_reps(args, argv, lambda rng: simulate_window(model, window, rng, args.tol))
 
 
 def _run_simulate_n(parser, args, argv):
     _checked(parser, "--count", _integer, args.count, "count", low=0)
     model = _build_model(parser, args)
     window = _checked(parser, "--window", Interval, *args.window)
-    rows = []
-    for rep in range(args.reps):
-        rng = RngState(args.seed, stream=args.stream + rep)
-        es = simulate_conditional(model, window, args.count, rng)
-        rows.extend((rep, p) for p in es.points.tolist())
-    return _render_points(args, argv, rows)
+    return _draw_reps(args, argv, lambda rng: simulate_conditional(model, window, args.count, rng))
 
 
 def _run_next_point(parser, args, argv):
@@ -403,7 +272,7 @@ def _run_next_point(parser, args, argv):
     rngs = [RngState(args.seed, stream=args.stream + rep) for rep in range(args.reps)]
     points = sample_nth_points(model, query, rngs, args.tol).tolist()
     rows = [(rep, None if math.isnan(p) else p) for rep, p in enumerate(points)]
-    return _render_points(args, argv, rows)
+    return _render(args, argv, "points", ("rep", "point"), rows)
 
 
 def _run_density_order_stat(parser, args, argv):
@@ -413,7 +282,7 @@ def _run_density_order_stat(parser, args, argv):
     window = _checked(parser, "--window", Interval, *args.window)
     xs = _grid(parser, args)
     values = order_statistic_density(model, window, args.k, args.m, xs, args.tol)
-    return _render_table(args, argv, xs, values)
+    return _render(args, argv, "table", ("x", "value"), list(zip(xs.tolist(), values.tolist())))
 
 
 def _run_density_nth_point(parser, args, argv):
@@ -422,7 +291,46 @@ def _run_density_nth_point(parser, args, argv):
     xs = _grid(parser, args)
     values = nth_point_density(model, query, xs, args.tol)
     mass = nth_point_mass(model, query, args.tol)
-    return _render_table(args, argv, xs, values, mass=mass)
+    rows = list(zip(xs.tolist(), values.tolist()))
+    return _render(args, argv, "table", ("x", "value"), rows, mass=mass)
+
+
+# one row per subcommand: its path, help, runner and flags in --help
+# order; a path with leaves has no runner, and its leaves follow it
+_COMMANDS = (
+    (("intensity",), "integral of the rate over a window", _run_intensity,
+     (*_RATE_FLAGS, "--tol", "--window", "--out")),
+    (("simulate",), "simulate realizations on a window", _run_simulate,
+     (*_RATE_FLAGS, "--tol", "--window", *_SEED_FLAGS, *_OUTPUT_FLAGS)),
+    # no --tol: conditional simulation integrates nothing
+    (("simulate-n",), "simulate with an exact point count", _run_simulate_n,
+     (*_RATE_FLAGS, "--window", "--count", *_SEED_FLAGS, *_OUTPUT_FLAGS)),
+    (("next-point",), "sample the n-th point beside an anchor", _run_next_point,
+     (*_RATE_FLAGS, "--tol", *_ANCHOR_FLAGS, *_SEED_FLAGS, *_OUTPUT_FLAGS)),
+    (("density",), "evaluate a conditional density on a grid", None, ()),
+    (("density", "order-stat"), "k-th of m points on a window", _run_density_order_stat,
+     (*_RATE_FLAGS, "--tol", "--window", "--k", "--m", "--grid", *_OUTPUT_FLAGS)),
+    (("density", "nth-point"), "n-th point beside an anchor", _run_density_nth_point,
+     (*_RATE_FLAGS, "--tol", *_ANCHOR_FLAGS, "--grid", *_OUTPUT_FLAGS)),
+)
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="ippp",
+        description="Simulate inhomogeneous Poisson point processes on the line.",
+    )
+    parser.add_argument("--version", **_FLAGS["--version"])
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, run, flags in _COMMANDS:
+        p = subparsers[path[:-1]].add_parser(path[-1], help=help_text)
+        if run is None:
+            subparsers[path] = p.add_subparsers(dest=f"{path[-1]}_kind", required=True)
+            continue
+        p.set_defaults(run=run, parser=p)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+    return parser
 
 
 def _emit(parser, text, out_path):

@@ -67,7 +67,8 @@ sampler: :meth:`CumulativeIntensity._solve` solves it on the pieces'
 polynomials with no rate call, and
 :meth:`CumulativeIntensity.inverse_many` states what its results satisfy.
 The sampler's arrivals come ascending and within R's range on its table,
-so it hands them to the solve directly, past inverse_many's sort and probe.
+so :meth:`CumulativeIntensity._path` hands them to the solve directly,
+past inverse_many's sort and probe.
 """
 
 from __future__ import annotations
@@ -800,7 +801,7 @@ class CumulativeIntensity:
         which makes the search of the checkpoints one ordered pass and the
         reads of the piece store run along it, and returned in input
         order; targets that come ascending and in range, as the time-change
-        sampler's do, can go to :meth:`_solve` with the same bits.
+        sampler's do, can go to :meth:`_path` with the same bits.
         ``missing`` controls out-of-range targets: "raise" propagates
         OutOfRange (the default), for the first target below the range in
         input order or, failing that, the first above it; "nan" marks
@@ -832,19 +833,29 @@ class CumulativeIntensity:
         solved = np.full(len(keys), np.nan)
         solved[low:tie] = self._t[0]
         if tie < high:
-            inner = keys[tie:high]
-            solved[tie:high] = self._solve(inner, self._r.searchsorted(inner))
+            solved[tie:high] = self._solve(keys[tie:high])
         out = np.empty_like(solved)
         out[order] = solved
         return out
 
-    def _solve(self, ys, idx):
+    def _path(self, ys):
+        """R's inverse at a unit-rate path's arrivals ``ys``, ascending and in
+        [0, R's top]: :meth:`inverse_many` bit for bit, with no sort, probe or
+        range check, but an arrival of 0 maps to the origin."""
+        with self._lock:
+            zeros = int(ys.searchsorted(0.0, side="right"))
+            pts = np.full(len(ys), self._t[self._added[-1]])
+            if zeros < len(ys):
+                pts[zeros:] = self._solve(ys[zeros:])
+        return pts
+
+    def _solve(self, ys):
         """Per-lane safeguarded Newton solve of R(t) = y on the dense pieces.
 
-        On entry R(lo) < y <= R(hi), with lo and hi the checkpoints at
-        idx - 1 and idx.  Each lane takes the segment's piece whose R at
-        its left edge is the last below y (:meth:`_build` builds the pieces
-        if need be) and brackets the root by the piece's edges.  It starts
+        On entry R's bottom < y <= R's top.  Each lane finds the checkpoints
+        lo and hi with R(lo) < y <= R(hi), takes their segment's piece whose
+        R at its left edge is the last below y (:meth:`_build` builds the
+        pieces if need be) and brackets the root by its edges.  It starts
         on the piece's chord, through its stored mass, moved by
         _START_STEPS Newton steps on the piece's polynomial, each clipped
         to the piece (a lane whose step is not finite keeps its last
@@ -871,7 +882,7 @@ class CumulativeIntensity:
         inside (or that runs out of rounds) returns its bracket's upper
         end.
         """
-        segs = idx - 1
+        segs = self._r.searchsorted(ys) - 1
         self._build(segs)
         cols = self._locate(segs, _R, ys)
         coef = self._coefficients(cols)

@@ -88,9 +88,7 @@ def sample_path_time_change(
     whose first segments are the window's partition.  A unit-rate path on
     (0, R(hi)] is laid down with Exp(1) gaps and mapped back through the
     inverse; the result is sorted by construction and distributed exactly
-    like simulate_window's output.  The arrivals come out ascending and in
-    [0, R(hi)], so they go to the table's root solve as they are, with no
-    sort or range check: each point is bitwise
+    like simulate_window's output.  Each point is bitwise
     :meth:`~ippp.quadrature.CumulativeIntensity.inverse_many` of its
     arrival, but an arrival of 0 maps to lo, not to the left end of a
     plateau that ends there.  R(hi), the ``mass`` in the result's meta, is
@@ -102,12 +100,7 @@ def sample_path_time_change(
     """
     model.require_window(window)
     ci = _window_intensity(model, tol, window)
-    ys = rng.arrivals(0.0, ci.r_hi)
-    zeros = int(ys.searchsorted(0.0, side="right"))
-    pts = np.full(len(ys), window.lo)
-    if zeros < len(ys):
-        with ci._lock:
-            pts[zeros:] = ci._solve(ys[zeros:], ci._r.searchsorted(ys[zeros:]))
+    pts = ci._path(rng.arrivals(0.0, ci.r_hi))
     meta = dict(_base_meta(model, rng, "time-change"), mass=ci.r_hi)
     return EventSet._owning(window, pts, meta)
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -12,14 +13,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ippp.cli import (
-    _build_parser,
-    _meta,
-    _render_json,
-    _render_points,
-    _render_table,
-    main,
-)
+from ippp import __version__
+from ippp.cli import _build_parser, _render, _render_json, main
 from ippp.rate_model import RateModel
 from ippp.rng import RngState
 from ippp.sampling_line import Direction, NthPointQuery, sample_nth_point
@@ -449,7 +444,7 @@ def test_next_point_reps_match_per_rep_samples(capsys, fmt):
         for rep in range(40)
     ]
     args = _build_parser().parse_args(argv)
-    assert out == _render_points(args, argv, rows)
+    assert out == _render(args, argv, "points", ("rep", "point"), rows)
 
 
 def test_next_point_no_point_is_empty_csv_field(capsys):
@@ -880,22 +875,24 @@ def test_json_writer_matches_json_dumps(key, names):
 def test_json_renderers_match_json_dumps_and_schema():
     argv = ["simulate", "--rate", "1", "--window", "0", "1", "--seed", "1", "--format", "json"]
     args = _build_parser().parse_args(argv)
+    meta = {"version": __version__, "cmd": shlex.join(["ippp", *argv]), "seed": 1, "stream": 0}
     rows = [(rep, val) for rep, val in enumerate(ODD_VALUES) if val is None or math.isfinite(val)]
     body = {
-        "meta": _meta(args, argv),
+        "meta": meta,
         "points": [{"rep": rep, "point": val} for rep, val in rows],
     }
-    out = _render_points(args, argv, rows)
+    out = _render(args, argv, "points", ("rep", "point"), rows)
     assert out == json.dumps(body, indent=2) + "\n"
     jsonschema.validate(json.loads(out), load_schema())
 
     xs = np.array([-0.0, 5e-324, 1e300, 0.1, 2.0])
     values = np.array([0.0, 1e300, -0.0, 5e-324, 7.0])
     body = {
-        "meta": _meta(args, argv, mass=0.25),
+        "meta": {**meta, "mass": 0.25},
         "table": [{"x": float(x), "value": float(v)} for x, v in zip(xs, values)],
     }
-    out = _render_table(args, argv, xs, values, mass=0.25)
+    rows = list(zip(xs.tolist(), values.tolist()))
+    out = _render(args, argv, "table", ("x", "value"), rows, mass=0.25)
     assert out == json.dumps(body, indent=2) + "\n"
     jsonschema.validate(json.loads(out), load_schema())
 

@@ -9,6 +9,12 @@ line is the exit code, stdout and stderr of in-process ``main`` on one
 parser and the family table were rewritten, so any change to a token, a
 tree, an error or a CLI byte shows here.
 
+The ``cli/help`` corpus holds every parser's ``--help``, and
+``cli/usage`` the usage errors of ``tests/test_cli.py``, each as the
+exit code, stdout and stderr of ``main``.  They were recorded before the
+parser was built from one flag table and one subcommand table, so they
+show that every help and usage byte was kept.
+
 The ``evaluate`` corpora take each expression at each of ``POINTS``; a
 line is the bytes of the values, or the error.  They were recorded while
 the rate walk still scanned node values for non-finite ones, before
@@ -31,6 +37,7 @@ from ippp.errors import IpppError
 from ippp.rate_expr import evaluate, parse_text, tokenize
 
 from expr_gen import EXTRA_EXPRESSIONS, mutate, random_expression
+from test_cli import FLAG_CHECKS, SAME_USAGE
 
 # the inputs the token rules and the grammar turn on: an exponent with no
 # digits, fractions without a digit on one side, the unicode minus, a
@@ -181,6 +188,27 @@ FAMILY_ARGVS = (
     ("--help",),
 )
 
+# every parser's --help: the top level, density and the six leaves
+HELP_ARGVS = (
+    (),
+    ("density",),
+    ("intensity",),
+    ("simulate",),
+    ("simulate-n",),
+    ("next-point",),
+    ("density", "order-stat"),
+    ("density", "nth-point"),
+)
+
+# usage errors: each flag check, each subcommand's library and parsing
+# error, and no subcommand at either level
+USAGE_ARGVS = (
+    *(argv for _, argv in FLAG_CHECKS),
+    *(argv for pair in SAME_USAGE for argv in pair),
+    [],
+    ["density"],
+)
+
 
 def _corpora():
     rng = random.Random(2019)
@@ -227,6 +255,10 @@ def _cli_lines(name):
     window = ("--window", "0", "1")
     if name == "family":
         return [_run_main(["intensity", *tail, *window]) for tail in FAMILY_ARGVS]
+    if name == "help":
+        return [_run_main([*argv, "--help"]) for argv in HELP_ARGVS]
+    if name == "usage":
+        return [_run_main(argv) for argv in USAGE_ARGVS]
     return [
         _run_main(["intensity", "--rate-family", name, "--params", p, *window])
         for p in PARAMS[name]
@@ -248,7 +280,7 @@ def _digests():
         yield f"parse/{corpus}", _digest(_outcome(parse_text, t) for t in texts)
     for corpus, texts in _rate_corpora().items():
         yield f"evaluate/{corpus}", _digest(line for t in texts for line in _evaluate_lines(t))
-    for name in (*PARAMS, "family"):
+    for name in (*PARAMS, "family", "help", "usage"):
         yield f"cli/{name}", _digest(_cli_lines(name))
 
 
@@ -269,6 +301,8 @@ GOLDEN = {
     "cli/sin": "9262b370494f84d810275766a73f2db6c3678abcdc2fe5764204b182199b05bc",
     "cli/pwconst": "5c920cec80dbc5ac49c3c8697af48038f0f721732b42d278025666451938466d",
     "cli/family": "1e408e078de95a71d15f3121b925ac4173e2177c0168e7a937c90b6cead7f939",
+    "cli/help": "5d7519559f70b48a78e0f71645fd899dd08edee51a97142617b07a264e93413b",
+    "cli/usage": "aba36e17b4f7389beaefd47bbe17c7040e079d4c0769b12129f106cc7584d1a1",
 }
 
 

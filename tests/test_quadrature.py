@@ -609,6 +609,21 @@ class TestCumulativeIntensity:
         err = np.abs(2.0 * xs - np.cos(xs) - (2e4 - math.cos(1e4)) - steps)
         assert np.all(err <= 2 * DEFAULT_TOL + (2.0 + np.sin(xs)) * np.spacing(xs))
 
+    def test_points_past_the_probe_limit_read_the_outermost_checkpoints(self):
+        # the grid stops at the first checkpoints past |t| = 1e15; a point
+        # beyond them adds the mass from the outermost one, 0 here
+        ci = CumulativeIntensity(RateModel.from_expression("exp(-x^2)"))
+        values = ci(np.array([1e16, 2e15, -3e16]))
+        (bottom, _), *_, (top, r_top) = ci.checkpoints
+        assert -bottom == top == 1125899906842628.0
+        assert values.tolist() == [r_top, r_top, ci(bottom)]
+        half = math.sqrt(math.pi) / 2
+        assert np.all(np.abs(np.abs(values) - half) <= 2 * DEFAULT_TOL)
+        with pytest.raises(OutOfRange) as info:
+            ci.inverse(r_top + 1e-6)
+        assert info.value.sup == r_top
+        assert np.isnan(ci.inverse_many([r_top + 1e-6], missing="nan")).all()
+
     def test_concurrent_queries_agree_with_serial(self):
         reference = CumulativeIntensity(SIN_MODEL)
         probes = np.linspace(-8.0, 12.0, 40)
