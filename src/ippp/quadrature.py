@@ -1,29 +1,35 @@
 """Adaptive integration of rate functions and the cumulative intensity map.
 
-One integrator serves the whole library.  :func:`_masses` takes a
-Gauss-Kronrod 7-15 panel over each segment of a partition and bisects, as
-QUADPACK does (Piessens et al., 1983), each piece that fails the one test
-of :func:`_judged`: the larger of |K15 - G7| (G7 the embedded Gauss rule)
-and the tail (the interpolant's last two Legendre coefficients times the
-half-width, which sees content odd about the midpoint) must be within
-the larger of the piece's share of its segment's budget tol / 1024 and
-its rounding floor c s, s = eps half (max|x| L + max|r|), L = (max r -
-min r) / half: rounded nodes and sums leave noise in both estimates that
-no bisection lowers, so refinement ends at any distance from 0.  Against
-long-double closed forms of 2 + sin(x), 3 + x/2 and 2 + cos(2x) (x from 0
-to 1e6, half-widths 1e-5 to 0.1, five OpenBLAS kernels) an estimate read
-at most 8.3 s, so c = 16; the root-sum-square of K15's misses was at most
-1.02 times that of s, so a piece accepted past its share counts a miss of
-2 s.  Misses of distinct pieces are independent and add in quadrature:
-ToleranceNotMet is raised where their root-sum-square over an integral,
-or over a table's growth on one side of its origin, passes tol, or where
-a segment takes over 1024 pieces.  A rate call takes up to 16 pieces of every open
-segment; acceptance depends on the piece alone, so the pieces, and the
-order they are summed in, are those of one piece per call.  The nodes
-and weights come from a high-precision Newton solve of the moment
-equations (the 15-point rule integrates degree 22 exactly, as the tests
-verify).  :func:`integrate` sums the masses of the 1024 equal segments of
-[a, b]: a single panel could step over a narrow spike with all 15 nodes.
+One integrator serves the whole library.  :func:`_masses` splits each
+segment of a partition where the rate may not be smooth, at the points
+one walk over its expression finds (:func:`ippp.rate_expr._switch_points`:
+a step's breaks, and where an argument of abs, max or min switches), as
+QUADPACK's QAGP splits at breakpoints its caller supplies (Piessens et
+al., 1983), so no error estimate has to see a kink or a jump.  It takes
+a Gauss-Kronrod 7-15 panel over each part, and bisects, as QUADPACK
+does, each piece that fails the one test of :func:`_judged`: the larger
+of |K15 - G7| (G7 the embedded Gauss rule) and the tail (the
+interpolant's last two Legendre coefficients times the half-width, which
+sees content odd about the midpoint) must be within the larger of the
+piece's share of its segment's budget tol / 1024 (its share of the
+segment's width) and its rounding floor c s, s = eps half (max|x| L +
+max|r|), L = (max r - min r) / half: rounded nodes and sums leave noise
+in both estimates that no bisection lowers, so refinement ends at any
+distance from 0.  Against long-double closed forms of 2 + sin(x), 3 +
+x/2 and 2 + cos(2x) (x from 0 to 1e6, half-widths 1e-5 to 0.1, five
+OpenBLAS kernels) an estimate read at most 8.3 s, so c = 16; the
+root-sum-square of K15's misses was at most 1.02 times that of s, so a
+piece accepted past its share counts a miss of 2 s.  Misses of distinct
+pieces are independent and add in quadrature: ToleranceNotMet is raised
+where their root-sum-square over an integral, or over a table's growth
+on one side of its origin, passes tol, or where a part takes over 1024
+pieces.  A rate call takes up to 16 pieces of every open part;
+acceptance depends on the piece alone, so the pieces, and the order they
+are summed in, are those of one piece per call.  The nodes and weights
+come from a high-precision Newton solve of the moment equations (the
+15-point rule integrates degree 22 exactly, as the tests verify).
+:func:`integrate` sums the masses of the 1024 equal segments of [a, b]: a
+single panel could step over a narrow spike with all 15 nodes.
 
 :class:`CumulativeIntensity` is the signed antiderivative of the rate
 from the table's origin o: R(t) is the mass on (o, t] for t >= o and
@@ -308,14 +314,16 @@ def _horner(coef, s, slope=False):
     return (value, deriv) if slope else value
 
 
-def _refine(f, lows, highs, tol: float):
+def _refine(f, lows, highs, spans, tol: float):
     """Adaptive bisection, one rate call per round, of intervals whose
     first panels failed.
 
     Each interval keeps a stack of pieces in position order, the rightmost
     on top, starting at its two halves; a piece's share of the budget
-    tol / _SEGMENTS is its share of the interval's width.  A round pops up
-    to _ROUND_PIECES pieces off every open stack, accepts each that passes
+    tol / _SEGMENTS is its share of ``spans``, the width of the segment
+    the interval lies in (the interval's own, unless :func:`_masses` split
+    the segment at a switch point).  A round pops up to _ROUND_PIECES
+    pieces off every open stack, accepts each that passes
     :func:`_judged` and pushes both halves of every other back in order.
     The accepted pieces are those a round of one piece would accept, summed
     from the rightmost leftward: a total depends on neither the round width
@@ -326,7 +334,7 @@ def _refine(f, lows, highs, tol: float):
     Returns each interval's mass, its pieces' squared misses summed, and
     the pieces of the intervals, as :func:`_masses` returns them.
     """
-    seg_tol, widths = tol / _SEGMENTS, highs - lows
+    seg_tol = tol / _SEGMENTS
     mids = 0.5 * (lows + highs)
     stacks = [[(a, m), (m, b)] for a, m, b in zip(lows.tolist(), mids.tolist(), highs.tolist())]
     cuts = [2] * len(lows)
@@ -338,9 +346,9 @@ def _refine(f, lows, highs, tol: float):
             groups.append(stacks[i][-_ROUND_PIECES:])
             del stacks[i][-_ROUND_PIECES:]
         a_s, b_s = np.array([p for group in groups for p in group]).T
-        spans = np.repeat(widths[live], list(map(len, groups)))
+        widths = np.repeat(spans[live], list(map(len, groups)))
         vals, errs, rows = _panels(f, a_s, b_s)
-        ok, misses, errs = _judged(a_s, b_s, errs, rows, seg_tol * ((b_s - a_s) / spans))
+        ok, misses, errs = _judged(a_s, b_s, errs, rows, seg_tol * ((b_s - a_s) / widths))
         kept.append(rows[ok])
         results = iter(zip(ok.tolist(), vals.tolist(), misses.tolist(), errs.tolist()))
         for i, group in zip(live, groups):
@@ -375,30 +383,54 @@ def _lanes(pieces, lanes):
     return (counts, *(a[runs] for a in rest))
 
 
-def _masses(f, lows, highs, tol: float):
-    """Signed mass over each [low, high]: one panel per lane, refined
-    (:func:`_refine`) where it fails :func:`_judged` against the lane's
-    budget tol / _SEGMENTS.  Returns the masses, the pieces over [min(low,
-    high), max(low, high)], each lane's in position order, as (pieces per
-    lane, lows, highs, K15 values, node rates as :func:`_panels` gives),
-    and the squares of each lane's pieces' misses (:func:`_judged`) summed."""
+def _masses(model: RateModel, lows, highs, tol: float):
+    """Signed mass of the rate over each [low, high]: split at the switch
+    points its source finds there (an expression's ``_switch_points``;
+    other sources have none), one panel per piece, refined
+    (:func:`_refine`) where it fails :func:`_judged` against its share of
+    the lane's budget tol / _SEGMENTS, its share of the lane's width.  A
+    lane with no switch point so keeps the bits of one panel on it.
+    Returns the masses, the pieces over [min(low, high), max(low, high)],
+    each lane's in position order, as (pieces per lane, lows, highs, K15
+    values, node rates as :func:`_panels` gives), and the squares of each
+    lane's pieces' misses (:func:`_judged`) summed."""
     # lanes with low > high, from growth below a table's origin and points
     # below its lowest checkpoint, have minus the mass of [high, low]
-    sign = np.where(np.less_equal(lows, highs), 1.0, -1.0)
-    lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
-    k15, errs, rows = _panels(f, lows, highs)
-    ok, misses, errs = _judged(lows, highs, errs, rows, tol / _SEGMENTS)
-    vals, counts, sq = sign * k15, np.ones(len(lows), dtype=np.int64), np.square(misses)
+    sign = None if (lows <= highs).all() else np.where(lows <= highs, 1.0, -1.0)
+    if sign is not None:
+        lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
+    spans, shares, starts = highs - lows, tol / _SEGMENTS, None
+    walk = getattr(model.source, "_switch_points", None)
+    cuts = None if walk is None else walk(lows, highs)
+    if cuts is not None and cuts[0].size:
+        # each lane's pieces, from its low through its switch points in order
+        seg, points = cuts
+        parts = np.bincount(seg, minlength=len(lows)) + 1
+        starts, owner = np.cumsum(parts) - parts, np.repeat(np.arange(len(lows)), parts)
+        lows, highs = np.insert(lows, seg + 1, points), np.insert(highs, seg, points)
+        spans = spans[owner]
+        split = np.flatnonzero(parts[owner] > 1)
+        shares = np.full(len(lows), shares)
+        shares[split] *= (highs[split] - lows[split]) / spans[split]
+    k15, errs, rows = _panels(model._rate, lows, highs)
+    ok, misses, errs = _judged(lows, highs, errs, rows, shares)
+    vals, counts, sq = k15, np.ones(len(lows), dtype=np.int64), np.square(misses)
     pieces = (lows, highs, k15, rows)
     if not ok.all():
         bad = np.flatnonzero(~ok)
-        totals, sq[bad], (counts[bad], *refined) = _refine(f, lows[bad], highs[bad], tol)
-        vals[bad] = sign[bad] * totals
+        totals, sq[bad], (counts[bad], *refined) = _refine(
+            model._rate, lows[bad], highs[bad], spans[bad], tol
+        )
+        vals = k15.copy()
+        vals[bad] = totals
         good = np.flatnonzero(ok)
-        # the refined lanes' pieces in the place of their first panels
+        # the refined pieces in the place of their first panels
         order = np.argsort(np.concatenate([good, np.repeat(bad, counts[bad])]), kind="stable")
         pieces = tuple(np.concatenate([a[good], b])[order] for a, b in zip(pieces, refined))
-    return vals, (counts, *pieces), sq
+    if starts is not None:
+        # a split lane's mass sums its parts', whatever lanes sit beside it
+        vals, counts, sq = (np.add.reduceat(a, starts) for a in (vals, counts, sq))
+    return vals if sign is None else sign * vals, (counts, *pieces), sq
 
 
 def _rounding(sq: float, lanes, tol: float) -> float:
@@ -416,11 +448,13 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
 
     [a, b] is split into 1024 equal segments, the first checkpoints of
     the window table on [a, b], with error budgets tol / 1024 that sum to
-    tol; a piece whose estimate passes its share is accepted within its
-    rounding floor with a miss, and misses past tol raise ToleranceNotMet
-    (see the module docstring).  Both endpoints must lie in the model's
-    domain (DomainViolation), so every panel node does.  Negative rates
-    and expression evaluation failures propagate.
+    tol, and a segment is split again where an expression rate may not be
+    smooth (a step's break, a switch of abs, max or min), each part with
+    its share of the budget; a piece whose estimate passes its share is
+    accepted within its rounding floor with a miss, and misses past tol
+    raise ToleranceNotMet (see the module docstring).  Both endpoints
+    must lie in the model's domain (DomainViolation), so every panel node
+    does.  Negative rates and expression evaluation failures propagate.
     """
     a = _real(a, "a")
     b = _real(b, "b", low=a)
@@ -431,7 +465,7 @@ def integrate(model: RateModel, a: float, b: float, tol: float = DEFAULT_TOL) ->
     if a == b:
         return 0.0
     edges = _partition(a, b)
-    vals, _, sq = _masses(model._rate, edges[:-1], edges[1:], tol)
+    vals, _, sq = _masses(model, edges[:-1], edges[1:], tol)
     _rounding(0.0, sq, tol)
     return float(np.sum(vals))
 
@@ -494,7 +528,7 @@ class CumulativeIntensity:
         order.  The window must lie in the domain and ``tol`` be checked."""
         self = cls.__new__(cls)
         edges = _partition(window.lo, window.hi)
-        vals, pieces, sq = _masses(model._rate, edges[:-1], edges[1:], tol)
+        vals, pieces, sq = _masses(model, edges[:-1], edges[1:], tol)
         r = np.add.accumulate(np.concatenate([[0.0], vals]))
         self._start(model, tol, window.width / _SEGMENTS, edges, r)
         self._pending.append((0, 1, pieces))
@@ -578,7 +612,7 @@ class CumulativeIntensity:
         for k in range(0, len(batches), step):
             edges = np.concatenate(batches[k : k + step])
             inner = np.concatenate([[self._t[end]], edges[:-1]])
-            vals, pieces, sq = _masses(self.model._rate, inner, edges, self.tol)
+            vals, pieces, sq = _masses(self.model, inner, edges, self.tol)
             self._misses[sign] = _rounding(self._misses[sign], sq, self.tol)
             r, last, j = [], self._r[end], 0
             for batch in batches[k : k + step]:
@@ -621,7 +655,7 @@ class CumulativeIntensity:
                         break
             else:
                 lows, highs = self._t[new[rest]], self._t[new[rest] + 1]
-                parts.append((new[rest], _masses(self.model._rate, lows, highs, self.tol)[1]))
+                parts.append((new[rest], _masses(self.model, lows, highs, self.tol)[1]))
             if len(parts) > 1:
                 segs, fields = zip(*parts)
                 parts = [(np.concatenate(segs), [np.concatenate(f) for f in zip(*fields)])]
@@ -749,7 +783,7 @@ class CumulativeIntensity:
             beyond = inside & ((right == 0) | (right == len(self._t)))
             if np.any(beyond):
                 left = self._t[idx[beyond]]
-                vals, _, sq = _masses(self.model._rate, left, flat[beyond], self.tol)
+                vals, _, sq = _masses(self.model, left, flat[beyond], self.tol)
                 _rounding(0.0, sq, self.tol)
                 out[beyond] += vals
                 inside &= ~beyond

@@ -42,6 +42,10 @@ rather than surfacing as a ``nan`` downstream.
 arrays of segments, it returns for each one an interval that holds every
 value ``evaluate`` can return inside it, which gives rejection sampling a
 sound upper bound for any expression (for a :class:`Step`, an exact one).
+The integrator's one walk over a tree, :func:`_switch_points`, uses the
+enclosures to find the points inside segments where an expression may
+not be smooth: a :class:`Step`'s breaks, and where the order of the two
+sides of ``max`` or ``min``, or the sign of ``abs``'s argument, switches.
 """
 
 from __future__ import annotations
@@ -436,8 +440,10 @@ _HALF_PI = 0.5 * math.pi
 
 
 def _unnan(lo, hi):
-    # NaN ends (0 * inf, inf - inf, a function outside its domain) open up
-    return np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi)
+    # NaN ends (0 * inf, inf - inf, a function outside its domain) open up;
+    # fmax and fmin return the other operand for a NaN, and any other
+    # value as it is
+    return np.fmax(lo, -np.inf), np.fmin(hi, np.inf)
 
 
 def _widen(lo, hi):
@@ -486,8 +492,10 @@ def _power(base, expo):
 
 def _enclose(node: RateExpr, lo, hi):
     if isinstance(node, Num):
-        # numpy scalars, so that 1/0 follows numpy's rules as in evaluate
-        return np.float64(node.value), np.float64(node.value)
+        # numpy scalars, so that 1/0 follows numpy's rules as in evaluate;
+        # one object for both ends marks a point
+        value = np.float64(node.value)
+        return value, value
     if isinstance(node, Var):
         return lo, hi
     if isinstance(node, Unary):
@@ -496,10 +504,13 @@ def _enclose(node: RateExpr, lo, hi):
     if isinstance(node, Binary):
         (al, ah), (bl, bh) = _enclose(node.left, lo, hi), _enclose(node.right, lo, hi)
         if node.op == "+":
-            return _unnan(np.add(al, bl), np.add(ah, bh))
+            return _unnan(al + bl, ah + bh)
         if node.op == "-":
-            return _unnan(np.subtract(al, bh), np.subtract(ah, bl))
+            return _unnan(al - bh, ah - bl)
         if node.op == "*":
+            # a point factor has two products, not four
+            if al is ah:
+                return _unnan(*_hull(al * bl, al * bh))
             return _unnan(*_hull(al * bl, al * bh, ah * bl, ah * bh))
         if node.op == "/":
             out = _unnan(*_hull(al / bl, al / bh, ah / bl, ah / bh))
@@ -558,3 +569,159 @@ def enclose(expr: RateExpr, lo, hi):
         np.broadcast_to(np.asarray(low, dtype=float), shape).copy(),
         np.broadcast_to(np.asarray(high, dtype=float), shape).copy(),
     )
+
+
+# -- switch points -------------------------------------------------------------
+#
+# A rate is smooth away from the points where a switch node changes branch:
+# a Step's breaks, and where the sign changes of abs's argument or of max's
+# and min's left - right.  No error estimate sees a kink or jump that falls
+# between a panel's nodes, so the integrator splits its segments at these
+# points before the first panel, as QUADPACK's QAGP splits at breakpoints
+# its caller supplies.
+
+# sections a flagged segment is sampled in, and a bracket cut into per step
+_SECTIONS = 16
+# a bracket this wide, relative to its segment's ends, locates its point
+_STOP = 4.0 * np.finfo(float).eps
+# steps that narrow a bracket from a section's width to that: 16**13 > 2**51
+_NARROW_STEPS = 13
+# where a step samples near a bracket's false-position point, in units of
+# the bracket's width
+_NEAR = np.ldexp(1.0, -np.arange(8, 49, 8))
+_NEAR = np.concatenate([-_NEAR, [0.0], _NEAR])
+
+
+def _switching(expr: RateExpr):
+    """What makes ``expr`` non-smooth, found once per tree: the (left,
+    right) pairs whose order switches a branch (max's and min's arguments,
+    abs's argument and 0), and its Steps' breaks, ascending; None for a
+    tree with no switch node."""
+    pairs, breaks, stack = {}, [], [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Step:
+            breaks.extend(node.breaks)
+        elif kind is Unary:
+            stack.append(node.operand)
+        elif kind is Binary:
+            stack += [node.left, node.right]
+        elif kind is Call:
+            if node.func == "abs":
+                pairs[(node.args[0], Num(0.0, node.position))] = None
+            elif node.func in ("max", "min"):
+                pairs[node.args] = None
+            stack.extend(node.args)
+    if not pairs and not breaks:
+        return None
+    # sorted in Python: np.unique imports numpy.ma, 10 ms, on first use
+    return tuple(pairs), np.array(sorted(set(breaks)), dtype=float)
+
+
+def _gap(left: RateExpr, right: RateExpr, x):
+    # left - right at each x, under errstate(all="ignore"): > 0 where left
+    # is above; a value that is not finite or a number, where the rate
+    # itself would raise, compares as the IEEE rules say
+    return np.subtract(_eval(left, x), _eval(right, x), out=np.empty(x.shape))
+
+
+def _crossings(left: RateExpr, right: RateExpr, lo, hi):
+    """Where left > right switches strictly inside the segments [lo, hi],
+    as (segment, point) arrays in order, under errstate(all="ignore").
+
+    Samples at _SECTIONS + 1 equally spaced points, ends included, bracket
+    each switch.  A step samples each bracket at _SECTIONS + 1 equally
+    spaced points and at points geometrically close to its false-position
+    point, and keeps the first switch among them: a bracket shrinks
+    _SECTIONS-fold, and far more where the gap is smooth.  It stops a few
+    ulps of its segment's ends wide (_STOP), and its upper end is the
+    point.  A point that close to an end is dropped, as a kink there moves
+    the mass by less than its rounding, and so is one where the gap is
+    larger than anywhere among the first samples."""
+    fractions = np.arange(_SECTIONS + 1) / _SECTIONS
+    x = lo[:, None] + (hi - lo)[:, None] * fractions
+    x[:, -1] = hi
+    gap = _gap(left, right, x)
+    up = gap > 0.0
+    size = np.where(np.isfinite(gap), np.abs(gap), 0.0).max(axis=1)
+    seg, col = np.nonzero(up[:, 1:] != up[:, :-1])
+    p, q, gp, gq = x[seg, col], x[seg, col + 1], gap[seg, col], gap[seg, col + 1]
+    up = up[seg, col, None]
+    stop = limit = _STOP * np.maximum(np.abs(lo), np.abs(hi))[seg]
+    # the brackets still wider than their stop, and where they go
+    point, end, lane = q.copy(), gq.copy(), np.arange(len(q))
+    for _ in range(_NARROW_STEPS):
+        wide = q - p > stop
+        if not wide.all():
+            point[lane], end[lane] = q, gq
+            lane, p, q, gp, gq, up, stop = (a[wide] for a in (lane, p, q, gp, gq, up, stop))
+            if not lane.size:
+                break
+        width = (q - p)[:, None]
+        near = p + (q - p) * (gp / (gp - gq))
+        near = np.where(np.isfinite(near), near, p)[:, None] + width * _NEAR
+        x = np.concatenate([p[:, None] + width * fractions, near], 1)
+        x = np.minimum(np.maximum(x, p[:, None]), q[:, None])
+        x.sort(axis=1)
+        x[:, -1] = q
+        gap = _gap(left, right, x)
+        # the first sample past the switch: p is before it and q past it
+        j = np.maximum(np.argmax((gap > 0.0) != up, axis=1), 1)
+        rows = np.arange(len(j))
+        p, q, gp, gq = x[rows, j - 1], x[rows, j], gap[rows, j - 1], gap[rows, j]
+    point[lane], end[lane] = q, gq
+    # a gap that does not shrink towards the switch jumps there, as at a
+    # pole: the rate is not split there, and refinement meets it as before
+    keep = (point - lo[seg] > limit) & (hi[seg] - point > limit) & (np.abs(end) <= size[seg])
+    return seg[keep], point[keep]
+
+
+def _meet(left: RateExpr, right: RateExpr, lo, hi):
+    # whether the enclosures of left and right over each [lo, hi] meet, so
+    # that their order may switch there; lo <= hi gives lo's shape
+    (ll, lh), (rl, rh) = _enclose(left, lo, hi), _enclose(right, lo, hi)
+    return (ll <= rh) & (rl <= lh) & (lo <= hi)
+
+
+def _switch_points(switching, lo, hi):
+    """The points strictly inside each segment [lo, hi] (arrays, lo <= hi)
+    where a rate with the :func:`_switching` ``switching`` may be
+    non-smooth, as (segment, point) arrays ordered by segment, then point.
+
+    A Step's breaks are exact.  Each pair is enclosed (:func:`enclose`)
+    over the segments' hull and, where the two enclosures meet, over each
+    segment; the segments where they meet are searched by
+    :func:`_crossings`.  Two switches within one sampled section are not
+    seen, and are left to the integrator's refinement.
+    """
+    pairs, breaks = switching
+    segs, points = [], []
+    if breaks.size:
+        first = np.searchsorted(breaks, lo, side="right")
+        count = np.maximum(np.searchsorted(breaks, hi, side="left") - first, 0)
+        if count.any():
+            segs.append(np.repeat(np.arange(len(lo)), count))
+            at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+            points.append(breaks[at])
+    if pairs:
+        hull = lo.min(), hi.max()
+        with np.errstate(all="ignore"):
+            for left, right in pairs:
+                if not _meet(left, right, *hull):
+                    continue
+                (flagged,) = np.nonzero(_meet(left, right, lo, hi))
+                if flagged.size:
+                    seg, point = _crossings(left, right, lo[flagged], hi[flagged])
+                    segs.append(flagged[seg])
+                    points.append(point)
+    if len(segs) < 2:
+        # none, or one node's, in order already
+        return (segs[0], points[0]) if segs else (np.zeros(0, dtype=np.intp), np.zeros(0))
+    segs, points = np.concatenate(segs), np.concatenate(points)
+    order = np.lexsort((points, segs))
+    segs, points = segs[order], points[order]
+    # a point that two nodes share splits once
+    fresh = np.ones(len(segs), dtype=bool)
+    fresh[1:] = (segs[1:] != segs[:-1]) | (points[1:] != points[:-1])
+    return segs[fresh], points[fresh]

@@ -142,17 +142,28 @@ class ExpressionRate(Record):
     """A rate given by an expression in ``x``, e.g. ``"2 + 0.5*sin(x)"``,
     with the text :meth:`describe` returns."""
 
-    __slots__ = _fields = ("expr", "description")
+    _fields = ("expr", "description")
+    # what makes the rate non-smooth (rate_expr._switching), found once
+    __slots__ = _fields + ("_switching",)
 
     def __init__(self, expr: rate_expr.RateExpr, description: str):
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "description", description)
+        object.__setattr__(self, "_switching", rate_expr._switching(expr))
 
     def __call__(self, x):
         return rate_expr._values(self.expr, x)
 
     def supremum(self, lo, hi):
         return rate_expr.enclose(self.expr, lo, hi)[1]
+
+    def _switch_points(self, lo, hi):
+        """The points strictly inside the segments [lo, hi] where the rate
+        may be non-smooth (:func:`ippp.rate_expr._switch_points`), or None
+        for a tree with no switch node."""
+        if self._switching is None:
+            return None
+        return rate_expr._switch_points(self._switching, lo, hi)
 
     def describe(self) -> str:
         return self.description

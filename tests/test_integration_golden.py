@@ -233,7 +233,7 @@ GOLDEN = {
     "1/sinusoid/nth2/lanes": "d3993f6c5fbfaa3f2f59d3bfc0530d706e7ccc229d540b4315c069db0279d3aa",
     "1/sinusoid/nth2/density": "b235129b02467b3f3753cfeebdcbceb441459eaa0eb85bba424fee989ff9d745",
     "1/sinusoid/nth2/mass": "3fcd1a06581658e8e86780440fbc543c8826c9972a887dcfc0febbc4164c8202",
-    "1/step_dyadic/integrate": "51a8e1d7c3f47b656e41e541f8126e5093eec3fe938a5189c1205dada329756a",
+    "1/step_dyadic/integrate": "1b0fc0e08c6a0fee20ef024e9fdbb219839fb304ec0ac4b985ce0afc1623154e",
     "1/step_dyadic/default/R": "634068c7dcaef24d3ccfef5c15ea18a7b2b410991ad3fa6591300c16529b442d",
     "1/step_dyadic/default/checkpoints": "1223a28e59f8268160230e1391db2d9c2dd2c54b830c45aa2a5d1eaa8d545657",
     "1/step_dyadic/default/inverse": "d9b3eea4e08fa16ae8fa6d565b050b4b9db4ebe294ccdc1ba5fb89d87a54b8d6",
@@ -395,7 +395,7 @@ GOLDEN = {
     "2/sinusoid/nth2/lanes": "54894af0a283b9478801ab19e21d59d5b49db77466cc8a73ca2ea0c1467afa45",
     "2/sinusoid/nth2/density": "b235129b02467b3f3753cfeebdcbceb441459eaa0eb85bba424fee989ff9d745",
     "2/sinusoid/nth2/mass": "3fcd1a06581658e8e86780440fbc543c8826c9972a887dcfc0febbc4164c8202",
-    "2/step_dyadic/integrate": "51a8e1d7c3f47b656e41e541f8126e5093eec3fe938a5189c1205dada329756a",
+    "2/step_dyadic/integrate": "1b0fc0e08c6a0fee20ef024e9fdbb219839fb304ec0ac4b985ce0afc1623154e",
     "2/step_dyadic/default/R": "634068c7dcaef24d3ccfef5c15ea18a7b2b410991ad3fa6591300c16529b442d",
     "2/step_dyadic/default/checkpoints": "1223a28e59f8268160230e1391db2d9c2dd2c54b830c45aa2a5d1eaa8d545657",
     "2/step_dyadic/default/inverse": "f0ec43eea7c22fc89c2d406b1db5151cc45af8f4e026de0123aa915541c7e8ed",
@@ -535,6 +535,49 @@ def test_golden_digests_without_avx512_kernels():
         for golden in (GOLDEN, test_rejection_golden.GOLDEN)
     ]
     assert got == want
+
+
+# the steps of the golden digests here and in test_rejection_golden: the
+# breaks, the levels and the mass over the window [0, 8]
+STEPS = {
+    "step_dyadic": ((0.0, 2.0, 5.0, 8.0), (3.0, 1.0, 4.0), 21.0),
+    "step_off_dyadic": ((0.0, 2.1, 5.3, 8.0), (3.0, 1.0, 4.0), 20.3),
+}
+
+
+def _step_r(breaks, levels, t):
+    """The closed form of R, the mass from 0, of a step at points t."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    for lo, hi, level in zip(breaks[:-1], breaks[1:], levels):
+        out += level * (np.clip(t, lo, hi) - lo)
+    return out
+
+
+@pytest.mark.parametrize("name", STEPS)
+def test_step_outputs_against_closed_form(name):
+    # the digests pin the bits; this pins how far the steps' outputs lie
+    # from their piecewise-linear closed forms, wherever a break falls
+    breaks, levels, mass = STEPS[name]
+    model, window = RateModel.piecewise_constant(breaks, levels), Interval(0.0, 8.0)
+    tol = 2 * DEFAULT_TOL
+    assert abs(integrate(model, 0.0, 8.0) - mass) <= tol
+    assert abs(expected_count(model, window) - mass) <= tol
+    closed = lambda a, b: float(_step_r(breaks, levels, b) - _step_r(breaks, levels, a))
+    for a, b in ((2.4, 8.0), (-4.0, 4.0)):
+        assert abs(integrate(model, a, b) - closed(a, b)) <= tol, (a, b)
+    xs = np.linspace(0.0, 8.0, POINTS)
+    for ci in (CumulativeIntensity(model), CumulativeIntensity(model, span=window)):
+        rs = ci(xs)
+        assert np.abs(rs - _step_r(breaks, levels, xs)).max() <= tol
+        ts, r_at = map(np.array, zip(*ci.checkpoints))
+        assert np.abs(r_at - _step_r(breaks, levels, ts)).max() <= tol
+        for seed in SEEDS:
+            ys = np.random.default_rng(seed).uniform(rs[0], rs[-1], size=POINTS)
+            assert np.abs(_step_r(breaks, levels, ci.inverse_many(ys)) - ys).max() <= tol
+    xs = np.linspace(-0.8, 8.8, POINTS)
+    want = _step_r(breaks, levels, np.clip(xs, 0.0, 8.0)) / mass
+    assert np.abs(location_cdf(model, window, xs) - want).max() <= tol
 
 
 @pytest.mark.parametrize("name", RATES)

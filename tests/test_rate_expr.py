@@ -521,3 +521,69 @@ class TestEnclose:
                 checked += vals.size > 0
         # the generator must not degenerate into all-error expressions
         assert checked > 1000
+
+
+
+def _switch_points(source, lo, hi):
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    seg, points = source._switch_points(lo, hi)
+    return list(zip(seg.tolist(), points.tolist()))
+
+
+class TestSwitchPoints:
+    def test_no_switch_node_is_none(self):
+        assert RateModel.from_expression("2 + sin(x)").source._switch_points(
+            np.zeros(1), np.ones(1)
+        ) is None
+
+    def test_step_breaks_exactly_and_strictly_inside(self):
+        step = RateModel.piecewise_constant([0.0, 2.1, 5.3, 8.0], [3.0, 1.0, 4.0]).source
+        got = _switch_points(step, [-1.0, 2.1, 5.0, 7.9], [2.1, 5.3, 8.5, 8.0])
+        assert got == [(0, 0.0), (2, 5.3), (2, 8.0)]
+
+    @pytest.mark.parametrize(
+        "text, roots",
+        [
+            ("max(0, sin(x))", [math.pi * k for k in range(-2, 20)]),
+            ("abs(x - 1.7) + 1", [1.7]),
+            ("min(x^2, 2)", [-math.sqrt(2), math.sqrt(2)]),
+            ("max(1, 0.5*x) + abs(x + 3.3)", [-3.3, 2.0]),
+        ],
+    )
+    def test_switches_located_to_a_few_ulps(self, text, roots):
+        source = RateModel.from_expression(text).source
+        edges = np.linspace(-7.0, 61.0, 1025)
+        got = _switch_points(source, edges[:-1], edges[1:])
+        roots = [r for r in roots if r < 61.0]
+        assert [seg for seg, _ in got] == [int(np.searchsorted(edges, r)) - 1 for r in roots]
+        # within a few ulps of the segment's ends
+        for (seg, point), root in zip(got, roots):
+            ends = max(abs(edges[seg]), abs(edges[seg + 1]))
+            assert abs(point - root) <= 8 * np.spacing(ends), (point, root)
+
+    def test_a_pole_is_no_switch_point(self):
+        # 1/x changes sign at 0 by a jump, not through 0; x - 1 does at 1
+        source = RateModel.from_expression("max(1/x, 0) + abs(x - 1)").source
+        edges = np.linspace(-1.03, 2.0, 101)
+        got = _switch_points(source, edges[:-1], edges[1:])
+        assert [round(point, 12) for _, point in got] == [1.0]
+
+    def test_each_segment_on_its_own(self):
+        # a segment's points do not depend on the segments beside it
+        source = RateModel.from_expression("max(0, sin(3*x)) + abs(x - 2.5)").source
+        edges = np.sort(np.random.default_rng(5).uniform(-10.0, 10.0, 300))
+        lo, hi = edges[:-1], edges[1:]
+        together = _switch_points(source, lo, hi)
+        alone = [
+            (i, p) for i in range(len(lo)) for _, p in _switch_points(source, lo[i : i + 1], hi[i : i + 1])
+        ]
+        assert together == alone and len(together) >= 20
+
+    def test_no_switch_in_range_takes_only_the_hull(self, monkeypatch):
+        # the linear family away from its kink: one enclosure over the hull
+        calls = []
+        meet = rate_expr._meet
+        monkeypatch.setattr(rate_expr, "_meet", lambda *a: calls.append(np.size(a[2])) or meet(*a))
+        edges = np.linspace(0.0, 40.0, 1025)
+        assert _switch_points(RateModel.linear(1.0, 0.5).source, edges[:-1], edges[1:]) == []
+        assert calls == [1]

@@ -262,8 +262,16 @@ class TestBoundOn:
 # the expressions.
 
 
+class _OldSource:
+    def _switch_points(self, lo, hi):
+        # the integrator splits a segment where the family's expression
+        # switches branch; the reference is split at the same points, so
+        # that both routes integrate the same pieces
+        return self.family().source._switch_points(lo, hi)
+
+
 @dataclass(frozen=True)
-class _OldConstant:
+class _OldConstant(_OldSource):
     level: float
 
     def __call__(self, x):
@@ -281,7 +289,7 @@ class _OldConstant:
 
 
 @dataclass(frozen=True)
-class _OldLinear:
+class _OldLinear(_OldSource):
     intercept: float
     slope: float
 
@@ -303,7 +311,7 @@ class _OldLinear:
 
 
 @dataclass(frozen=True)
-class _OldSinusoidal:
+class _OldSinusoidal(_OldSource):
     offset: float
     amplitude: float
     frequency: float = 1.0
@@ -339,7 +347,7 @@ class _OldSinusoidal:
 
 
 @dataclass(frozen=True)
-class _OldPiecewiseConstant:
+class _OldPiecewiseConstant(_OldSource):
     """r(x) = levels[i] on [breakpoints[i], breakpoints[i+1]), zero outside.
 
     The final piece is closed on the right so the last breakpoint still
